@@ -11,8 +11,12 @@ all: build test
 build:
 	$(GO) build ./...
 
+# bwperf/ is its own module (the repo benchmark), so the root ./... never
+# compiles it; vet and test it explicitly so an API change cannot break
+# the benchmark unseen.
 test:
 	$(GO) test ./...
+	cd bwperf && $(GO) vet ./... && $(GO) test ./...
 
 # The concurrency-sensitive packages under the race detector — the same
 # list as the CI race job, including the fleet pool whose probe loop,

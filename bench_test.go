@@ -180,84 +180,70 @@ func BenchmarkCampaignWorkers(b *testing.B) {
 // BenchmarkMonitorThroughput measures the full monitor pipeline — queue
 // publish → batched drain → table insert → check — with four concurrent
 // producers sending a barrier-paced stream (a generation every 64 events
-// per thread), the shape the interpreter produces. The grid compares the
-// scalar Send path against the batched Sender path at 1, 2, and 4
-// checker-shard workers; allocs/op covers all goroutines, so it reports
-// the steady-state allocation cost of the whole pipeline per event. The
-// metrics=on variants attach a metrics.Registry, so the on/off ratio is
+// per thread), the shape the interpreter produces. The grid compares an
+// unbatched Sender (batch 1) against the default batch size; allocs/op
+// covers all goroutines, so it reports the steady-state allocation cost
+// of the whole pipeline per event. The metrics=on variants attach a metrics.Registry, so the on/off ratio is
 // the pipeline's instrumentation overhead (budgeted at < 3%).
 func BenchmarkMonitorThroughput(b *testing.B) {
 	const producers = 4
 	const genEvery = 64
 	plans := benchPlans()
-	modes := []struct {
-		name  string
-		batch int // 0 = scalar Send, >0 = Sender batch size
-	}{
-		{"scalar", 0},
-		{"batched", monitor.DefaultSenderBatch},
-	}
-	for _, mode := range modes {
-		for _, workers := range []int{1, 2, 4} {
-			for _, withMetrics := range []bool{false, true} {
-				mode, workers, withMetrics := mode, workers, withMetrics
-				state := "off"
-				if withMetrics {
-					state = "on"
-				}
-				b.Run(fmt.Sprintf("%s/checkers=%d/metrics=%s", mode.name, workers, state), func(b *testing.B) {
-					var reg *metrics.Registry
-					if withMetrics {
-						reg = metrics.NewRegistry()
-					}
-					m, err := monitor.New(monitor.Config{
-						NumThreads:   producers,
-						Plans:        plans,
-						SenderBatch:  mode.batch,
-						CheckWorkers: workers,
-						Metrics:      reg,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					m.Start()
-					b.ReportAllocs()
-					b.ResetTimer()
-					var wg sync.WaitGroup
-					for tid := int32(0); tid < producers; tid++ {
-						wg.Add(1)
-						go func(tid int32) {
-							defer wg.Done()
-							send := m.Send
-							if mode.batch > 0 {
-								send = m.Sender(int(tid)).Send
-							}
-							for i := 0; i < b.N; i++ {
-								send(monitor.Event{
-									Kind: monitor.EvBranch, Thread: tid, BranchID: 1,
-									Key1: 1000, Key2: uint64(i % genEvery), Sig: 5, Taken: i%3 == 0,
-								})
-								if i%genEvery == genEvery-1 {
-									send(monitor.Event{Kind: monitor.EvFlush, Thread: tid})
-								}
-							}
-							send(monitor.Event{Kind: monitor.EvDone, Thread: tid})
-						}(tid)
-					}
-					wg.Wait()
-					m.Close()
-					b.StopTimer()
-					if m.Detected() {
-						b.Fatal("unexpected violation")
-					}
-				})
+	for _, batch := range []int{1, monitor.DefaultSenderBatch} {
+		for _, withMetrics := range []bool{false, true} {
+			batch, withMetrics := batch, withMetrics
+			state := "off"
+			if withMetrics {
+				state = "on"
 			}
+			b.Run(fmt.Sprintf("batch=%d/metrics=%s", batch, state), func(b *testing.B) {
+				var reg *metrics.Registry
+				if withMetrics {
+					reg = metrics.NewRegistry()
+				}
+				m, err := monitor.New(monitor.Config{
+					NumThreads:  producers,
+					Plans:       plans,
+					SenderBatch: batch,
+					Metrics:     reg,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				m.Start()
+				b.ReportAllocs()
+				b.ResetTimer()
+				var wg sync.WaitGroup
+				for tid := int32(0); tid < producers; tid++ {
+					wg.Add(1)
+					go func(tid int32) {
+						defer wg.Done()
+						s := m.Sender(int(tid))
+						for i := 0; i < b.N; i++ {
+							s.Send(monitor.Event{
+								Kind: monitor.EvBranch, Thread: tid, BranchID: 1,
+								Key1: 1000, Key2: uint64(i % genEvery), Sig: 5, Taken: i%3 == 0,
+							})
+							if i%genEvery == genEvery-1 {
+								s.Send(monitor.Event{Kind: monitor.EvFlush, Thread: tid})
+							}
+						}
+						s.Send(monitor.Event{Kind: monitor.EvDone, Thread: tid})
+					}(tid)
+				}
+				wg.Wait()
+				m.Close()
+				b.StopTimer()
+				if m.Detected() {
+					b.Fatal("unexpected violation")
+				}
+			})
 		}
 	}
 }
 
-// BenchmarkSendOverflow measures the monitor's Send hot path across the
-// overflow-policy × queue-capacity grid. Checking is disabled so the
+// BenchmarkSendOverflow measures an unbatched Sender's per-event hot path
+// across the overflow-policy × queue-capacity grid. Checking is disabled so the
 // numbers isolate the producer-side cost: the policy branch, the queue
 // push, and (when the drain lags a small queue) the spin or drop path.
 // The dropped/op metric shows how much coverage each lossy configuration
@@ -271,21 +257,22 @@ func BenchmarkSendOverflow(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/cap=%d", pol, qcap), func(b *testing.B) {
 				m, err := monitor.New(monitor.Config{
 					NumThreads: 1, Plans: benchPlans(), QueueCap: qcap,
-					Overflow: pol, CheckingDisabled: true,
+					Overflow: pol, SenderBatch: 1, CheckingDisabled: true,
 				})
 				if err != nil {
 					b.Fatal(err)
 				}
 				m.Start()
+				s := m.Sender(0)
 				ev := monitor.Event{Kind: monitor.EvBranch, Thread: 0, BranchID: 1, Key1: 1, Sig: 5, Taken: true}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					ev.Key2 = uint64(i)
-					m.Send(ev)
+					s.Send(ev)
 				}
 				b.StopTimer()
-				m.Send(monitor.Event{Kind: monitor.EvDone, Thread: 0})
+				s.Send(monitor.Event{Kind: monitor.EvDone, Thread: 0})
 				m.Close()
 				b.ReportMetric(float64(m.Stats().Dropped)/float64(b.N), "dropped/op")
 			})

@@ -286,11 +286,6 @@ type RunOptions struct {
 	// its monitor queue in one operation (0 = default 64, 1 = unbatched).
 	// Batches never cross a barrier.
 	SenderBatch int
-	// CheckWorkers fans the monitor's instance checking out to that many
-	// goroutines sharded by branch key (0/1 = checking inline on the
-	// monitor goroutine). Detection results are identical for every
-	// value. Flat monitor only (ignored when MonitorGroups > 1).
-	CheckWorkers int
 	// StallDeadline arms the monitor's stall watchdog: a barrier
 	// generation that makes no progress for this long is force-closed
 	// (0 = watchdog disabled).
@@ -390,7 +385,6 @@ func (p *Program) Run(opts RunOptions) (*RunResult, error) {
 		QueueCap:      opts.QueueCap,
 		Overflow:      opts.Overflow.toMonitor(),
 		SenderBatch:   opts.SenderBatch,
-		CheckWorkers:  opts.CheckWorkers,
 		StallDeadline: opts.StallDeadline,
 		Metrics:       opts.Metrics,
 	}
@@ -450,7 +444,6 @@ func (p *Program) Run(opts RunOptions) (*RunResult, error) {
 				QueueCap:      opts.QueueCap,
 				Overflow:      opts.Overflow.toMonitor(),
 				SenderBatch:   opts.SenderBatch,
-				CheckWorkers:  opts.CheckWorkers,
 				StallDeadline: opts.StallDeadline,
 				Metrics:       opts.Metrics,
 			})
@@ -548,10 +541,6 @@ type CampaignOptions struct {
 	// CampaignResult is identical for any worker count; only the
 	// wall-clock Elapsed and Latency observability data vary.
 	Workers int
-	// CheckWorkers shards each protected run's monitor-side checking
-	// across that many goroutines (0/1 = inline). Campaign statistics are
-	// byte-identical for every value.
-	CheckWorkers int
 	// Progress, when non-nil, receives periodic snapshots of the running
 	// campaign. Callbacks are serialized but may arrive from worker
 	// goroutines.
@@ -642,14 +631,13 @@ func (p *Program) Campaign(opts CampaignOptions) (*CampaignResult, error) {
 		opts.Protect = true // there is no unprotected event path
 	}
 	c := inject.Campaign{
-		Module:       p.mod,
-		Threads:      opts.Threads,
-		Faults:       opts.Faults,
-		Type:         model,
-		Seed:         opts.Seed,
-		Workers:      opts.Workers,
-		CheckWorkers: opts.CheckWorkers,
-		Metrics:      opts.Metrics,
+		Module:  p.mod,
+		Threads: opts.Threads,
+		Faults:  opts.Faults,
+		Type:    model,
+		Seed:    opts.Seed,
+		Workers: opts.Workers,
+		Metrics: opts.Metrics,
 	}
 	if opts.Progress != nil {
 		cb := opts.Progress

@@ -30,8 +30,6 @@
 //	-seed N       campaign seed
 //	-workers N    concurrent faulty runs (0 = all cores; results are
 //	              identical for any worker count)
-//	-checkers N   monitor checker goroutines per protected run (0/1 =
-//	              inline; results are identical for any checker count)
 //	-progress     print live campaign progress and per-outcome latency
 //	              aggregates to stderr
 //	-metrics F    print the aggregated monitor metrics of every protected
@@ -113,7 +111,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	opts := blockwatch.CampaignOptions{
 		Threads: opt.Threads, Faults: opt.Faults, Model: model, Seed: opt.Seed,
-		Workers: opt.Workers, CheckWorkers: opt.Checkers, Metrics: reg,
+		Workers: opt.Workers, Metrics: reg,
 	}
 	if opt.Progress {
 		opts.Progress = func(p blockwatch.CampaignProgress) {

@@ -14,7 +14,6 @@
 //	-addr A       listen address: host:port for TCP, unix:/path or any
 //	              path containing "/" for a unix socket (default 127.0.0.1:4777)
 //	-queuecap N   per-thread monitor queue capacity per session (0 = default)
-//	-checkers N   checker goroutines per session monitor (0/1 = inline)
 //	-watchdog D   per-session stall-watchdog deadline (0 = disabled)
 //	-maxthreads N largest thread count a session may claim (default 1024)
 //	-maxconns N   reject new sessions beyond N live ones with a polite
@@ -77,7 +76,6 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) error {
 
 	cfg := remote.ServerConfig{
 		QueueCap:      opt.QueueCap,
-		CheckWorkers:  opt.Checkers,
 		StallDeadline: opt.Watchdog,
 		MaxThreads:    opt.MaxThreads,
 		MaxConns:      opt.MaxConns,

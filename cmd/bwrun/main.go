@@ -21,7 +21,6 @@
 //	-queuecap N   per-thread monitor queue capacity (0 = default 16384)
 //	-overflow P   queue-overflow policy: block | drop-newest | block-timeout
 //	-batch N      per-thread event batch size (0 = default 64, 1 = unbatched)
-//	-checkers N   monitor checker goroutines sharded by branch key (0/1 = inline)
 //	-watchdog D   stall-watchdog deadline (e.g. 500ms; 0 = disabled)
 //	-remote A     stream events to a bwmonitord daemon at A instead of
 //	              checking in-process (implies -protect; fails open if the
@@ -97,7 +96,6 @@ func run(args []string, stdout, stderr io.Writer) (*blockwatch.RunResult, error)
 		QueueCap:      opt.QueueCap,
 		Overflow:      policy,
 		SenderBatch:   opt.Batch,
-		CheckWorkers:  opt.Checkers,
 		StallDeadline: opt.Watchdog,
 		Remote:        opt.Remote,
 		RemoteRetry:   opt.Retry,

@@ -105,7 +105,7 @@ func replay(args []string, stdout, stderr io.Writer) (bool, error) {
 		return false, err
 	}
 	defer f.Close()
-	o, err := trace.Replay(f, trace.ReplayConfig{QueueCap: opt.QueueCap, CheckWorkers: opt.Checkers})
+	o, err := trace.Replay(f, trace.ReplayConfig{QueueCap: opt.QueueCap})
 	if err != nil {
 		return false, err
 	}

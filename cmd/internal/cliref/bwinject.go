@@ -16,7 +16,6 @@ type InjectOpts struct {
 	NoSpool       bool
 	Seed          int64
 	Workers       int
-	Checkers      int
 	Progress      bool
 	MetricsFormat string
 	MetricsAddr   string
@@ -35,7 +34,6 @@ func InjectFlags(stderr io.Writer) (*flag.FlagSet, *InjectOpts) {
 	fs.BoolVar(&o.NoSpool, "no-spool", false, "net-fault: disable the disk spillover (fail-open only)")
 	fs.Int64Var(&o.Seed, "seed", 1, "campaign seed")
 	fs.IntVar(&o.Workers, "workers", 0, "concurrent faulty runs (0 = all cores)")
-	fs.IntVar(&o.Checkers, "checkers", 0, "monitor checker goroutines per protected run (0/1 = inline)")
 	fs.BoolVar(&o.Progress, "progress", false, "print live progress to stderr")
 	fs.StringVar(&o.MetricsFormat, "metrics", "", "print the aggregated metrics snapshot to stdout: json | prom")
 	fs.StringVar(&o.MetricsAddr, "metrics-addr", "", "serve /metrics, /healthz, /debug/pprof at this address for the campaign")

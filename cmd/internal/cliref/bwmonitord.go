@@ -10,7 +10,6 @@ import (
 type ServeOpts struct {
 	Addr         string
 	QueueCap     int
-	Checkers     int
 	Watchdog     time.Duration
 	MaxThreads   int
 	MaxConns     int
@@ -27,7 +26,6 @@ func ServeFlags(stderr io.Writer) (*flag.FlagSet, *ServeOpts) {
 	o := &ServeOpts{}
 	fs.StringVar(&o.Addr, "addr", "127.0.0.1:4777", "listen address (host:port, unix:/path, or a socket path)")
 	fs.IntVar(&o.QueueCap, "queuecap", 0, "per-thread monitor queue capacity per session (0 = default)")
-	fs.IntVar(&o.Checkers, "checkers", 0, "checker goroutines per session monitor (0/1 = inline)")
 	fs.DurationVar(&o.Watchdog, "watchdog", 0, "per-session stall-watchdog deadline (0 = disabled)")
 	fs.IntVar(&o.MaxThreads, "maxthreads", 0, "largest thread count a session may claim (0 = default 1024)")
 	fs.IntVar(&o.MaxConns, "maxconns", 0, "reject new sessions beyond N live ones (0 = unlimited)")

@@ -19,7 +19,6 @@ type RunOpts struct {
 	QueueCap      int
 	Overflow      string
 	Batch         int
-	Checkers      int
 	Watchdog      time.Duration
 	Remote        string
 	Retry         int
@@ -44,7 +43,6 @@ func RunFlags(stderr io.Writer) (*flag.FlagSet, *RunOpts) {
 	fs.IntVar(&o.QueueCap, "queuecap", 0, "per-thread monitor queue capacity (0 = default)")
 	fs.StringVar(&o.Overflow, "overflow", "block", "queue-overflow policy: block | drop-newest | block-timeout")
 	fs.IntVar(&o.Batch, "batch", 0, "per-thread event batch size (0 = default, 1 = unbatched)")
-	fs.IntVar(&o.Checkers, "checkers", 0, "monitor checker goroutines (0/1 = inline checking)")
 	fs.DurationVar(&o.Watchdog, "watchdog", 0, "monitor stall-watchdog deadline (0 = disabled)")
 	fs.StringVar(&o.Remote, "remote", "", "bwmonitord address (host:port or unix:/path), or a comma-separated fleet of them; implies -protect")
 	fs.IntVar(&o.Retry, "retry", 0, "with -remote, dial attempts per outage with backoff (0 = single attempt)")

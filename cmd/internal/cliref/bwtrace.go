@@ -16,7 +16,6 @@ type TraceRecordOpts struct {
 // TraceReplayOpts carries bwtrace replay's parsed flags.
 type TraceReplayOpts struct {
 	QueueCap int
-	Checkers int
 }
 
 // TraceRecordFlags builds the record subcommand's flag set.
@@ -35,7 +34,6 @@ func TraceReplayFlags(stderr io.Writer) (*flag.FlagSet, *TraceReplayOpts) {
 	fs := newFlagSet("bwtrace replay", stderr)
 	o := &TraceReplayOpts{}
 	fs.IntVar(&o.QueueCap, "queuecap", 0, "per-thread monitor queue capacity (0 = default)")
-	fs.IntVar(&o.Checkers, "checkers", 0, "monitor checker goroutines (0/1 = inline)")
 	return fs, o
 }
 

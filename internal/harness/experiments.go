@@ -145,7 +145,7 @@ func Experiments() []Experiment {
 				}
 				return ExperimentResult{Text: RenderDetectorFault(rows), Records: DetectorFaultRecords(rows)}, nil
 			}},
-		{ID: "throughput", Desc: "monitor pipeline events/sec over the batching × sharding grid", Perf: true,
+		{ID: "throughput", Desc: "monitor pipeline events/sec at Sender batch sizes 1 and 64", Perf: true,
 			Run: func(cfg Config) (ExperimentResult, error) {
 				points, err := Throughput(cfg)
 				if err != nil {

@@ -53,9 +53,9 @@ func TestWireDecodeRecord(t *testing.T) {
 // synthetic grids (axes in Config, outcomes in Values/Counters).
 func TestRecordsConverters(t *testing.T) {
 	tp := ThroughputRecords([]ThroughputPoint{{
-		Producers: 4, SenderBatch: 0, CheckWorkers: 2, Events: 1000, Elapsed: 1e6,
+		Producers: 4, SenderBatch: 1, Events: 1000, Elapsed: 1e6,
 	}})
-	if len(tp) != 1 || tp[0].Config["mode"] != "scalar" || tp[0].Config["checkers"] != "2" {
+	if len(tp) != 1 || tp[0].Key() != "throughput{batch=1,mode=batch}" {
 		t.Errorf("throughput record = %+v", tp)
 	}
 	if tp[0].Values["ns/op"] != 1000 {

@@ -21,20 +21,17 @@ func perEventNS(elapsedNS int64, events uint64) float64 {
 	return float64(elapsedNS) / float64(events)
 }
 
-// ThroughputRecords converts the batching × sharding grid.
+// ThroughputRecords converts the Sender batch-size sweep. Every cell
+// publishes through a Sender, so mode is always "batch"; the key keeps
+// it so records stay comparable with earlier artifacts.
 func ThroughputRecords(points []ThroughputPoint) []benchstore.Record {
 	recs := make([]benchstore.Record, 0, len(points))
 	for _, p := range points {
-		mode := "batch"
-		if p.SenderBatch == 0 {
-			mode = "scalar"
-		}
 		recs = append(recs, benchstore.Record{
 			Experiment: "throughput",
 			Config: map[string]string{
-				"mode":     mode,
-				"batch":    strconv.Itoa(p.SenderBatch),
-				"checkers": strconv.Itoa(p.CheckWorkers),
+				"mode":  "batch",
+				"batch": strconv.Itoa(p.SenderBatch),
 			},
 			Values: map[string]float64{
 				"ns/op":      perEventNS(p.Elapsed.Nanoseconds(), uint64(p.Events)),

@@ -14,8 +14,8 @@ import (
 
 // Monitor-pipeline throughput experiment (not a paper artifact): drives
 // the runtime monitor with a synthetic multi-producer, barrier-paced
-// event stream — the same shape the interpreter produces — across the
-// producer-batching × checker-sharding grid, and reports sustained
+// event stream — the same shape the interpreter produces — at two Sender
+// batch sizes (1 = unbatched, and the default), and reports sustained
 // events/second. This is the harness-level companion of the repo's
 // BenchmarkMonitorThroughput; `bwbench -exp throughput` prints it as a
 // text artifact.
@@ -35,11 +35,8 @@ const throughputGen = 64
 type ThroughputPoint struct {
 	// Producers is the number of concurrent sending goroutines.
 	Producers int
-	// SenderBatch is the producer-side batch size; 0 means the scalar
-	// Send path (no Sender).
+	// SenderBatch is the producer-side Sender batch size (1 = unbatched).
 	SenderBatch int
-	// CheckWorkers is the monitor's checker-shard count (1 = inline).
-	CheckWorkers int
 	// Events is the total number of branch events sent.
 	Events int
 	// Elapsed is the wall-clock time from first send to monitor close.
@@ -80,11 +77,10 @@ func (p ThroughputPoint) EventsPerSec() float64 {
 	return float64(p.Events) / p.Elapsed.Seconds()
 }
 
-// Throughput measures monitor-pipeline throughput over the batching ×
-// sharding grid: the scalar Send path and the batched Sender path, each
-// at 1, 2, and 4 checker workers. Wall-clock numbers are
-// machine-dependent observability data; the checking results themselves
-// (zero violations on this consistent stream) are asserted.
+// Throughput measures monitor-pipeline throughput at Sender batch sizes 1
+// (every event published on its own) and DefaultSenderBatch. Wall-clock
+// numbers are machine-dependent observability data; the checking results
+// themselves (zero violations on this consistent stream) are asserted.
 func Throughput(cfg Config) ([]ThroughputPoint, error) {
 	cfg = cfg.WithDefaults()
 	plans, branchID, err := throughputPlans()
@@ -92,19 +88,13 @@ func Throughput(cfg Config) ([]ThroughputPoint, error) {
 		return nil, err
 	}
 	var out []ThroughputPoint
-	for _, batch := range []int{0, monitor.DefaultSenderBatch} {
-		for _, workers := range []int{1, 2, 4} {
-			mode := "scalar"
-			if batch > 0 {
-				mode = fmt.Sprintf("batch=%d", batch)
-			}
-			cfg.progress("throughput: %s checkers=%d", mode, workers)
-			p, err := throughputCell(batch, workers, plans, branchID)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, p)
+	for _, batch := range []int{1, monitor.DefaultSenderBatch} {
+		cfg.progress("throughput: batch=%d", batch)
+		p, err := throughputCell(batch, plans, branchID)
+		if err != nil {
+			return nil, err
 		}
+		out = append(out, p)
 	}
 	return out, nil
 }
@@ -137,14 +127,13 @@ func throughputPlans() (map[int]*core.CheckPlan, int, error) {
 // throughputCell runs one grid cell: producers push a barrier-paced
 // stream of consistent branch events; the cell's elapsed time spans the
 // first send through the final pending check.
-func throughputCell(batch, workers int, plans map[int]*core.CheckPlan, branchID int) (ThroughputPoint, error) {
+func throughputCell(batch int, plans map[int]*core.CheckPlan, branchID int) (ThroughputPoint, error) {
 	reg := metrics.NewRegistry()
 	m, err := monitor.New(monitor.Config{
-		NumThreads:   throughputProducers,
-		Plans:        plans,
-		SenderBatch:  batch,
-		CheckWorkers: workers,
-		Metrics:      reg,
+		NumThreads:  throughputProducers,
+		Plans:       plans,
+		SenderBatch: batch,
+		Metrics:     reg,
 	})
 	if err != nil {
 		return ThroughputPoint{}, err
@@ -156,10 +145,7 @@ func throughputCell(batch, workers int, plans map[int]*core.CheckPlan, branchID 
 		wg.Add(1)
 		go func(tid int32) {
 			defer wg.Done()
-			send := m.Send
-			if batch > 0 {
-				send = m.Sender(int(tid)).Send
-			}
+			send := m.Sender(int(tid)).Send
 			for i := 0; i < throughputEvents; i++ {
 				send(monitor.Event{
 					Kind:     monitor.EvBranch,
@@ -187,12 +173,11 @@ func throughputCell(batch, workers int, plans map[int]*core.CheckPlan, branchID 
 		return ThroughputPoint{}, fmt.Errorf("throughput driver: monitor health %s", h)
 	}
 	return ThroughputPoint{
-		Producers:    throughputProducers,
-		SenderBatch:  batch,
-		CheckWorkers: workers,
-		Events:       throughputProducers * throughputEvents,
-		Elapsed:      elapsed,
-		Metrics:      reg.Snapshot(),
+		Producers:   throughputProducers,
+		SenderBatch: batch,
+		Events:      throughputProducers * throughputEvents,
+		Elapsed:     elapsed,
+		Metrics:     reg.Snapshot(),
 	}, nil
 }
 
@@ -201,15 +186,11 @@ func RenderThroughput(points []ThroughputPoint) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Monitor pipeline throughput (%d producers, %d events each, barrier every %d)\n",
 		throughputProducers, throughputEvents, throughputGen)
-	fmt.Fprintf(&b, "%-12s %-10s %14s %12s %12s %10s\n",
-		"producer", "checkers", "events/sec", "elapsed", "drain-batch", "queue-hwm")
+	fmt.Fprintf(&b, "%-12s %14s %12s %12s %10s\n",
+		"sender-batch", "events/sec", "elapsed", "drain-batch", "queue-hwm")
 	for _, p := range points {
-		mode := "scalar"
-		if p.SenderBatch > 0 {
-			mode = fmt.Sprintf("batch=%d", p.SenderBatch)
-		}
-		fmt.Fprintf(&b, "%-12s %-10d %14.0f %12s %12.1f %10d\n",
-			mode, p.CheckWorkers, p.EventsPerSec(), p.Elapsed.Round(time.Millisecond),
+		fmt.Fprintf(&b, "%-12d %14.0f %12s %12.1f %10d\n",
+			p.SenderBatch, p.EventsPerSec(), p.Elapsed.Round(time.Millisecond),
 			p.meanBatch(), p.queueHWM())
 	}
 	return b.String()

@@ -72,8 +72,8 @@ func FlipEventBit(ev *monitor.Event, field EventField, bit uint) {
 // establishes the necessary happens-before), so no synchronization is
 // needed.
 //
-// Targeting by (pre-corruption) ev.Thread is deterministic: Send routes
-// events onto the producing thread's queue, queues are FIFO, and only one
+// Targeting by (pre-corruption) ev.Thread is deterministic: each thread's
+// Sender publishes onto that thread's own queue, queues are FIFO, and only one
 // event per run is corrupted — so "thread j's k-th branch event" is a
 // fixed event regardless of how the monitor interleaves its queue drains.
 type Tap struct {

@@ -195,11 +195,6 @@ type Campaign struct {
 	// MonitorGroups selects the hierarchical monitor extension for the
 	// protected runs (0/1 = flat monitor).
 	MonitorGroups int
-	// CheckWorkers fans each protected run's instance checking out to that
-	// many monitor-side goroutines (0/1 = inline). The monitor merges
-	// violations in a canonical order, so every campaign tally is
-	// byte-identical for any value. Flat monitor only.
-	CheckWorkers int
 	// Workers is the number of faulty runs executed concurrently
 	// (0 = runtime.GOMAXPROCS(0), 1 = fully sequential). The fault list is
 	// sampled from the campaign RNG before any run starts and results are
@@ -660,7 +655,6 @@ func (c Campaign) runOneFull(f Fault, golden []interp.Value, stepLimit uint64) (
 		Seed:          c.Seed0,
 		StepLimit:     stepLimit,
 		MonitorGroups: c.MonitorGroups,
-		CheckWorkers:  c.CheckWorkers,
 		Metrics:       c.Metrics,
 	})
 	if err != nil {
@@ -685,14 +679,13 @@ func (c Campaign) runOne(f Fault, golden []interp.Value, stepLimit uint64) Outco
 func (c Campaign) runOneEvent(f Fault, golden []interp.Value, stepLimit uint64) (Outcome, runExtras) {
 	tap := NewTap(f)
 	res, err := interp.Run(c.Module, interp.Options{
-		Threads:      c.Threads,
-		Mode:         interp.MonitorActive,
-		Plans:        c.Plans,
-		Seed:         c.Seed0,
-		StepLimit:    stepLimit,
-		EventTap:     tap.Corrupt,
-		CheckWorkers: c.CheckWorkers,
-		Metrics:      c.Metrics,
+		Threads:   c.Threads,
+		Mode:      interp.MonitorActive,
+		Plans:     c.Plans,
+		Seed:      c.Seed0,
+		StepLimit: stepLimit,
+		EventTap:  tap.Corrupt,
+		Metrics:   c.Metrics,
 	})
 	if err != nil {
 		return Crash, runExtras{}

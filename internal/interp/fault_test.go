@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -195,6 +196,94 @@ func void slave() {
 	// single-thread critical-path time (remote-memory costs make it more).
 	if r4.SimTime < 3*r1.SimTime {
 		t.Errorf("lock serialization missing: 1t=%d 4t=%d", r1.SimTime, r4.SimTime)
+	}
+}
+
+// TestLockGrantedInSimTimeOrder: contended locks go to requesters in
+// simulated-clock order, not in the order goroutines reach them. Thread i
+// works (nt-i)*200 iterations before locking, so the highest thread ID
+// arrives first on the simulated clock and must enter first, on every run.
+func TestLockGrantedInSimTimeOrder(t *testing.T) {
+	m := compile(t, `
+global int order[8];
+global int pos;
+func void slave() {
+	int me = tid();
+	int nt = nthreads();
+	int i;
+	int x = 0;
+	for (i = 0; i < (nt - me) * 200; i = i + 1) {
+		x = x + i;
+	}
+	lock(1);
+	order[pos] = me;
+	pos = pos + 1;
+	unlock(1);
+	barrier();
+	if (me == 0) {
+		for (i = 0; i < nt; i = i + 1) {
+			output(order[i]);
+		}
+	}
+	if (x < 0) {
+		output(x);
+	}
+}`)
+	want := []int64{7, 6, 5, 4, 3, 2, 1, 0}
+	var first []int64
+	for run := 0; run < 5; run++ {
+		res, err := Run(m, Options{Threads: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Clean() {
+			t.Fatalf("run %d trapped: %v", run, res.Traps)
+		}
+		if got := ints(res); !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d lock order %v, want %v", run, got, want)
+		}
+		if first == nil {
+			first = append([]int64(nil), res.SimTimes...)
+		} else if !reflect.DeepEqual(res.SimTimes, first) {
+			t.Fatalf("run %d clocks %v, first run %v", run, res.SimTimes, first)
+		}
+	}
+}
+
+// TestLockDeadlockDetected: lock requests that can never be granted are
+// reported as a deadlock hang as soon as every thread is waiting, for a
+// self-relock and for opposite-order (ABBA) nesting across threads.
+func TestLockDeadlockDetected(t *testing.T) {
+	for name, src := range map[string]string{
+		"relock": `func void slave() { lock(1); lock(1); }`,
+		"abba": `
+func void slave() {
+	if (tid() == 0) {
+		lock(1);
+		lock(2);
+		unlock(2);
+		unlock(1);
+	} else {
+		lock(2);
+		lock(1);
+		unlock(1);
+		unlock(2);
+	}
+}`,
+	} {
+		res, err := Run(compile(t, src), Options{Threads: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		deadlocked := false
+		for _, tr := range res.Traps {
+			if tr != nil && tr.Kind == TrapDeadlock {
+				deadlocked = true
+			}
+		}
+		if !res.Hung() || !deadlocked {
+			t.Errorf("%s: want deadlock hang, traps = %v", name, res.Traps)
+		}
 	}
 }
 

@@ -48,7 +48,7 @@ type Options struct {
 	Seed uint64
 	// QueueCap overrides the monitor queue capacity (0 = default).
 	QueueCap int
-	// Overflow selects the monitor's Send overflow policy for branch
+	// Overflow selects the monitor's Sender overflow policy for branch
 	// events (zero = OverflowBlock, the lossless default).
 	Overflow monitor.OverflowPolicy
 	// SendSpins bounds the OverflowBlockTimeout spin (0 = monitor default).
@@ -57,10 +57,6 @@ type Options struct {
 	// are batched locally and published with one queue operation
 	// (0 = monitor default, 1 = effectively unbatched).
 	SenderBatch int
-	// CheckWorkers fans the monitor's instance checking out to that many
-	// goroutines sharded by branch key (0 or 1 = inline checking).
-	// Results are deterministic for every value. Flat monitor only.
-	CheckWorkers int
 	// StallDeadline arms the monitor's stall watchdog (0 = disabled).
 	StallDeadline time.Duration
 	// Now overrides the watchdog clock (nil = time.Now; tests use a
@@ -225,7 +221,7 @@ type machine struct {
 
 	mem     []Value // global memory image
 	base    []int   // global slot offsets by Global.Index
-	locks   []lockState
+	locks   lockSched
 	barrier *simBarrier
 
 	traceMu  sync.Mutex
@@ -234,11 +230,6 @@ type machine struct {
 	abortErr *Trap
 	aborted  chan struct{}
 	abortSet bool
-}
-
-type lockState struct {
-	mu          sync.Mutex
-	lastRelease int64
 }
 
 const numLocks = 64
@@ -271,10 +262,10 @@ func Run(mod *ir.Module, opts Options) (*Result, error) {
 		opts:    opts,
 		cost:    cost,
 		plans:   opts.Plans,
-		locks:   make([]lockState, numLocks),
 		active:  opts.Threads,
 		aborted: make(chan struct{}),
 	}
+	m.locks.init(opts.Threads, cost.LockAcquire)
 	m.layoutGlobals()
 	m.barrier = newSimBarrier(m, opts.Threads, cost.barrierCost(opts.Threads))
 
@@ -290,7 +281,6 @@ func Run(mod *ir.Module, opts Options) (*Result, error) {
 			Overflow:         opts.Overflow,
 			SendSpins:        opts.SendSpins,
 			SenderBatch:      opts.SenderBatch,
-			CheckWorkers:     opts.CheckWorkers,
 			StallDeadline:    opts.StallDeadline,
 			Now:              opts.Now,
 			EventTap:         opts.EventTap,
@@ -410,21 +400,23 @@ func (m *machine) threadExited(tid int, trap *Trap) {
 	m.mu.Lock()
 	m.active--
 	m.mu.Unlock()
+	m.locks.exit(tid)
 	m.barrier.threadGone()
-	_ = tid
 	_ = trap
 }
 
 // abort stops all threads (deadlock or fatal trap elsewhere).
 func (m *machine) abort(reason *Trap) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.abortSet {
+		m.mu.Unlock()
 		return
 	}
 	m.abortSet = true
 	m.abortErr = reason
 	close(m.aborted)
+	m.mu.Unlock()
+	m.locks.wake()
 }
 
 func (m *machine) isAborted() bool {

@@ -2,7 +2,6 @@ package monitor
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -20,19 +19,16 @@ import (
 // per-instance report sets to the root, which merges groups and applies
 // the full cross-thread checks.
 type Hierarchical struct {
-	cfg       Config
-	groups    int
-	subs      []*subMonitor
-	sendSpins int
+	frontEnd // queues indexed by global thread ID
+	cfg      Config
+	groups   int
+	subs     []*subMonitor
 
 	mu         sync.Mutex
 	violations []Violation
 	detected   atomic.Bool
 
-	quarantined atomic.Uint64
-	panics      atomic.Uint64
-	drops       []atomic.Uint64 // per producing thread
-	health      atomic.Int32
+	panics atomic.Uint64
 
 	rootMu      sync.Mutex
 	rootTbl     map[uint64]map[uint64]*level1 // generation → merged table
@@ -47,8 +43,8 @@ type Hierarchical struct {
 type subMonitor struct {
 	h       *Hierarchical
 	id      int
-	threads []int // global thread IDs owned by this sub-monitor
-	queues  []*queue.SPSC[Event]
+	threads []int                // global thread IDs owned by this sub-monitor
+	queues  []*queue.SPSC[Event] // the front end's queues of those threads
 
 	table        map[uint64]*level1
 	numInstances int
@@ -73,31 +69,21 @@ func NewHierarchical(cfg Config, groups int) (*Hierarchical, error) {
 	if groups < 1 || groups > cfg.NumThreads {
 		return nil, ErrBadGroups
 	}
-	capQ := cfg.QueueCap
-	if capQ <= 0 {
-		capQ = DefaultQueueCap
-	}
-	spins := cfg.SendSpins
-	if spins <= 0 {
-		spins = DefaultSendSpins
-	}
 	h := &Hierarchical{
-		cfg:       cfg,
-		groups:    groups,
-		sendSpins: spins,
-		drops:     make([]atomic.Uint64, cfg.NumThreads),
-		rootTbl:   make(map[uint64]map[uint64]*level1),
-		rootGens:  make([]uint64, groups),
+		cfg:      cfg,
+		groups:   groups,
+		rootTbl:  make(map[uint64]map[uint64]*level1),
+		rootGens: make([]uint64, groups),
+	}
+	err := h.initFrontEnd(cfg.NumThreads, cfg.QueueCap, cfg.Overflow, cfg.SendSpins, cfg.SenderBatch, frontEndMetrics{})
+	if err != nil {
+		return nil, err
 	}
 	h.subs = make([]*subMonitor, groups)
 	for g := range h.subs {
 		h.subs[g] = &subMonitor{h: h, id: g, table: make(map[uint64]*level1)}
 	}
-	for tid := 0; tid < cfg.NumThreads; tid++ {
-		q, err := queue.NewSPSC[Event](capQ)
-		if err != nil {
-			return nil, fmt.Errorf("front-end queue: %w", err)
-		}
+	for tid, q := range h.queues {
 		sub := h.subs[tid%groups]
 		sub.threads = append(sub.threads, tid)
 		sub.queues = append(sub.queues, q)
@@ -105,81 +91,6 @@ func NewHierarchical(cfg Config, groups int) (*Hierarchical, error) {
 		sub.doneSlots = append(sub.doneSlots, false)
 	}
 	return h, nil
-}
-
-// Send enqueues an event from thread ev.Thread. The same fail-open rules
-// as Monitor.Send apply: out-of-range thread IDs are quarantined, branch
-// events obey the overflow policy, control events always block.
-func (h *Hierarchical) Send(ev Event) {
-	tid := int(ev.Thread)
-	if tid < 0 || tid >= h.cfg.NumThreads {
-		h.quarantine()
-		return
-	}
-	sub := h.subs[tid%h.groups]
-	var q *queue.SPSC[Event]
-	for i, t := range sub.threads {
-		if t == tid {
-			q = sub.queues[i]
-			break
-		}
-	}
-	if ev.Kind != EvBranch {
-		for !q.Push(ev) {
-			runtime.Gosched()
-		}
-		return
-	}
-	if !pushPolicy(q, ev, h.cfg.Overflow, h.sendSpins) {
-		h.drops[tid].Add(1)
-		h.degrade()
-	}
-}
-
-// Sender returns the batching producer handle for thread tid, bound to
-// the thread's group queue. Same contract as Monitor.Sender: one owning
-// goroutine, no mixing with scalar Send, out-of-range tid quarantines.
-func (h *Hierarchical) Sender(tid int) *Sender {
-	if tid < 0 || tid >= h.cfg.NumThreads {
-		return &Sender{quarantined: &h.quarantined, health: &h.health}
-	}
-	sub := h.subs[tid%h.groups]
-	for i, t := range sub.threads {
-		if t == tid {
-			return &Sender{
-				q:           sub.queues[i],
-				buf:         make([]Event, 0, senderBatch(h.cfg.SenderBatch)),
-				policy:      h.cfg.Overflow,
-				spins:       h.sendSpins,
-				drops:       &h.drops[tid],
-				quarantined: &h.quarantined,
-				health:      &h.health,
-			}
-		}
-	}
-	return &Sender{quarantined: &h.quarantined, health: &h.health}
-}
-
-func (h *Hierarchical) quarantine() {
-	h.quarantined.Add(1)
-	h.degrade()
-}
-
-func (h *Hierarchical) degrade() {
-	h.health.CompareAndSwap(int32(Healthy), int32(Degraded))
-}
-
-// Health reports the hierarchical monitor's degradation state.
-func (h *Hierarchical) Health() HealthState { return HealthState(h.health.Load()) }
-
-// Drops returns the per-thread counts of branch events dropped by the
-// overflow policy.
-func (h *Hierarchical) Drops() []uint64 {
-	out := make([]uint64, len(h.drops))
-	for i := range h.drops {
-		out[i] = h.drops[i].Load()
-	}
-	return out
 }
 
 // Quarantined returns the count of malformed or straggler events skipped.
@@ -312,7 +223,7 @@ func (s *subMonitor) discardAll() {
 			if _, ok := q.Pop(); !ok {
 				break
 			}
-			s.h.quarantined.Add(1)
+			s.h.quarantine(1)
 		}
 	}
 }
@@ -325,14 +236,14 @@ func (s *subMonitor) process(slot int, ev Event) {
 	switch ev.Kind {
 	case EvFlush:
 		if int(ev.Thread) != s.threads[slot] || s.doneSlots[slot] {
-			s.h.quarantine()
+			s.h.quarantine(1)
 			return
 		}
 		s.flushCount[slot]++
 		s.maybeClose()
 	case EvDone:
 		if int(ev.Thread) != s.threads[slot] || s.doneSlots[slot] {
-			s.h.quarantine()
+			s.h.quarantine(1)
 			return
 		}
 		s.doneCount++
@@ -340,11 +251,11 @@ func (s *subMonitor) process(slot int, ev Event) {
 		s.maybeClose()
 	case EvBranch:
 		if s.doneSlots[slot] {
-			s.h.quarantine()
+			s.h.quarantine(1)
 			return
 		}
 		if tid := int(ev.Thread); tid < 0 || tid >= s.h.cfg.NumThreads {
-			s.h.quarantine()
+			s.h.quarantine(1)
 			return
 		}
 		if s.h.cfg.CheckingDisabled {
@@ -352,7 +263,7 @@ func (s *subMonitor) process(slot int, ev Event) {
 		}
 		s.insert(ev)
 	default:
-		s.h.quarantine()
+		s.h.quarantine(1)
 	}
 }
 
@@ -384,7 +295,7 @@ func (s *subMonitor) insert(ev Event) {
 	if !ok {
 		plan := s.h.cfg.Plans[int(ev.BranchID)]
 		if plan == nil {
-			s.h.quarantine() // unknown branch ID: impossible fault-free
+			s.h.quarantine(1) // unknown branch ID: impossible fault-free
 			return
 		}
 		if !plan.Checked() {

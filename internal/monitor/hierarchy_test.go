@@ -10,6 +10,7 @@ func TestHierarchicalCleanRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	in := newFeed(h, 8)
 	h.Start()
 	var wg sync.WaitGroup
 	for tid := int32(0); tid < 8; tid++ {
@@ -18,9 +19,9 @@ func TestHierarchicalCleanRun(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for iter := uint64(0); iter < 50; iter++ {
-				h.Send(branchEv(tid, 1, iter, 9, iter%3 == 0))
+				in.Send(branchEv(tid, 1, iter, 9, iter%3 == 0))
 			}
-			h.Send(Event{Kind: EvDone, Thread: tid})
+			in.Send(Event{Kind: EvDone, Thread: tid})
 		}()
 	}
 	wg.Wait()
@@ -38,11 +39,12 @@ func TestHierarchicalDetectsWithinGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	in := newFeed(h, 8)
 	h.Start()
 	for tid := int32(0); tid < 8; tid++ {
 		taken := tid != 4
-		h.Send(branchEv(tid, 1, 7, 9, taken))
-		h.Send(Event{Kind: EvDone, Thread: tid})
+		in.Send(branchEv(tid, 1, 7, 9, taken))
+		in.Send(Event{Kind: EvDone, Thread: tid})
 	}
 	h.Close()
 	if !h.Detected() {
@@ -58,6 +60,7 @@ func TestHierarchicalDetectsAcrossGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	in := newFeed(h, 8)
 	h.Start()
 	for tid := int32(0); tid < 8; tid++ {
 		if tid%4 == 1 {
@@ -65,10 +68,10 @@ func TestHierarchicalDetectsAcrossGroups(t *testing.T) {
 		}
 		taken := tid != 2 // thread 2 diverges; its group-mate 6 agrees with others
 		_ = taken
-		h.Send(branchEv(tid, 1, 7, 9, tid == 2))
+		in.Send(branchEv(tid, 1, 7, 9, tid == 2))
 	}
 	for tid := int32(0); tid < 8; tid++ {
-		h.Send(Event{Kind: EvDone, Thread: tid})
+		in.Send(Event{Kind: EvDone, Thread: tid})
 	}
 	h.Close()
 	if !h.Detected() {
@@ -81,16 +84,17 @@ func TestHierarchicalBarrierGenerations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	in := newFeed(h, 4)
 	h.Start()
 	// Epoch 1 consistent; epoch 2 reuses the same keys with different
 	// data — must not be confused with epoch 1 at the root.
 	for tid := int32(0); tid < 4; tid++ {
-		h.Send(branchEv(tid, 1, 3, 5, true))
-		h.Send(Event{Kind: EvFlush, Thread: tid})
+		in.Send(branchEv(tid, 1, 3, 5, true))
+		in.Send(Event{Kind: EvFlush, Thread: tid})
 	}
 	for tid := int32(0); tid < 4; tid++ {
-		h.Send(branchEv(tid, 1, 3, 6, false))
-		h.Send(Event{Kind: EvDone, Thread: tid})
+		in.Send(branchEv(tid, 1, 3, 6, false))
+		in.Send(Event{Kind: EvDone, Thread: tid})
 	}
 	h.Close()
 	if h.Detected() {
@@ -113,11 +117,12 @@ func TestHierarchicalGroupCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	in := newFeed(h, 2)
 	h.Start()
-	h.Send(branchEv(0, 1, 1, 5, true))
-	h.Send(branchEv(1, 1, 1, 5, false))
-	h.Send(Event{Kind: EvDone, Thread: 0})
-	h.Send(Event{Kind: EvDone, Thread: 1})
+	in.Send(branchEv(0, 1, 1, 5, true))
+	in.Send(branchEv(1, 1, 1, 5, false))
+	in.Send(Event{Kind: EvDone, Thread: 0})
+	in.Send(Event{Kind: EvDone, Thread: 1})
 	h.Close()
 	if !h.Detected() {
 		t.Fatal("single-group hierarchy missed a divergence")
@@ -125,12 +130,13 @@ func TestHierarchicalGroupCounts(t *testing.T) {
 }
 
 func TestHierarchicalCloseWithoutStart(t *testing.T) {
-	h, err := NewHierarchical(Config{NumThreads: 2, Plans: testPlans()}, 2)
+	h, err := NewHierarchical(Config{NumThreads: 2, Plans: testPlans(), SenderBatch: 1}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.Send(branchEv(0, 1, 1, 5, true))
-	h.Send(branchEv(1, 1, 1, 5, false))
+	in := newFeed(h, 2)
+	in.Send(branchEv(0, 1, 1, 5, true))
+	in.Send(branchEv(1, 1, 1, 5, false))
 	h.Close()
 	if !h.Detected() {
 		t.Fatal("synchronous hierarchical drain missed the violation")
@@ -140,16 +146,17 @@ func TestHierarchicalCloseWithoutStart(t *testing.T) {
 func TestHierarchicalCloseUnblocksMissingDone(t *testing.T) {
 	// Thread 1 never sends Done (e.g. it crashed under fault injection):
 	// Close must still terminate and check what arrived.
-	h, err := NewHierarchical(Config{NumThreads: 4, Plans: testPlans()}, 2)
+	h, err := NewHierarchical(Config{NumThreads: 4, Plans: testPlans(), SenderBatch: 1}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	in := newFeed(h, 4)
 	h.Start()
-	h.Send(branchEv(0, 1, 1, 5, true))
-	h.Send(branchEv(1, 1, 1, 5, false))
-	h.Send(Event{Kind: EvDone, Thread: 0})
-	h.Send(Event{Kind: EvDone, Thread: 2})
-	h.Send(Event{Kind: EvDone, Thread: 3})
+	in.Send(branchEv(0, 1, 1, 5, true))
+	in.Send(branchEv(1, 1, 1, 5, false))
+	in.Send(Event{Kind: EvDone, Thread: 0})
+	in.Send(Event{Kind: EvDone, Thread: 2})
+	in.Send(Event{Kind: EvDone, Thread: 3})
 	h.Close() // must not hang
 	if !h.Detected() {
 		t.Fatal("violation missed after forced close")

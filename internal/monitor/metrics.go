@@ -14,18 +14,18 @@ import (
 // not per event), which is what keeps the instrumented hot path within
 // the <3% throughput budget.
 
-// monMetrics is the monitor's handle set (zero value = detached).
+// monMetrics is the monitor's handle set (zero value = detached). The
+// front-end handles are bw_monitor_drops_total,
+// bw_monitor_quarantined_total and bw_sender_flush_size.
 type monMetrics struct {
-	events      *metrics.Counter   // bw_monitor_events_total
-	batches     *metrics.Counter   // bw_monitor_batches_total
-	drops       *metrics.Counter   // bw_monitor_drops_total
-	quarantined *metrics.Counter   // bw_monitor_quarantined_total
-	flushes     *metrics.Counter   // bw_monitor_flushes_total
-	batchSize   *metrics.Histogram // bw_monitor_batch_size
-	genCloseNs  *metrics.Histogram // bw_monitor_gen_close_ns
-	mergeNs     *metrics.Histogram // bw_monitor_merge_ns
-	flushSize   *metrics.Histogram // bw_sender_flush_size (shared with Relay)
-	queueHWM    *metrics.Gauge     // bw_monitor_queue_depth_hwm
+	frontEndMetrics
+	events     *metrics.Counter   // bw_monitor_events_total
+	batches    *metrics.Counter   // bw_monitor_batches_total
+	flushes    *metrics.Counter   // bw_monitor_flushes_total
+	batchSize  *metrics.Histogram // bw_monitor_batch_size
+	genCloseNs *metrics.Histogram // bw_monitor_gen_close_ns
+	mergeNs    *metrics.Histogram // bw_monitor_merge_ns
+	queueHWM   *metrics.Gauge     // bw_monitor_queue_depth_hwm
 }
 
 // batchSizeBounds covers 1..drainBatch (256) in powers of two; flush
@@ -42,14 +42,17 @@ func newMonMetrics(r *metrics.Registry) monMetrics {
 		return monMetrics{}
 	}
 	return monMetrics{
+		frontEndMetrics: frontEndMetrics{
+			drops: r.Counter("bw_monitor_drops_total",
+				"branch events dropped by the overflow policy"),
+			quarantined: r.Counter("bw_monitor_quarantined_total",
+				"malformed, stale, or straggler events skipped"),
+			flushSize: senderFlushHistogram(r),
+		},
 		events: r.Counter("bw_monitor_events_total",
 			"events (branch and control) drained from the front-end queues"),
 		batches: r.Counter("bw_monitor_batches_total",
 			"PopBatch refills performed by the monitor drain loop"),
-		drops: r.Counter("bw_monitor_drops_total",
-			"branch events dropped by the overflow policy"),
-		quarantined: r.Counter("bw_monitor_quarantined_total",
-			"malformed, stale, or straggler events skipped"),
 		flushes: r.Counter("bw_monitor_flushes_total",
 			"barrier-generation flushes (including forced and overflow closes)"),
 		batchSize: r.Histogram("bw_monitor_batch_size",
@@ -58,23 +61,22 @@ func newMonMetrics(r *metrics.Registry) monMetrics {
 			"latency of closing one barrier generation, ns",
 			metrics.ExpBuckets(1000, 4, 10)),
 		mergeNs: r.Histogram("bw_monitor_merge_ns",
-			"checker-shard flush barrier and violation merge time, ns",
+			"violation sort-and-publish time per generation close, ns",
 			metrics.ExpBuckets(250, 4, 10)),
-		flushSize: senderFlushHistogram(r),
 		queueHWM: r.Gauge("bw_monitor_queue_depth_hwm",
 			"per-thread front-end queue depth high-water mark"),
 	}
 }
 
-// relayMetrics is the relay's handle set (zero value = detached).
+// relayMetrics is the relay's handle set (zero value = detached). The
+// front-end handles are bw_relay_drops_total, bw_relay_quarantined_total
+// and bw_sender_flush_size.
 type relayMetrics struct {
-	events      *metrics.Counter   // bw_relay_events_total
-	batches     *metrics.Counter   // bw_relay_batches_total
-	control     *metrics.Counter   // bw_relay_control_total
-	drops       *metrics.Counter   // bw_relay_drops_total
-	quarantined *metrics.Counter   // bw_relay_quarantined_total
-	degraded    *metrics.Counter   // bw_relay_degraded_total
-	flushSize   *metrics.Histogram // bw_sender_flush_size (shared)
+	frontEndMetrics
+	events   *metrics.Counter // bw_relay_events_total
+	batches  *metrics.Counter // bw_relay_batches_total
+	control  *metrics.Counter // bw_relay_control_total
+	degraded *metrics.Counter // bw_relay_degraded_total
 }
 
 func newRelayMetrics(r *metrics.Registry) relayMetrics {
@@ -82,18 +84,20 @@ func newRelayMetrics(r *metrics.Registry) relayMetrics {
 		return relayMetrics{}
 	}
 	return relayMetrics{
+		frontEndMetrics: frontEndMetrics{
+			drops: r.Counter("bw_relay_drops_total",
+				"branch events discarded after a stream failure or overflow"),
+			quarantined: r.Counter("bw_relay_quarantined_total",
+				"malformed events skipped by the relay"),
+			flushSize: senderFlushHistogram(r),
+		},
 		events: r.Counter("bw_relay_events_total",
 			"branch events forwarded to the relay's stream"),
 		batches: r.Counter("bw_relay_batches_total",
 			"StreamEvents calls (contiguous branch-event runs) forwarded"),
 		control: r.Counter("bw_relay_control_total",
 			"control markers (flush/done) forwarded to the stream"),
-		drops: r.Counter("bw_relay_drops_total",
-			"branch events discarded after a stream failure or overflow"),
-		quarantined: r.Counter("bw_relay_quarantined_total",
-			"malformed events skipped by the relay"),
 		degraded: r.Counter("bw_relay_degraded_total",
 			"stream failures that switched the relay into discard mode"),
-		flushSize: senderFlushHistogram(r),
 	}
 }

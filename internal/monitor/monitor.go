@@ -2,7 +2,6 @@ package monitor
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
 	"sort"
 	"sync"
@@ -42,7 +41,7 @@ type Config struct {
 	// The paper similarly fixes its queue lengths; an unbounded table
 	// would let a faulty thread exhaust memory before hang detection.
 	MaxInstances int
-	// Overflow selects the Send overflow policy for branch events
+	// Overflow selects the Sender overflow policy for branch events
 	// (zero value = OverflowBlock, the paper's lossless behavior).
 	Overflow OverflowPolicy
 	// SendSpins bounds the OverflowBlockTimeout spin loop
@@ -52,13 +51,6 @@ type Config struct {
 	// batched locally and pushed with one queue publish (0 = default,
 	// 1 = effectively unbatched). See Sender.
 	SenderBatch int
-	// CheckWorkers fans completed instances out to that many checker
-	// goroutines, sharded by Key1 so every instance of a static branch
-	// lands on the same shard (0 or 1 = checking inline on the monitor
-	// goroutine). Violations are merged in a canonical order at every
-	// generation flush, so the recorded violations — and all campaign
-	// statistics — are byte-identical for every worker count.
-	CheckWorkers int
 	// StallDeadline, when positive, arms the stall watchdog: if the
 	// monitor makes no progress for this long while work is pending
 	// (gated queue backlog or open instances), it force-closes the
@@ -85,8 +77,8 @@ type Config struct {
 const DefaultMaxInstances = 1 << 20
 
 // Stats are monitor-side counters. All counters are maintained atomically,
-// so Stats may be called at any time, concurrently with Send — not just
-// after Close (mid-run values are monotonic snapshots).
+// so Stats may be called at any time, concurrently with producers — not
+// just after Close (mid-run values are monotonic snapshots).
 type Stats struct {
 	Events      uint64 // branch events accepted for processing
 	Instances   uint64 // branch instances checked
@@ -105,10 +97,11 @@ type ViolationSummary struct {
 }
 
 // Monitor is the BLOCKWATCH runtime monitor. Create with New, start the
-// asynchronous checking goroutine with Start, send events from program
-// threads with Send (or, batched, through a per-thread Sender), and stop
-// with Close (which drains outstanding events, performs the final pending
-// check, and waits for the goroutine — and any checker shards — to exit).
+// asynchronous checking goroutine with Start, send events from each
+// program thread through its per-thread Sender, and stop with Close
+// (which drains outstanding events, performs the final pending check, and
+// waits for the goroutine to exit). Every completed instance is checked
+// inline on the monitor goroutine.
 //
 // The monitor fails open: queue overflow, malformed events, stalled
 // producers, and even a panic in its own goroutine degrade coverage
@@ -121,11 +114,10 @@ type ViolationSummary struct {
 // on free lists, and the consumer drains each queue in batches into
 // reusable per-thread buffers.
 type Monitor struct {
-	cfg       Config
-	queues    []*queue.SPSC[Event]
-	sendSpins int
-	now       func() time.Time
-	met       monMetrics
+	frontEnd
+	cfg Config
+	now func() time.Time
+	met monMetrics
 
 	// Monitor-goroutine-private state.
 	table        map[uint64]*level1
@@ -144,33 +136,26 @@ type Monitor struct {
 	pendingPos []int
 
 	// Allocation recycling (monitor-goroutine-private).
-	instPool   []*instance // cleared instances, reports capacity NumThreads
-	reportPool [][]Report  // spent checker-job buffers, restocked at flush
+	instPool []*instance // cleared instances, reports capacity NumThreads
 
 	// genViolations buffers the current generation's violations; they are
 	// sorted into canonical (Key1, Key2) order and published at every
 	// generation close, so the violation log does not depend on map
-	// iteration or checker-shard scheduling.
+	// iteration order.
 	genViolations []Violation
-
-	// Sharded checking (nil when CheckWorkers <= 1 or never started).
-	checkers []*checker
-	checkWG  sync.WaitGroup
 
 	mu         sync.Mutex
 	violations []Violation
 	detected   atomic.Bool
 
-	// Counters (atomic: written by the monitor goroutine and producers,
-	// readable from any goroutine).
-	events      atomic.Uint64
-	instances   atomic.Uint64
-	flushes     atomic.Uint64
-	quarantined atomic.Uint64
-	watchdog    atomic.Uint64
-	panics      atomic.Uint64
-	drops       []atomic.Uint64 // per producing thread
-	health      atomic.Int32
+	// Counters (atomic: written by the monitor goroutine, readable from
+	// any goroutine). Drops, quarantines and health live in the embedded
+	// front end.
+	events    atomic.Uint64
+	instances atomic.Uint64
+	flushes   atomic.Uint64
+	watchdog  atomic.Uint64
+	panics    atomic.Uint64
 
 	started atomic.Bool
 	closed  atomic.Bool
@@ -202,17 +187,9 @@ func New(cfg Config) (*Monitor, error) {
 	if cfg.Plans == nil {
 		return nil, ErrNoPlans
 	}
-	cap := cfg.QueueCap
-	if cap <= 0 {
-		cap = DefaultQueueCap
-	}
 	maxInst := cfg.MaxInstances
 	if maxInst <= 0 {
 		maxInst = DefaultMaxInstances
-	}
-	spins := cfg.SendSpins
-	if spins <= 0 {
-		spins = DefaultSendSpins
 	}
 	now := cfg.Now
 	if now == nil {
@@ -220,7 +197,6 @@ func New(cfg Config) (*Monitor, error) {
 	}
 	m := &Monitor{
 		cfg:          cfg,
-		sendSpins:    spins,
 		now:          now,
 		met:          newMonMetrics(cfg.Metrics),
 		table:        make(map[uint64]*level1),
@@ -229,119 +205,24 @@ func New(cfg Config) (*Monitor, error) {
 		doneThreads:  make([]bool, cfg.NumThreads),
 		pending:      make([][]Event, cfg.NumThreads),
 		pendingPos:   make([]int, cfg.NumThreads),
-		drops:        make([]atomic.Uint64, cfg.NumThreads),
 		stop:         make(chan struct{}),
 		done:         make(chan struct{}),
 	}
-	m.queues = make([]*queue.SPSC[Event], cfg.NumThreads)
-	for i := range m.queues {
-		q, err := queue.NewSPSC[Event](cap)
-		if err != nil {
-			return nil, fmt.Errorf("front-end queue: %w", err)
-		}
-		m.queues[i] = q
+	err := m.initFrontEnd(cfg.NumThreads, cfg.QueueCap, cfg.Overflow, cfg.SendSpins, cfg.SenderBatch, m.met.frontEndMetrics)
+	if err != nil {
+		return nil, err
+	}
+	for i := range m.pending {
 		m.pending[i] = make([]Event, 0, drainBatch)
 	}
 	return m, nil
 }
 
-// Send enqueues an event from thread ev.Thread. Events with an
-// out-of-range thread ID are quarantined (counted and skipped), never
-// indexed. Branch events obey the configured overflow policy when the
-// queue is full; control events (flush/done) always block — dropping them
-// would be unsound (generation mixing) or wedge shutdown, and the monitor
-// guarantees the queues drain (watchdog, failsafe) so the spin is bounded.
-//
-// Send is the scalar path; hot producers should prefer a per-thread
-// Sender, which batches branch events and amortizes the queue's atomic
-// operations. The two paths may not be mixed for the same thread.
-func (m *Monitor) Send(ev Event) {
-	tid := int(ev.Thread)
-	if tid < 0 || tid >= len(m.queues) {
-		m.quarantine()
-		return
-	}
-	q := m.queues[tid]
-	if ev.Kind != EvBranch {
-		for !q.Push(ev) {
-			runtime.Gosched()
-		}
-		return
-	}
-	if !pushPolicy(q, ev, m.cfg.Overflow, m.sendSpins) {
-		m.drop(tid)
-	}
-}
-
-// Sender returns the batching producer handle for thread tid. At most one
-// goroutine may use the Sender (it owns the thread's queue endpoint), and
-// it must not be mixed with scalar Send calls for the same thread. An
-// out-of-range tid yields a quarantining Sender that counts and discards
-// every event, mirroring Send's fail-open contract.
-func (m *Monitor) Sender(tid int) *Sender {
-	s := &Sender{}
-	m.BindSender(s, tid)
-	return s
-}
-
-// BindSender (re)binds s as the batching producer handle for thread tid,
-// reusing s's existing event buffer when its capacity matches the
-// monitor's SenderBatch. This is the pooling hook for the daemon: one
-// sender table — and its per-thread batch buffers — is recycled across
-// sessions instead of reallocated per connection. The bound Sender obeys
-// exactly the Sender contract (including the quarantining behavior for
-// an out-of-range tid).
-func (m *Monitor) BindSender(s *Sender, tid int) {
-	buf := s.buf
-	if tid < 0 || tid >= len(m.queues) {
-		*s = Sender{buf: buf[:0], quarantined: &m.quarantined, health: &m.health, metQuar: m.met.quarantined}
-		return
-	}
-	if cap(buf) != senderBatch(m.cfg.SenderBatch) {
-		buf = make([]Event, 0, senderBatch(m.cfg.SenderBatch))
-	}
-	*s = Sender{
-		q:           m.queues[tid],
-		buf:         buf[:0],
-		policy:      m.cfg.Overflow,
-		spins:       m.sendSpins,
-		drops:       &m.drops[tid],
-		quarantined: &m.quarantined,
-		health:      &m.health,
-		metDrops:    m.met.drops,
-		metQuar:     m.met.quarantined,
-		metFlush:    m.met.flushSize,
-	}
-}
-
-func (m *Monitor) drop(tid int) {
-	m.drops[tid].Add(1)
-	m.met.drops.Inc()
-	m.degrade()
-}
-
-func (m *Monitor) quarantine() {
-	m.quarantined.Add(1)
-	m.met.quarantined.Inc()
-	m.degrade()
-}
-
-// degrade lowers Healthy to Degraded (never overwrites Failed).
-func (m *Monitor) degrade() {
-	m.health.CompareAndSwap(int32(Healthy), int32(Degraded))
-}
-
-// Health reports the monitor's degradation state. Safe to call from any
-// goroutine.
-func (m *Monitor) Health() HealthState { return HealthState(m.health.Load()) }
-
-// Start launches the asynchronous monitor goroutine (paper design goal 1)
-// and, when Config.CheckWorkers > 1, the checker shards.
+// Start launches the asynchronous monitor goroutine (paper design goal 1).
 func (m *Monitor) Start() {
 	if m.started.Swap(true) {
 		return
 	}
-	m.startCheckers()
 	go m.loop()
 }
 
@@ -357,8 +238,7 @@ func (m *Monitor) Close() {
 		return
 	}
 	if !m.started.Load() {
-		// Never started: drain synchronously so callers still get checks
-		// (checker shards were never launched, so checking runs inline).
+		// Never started: drain synchronously so callers still get checks.
 		// A panic (corrupt event state) fails open instead of propagating.
 		defer func() {
 			if r := recover(); r != nil {
@@ -382,7 +262,6 @@ func (m *Monitor) Close() {
 // producers never block on a dead monitor.
 func (m *Monitor) loop() {
 	defer close(m.done)
-	defer m.stopCheckers()
 	defer func() {
 		if r := recover(); r != nil {
 			m.panics.Add(1)
@@ -526,9 +405,8 @@ const (
 
 // closeGeneration is the single flush-and-reset sequence behind barrier
 // flushes, watchdog force-closes, overflow evictions, and the final check:
-// pending instances with ≥2 reports are checked, checker shards are
-// drained and their violations merged in canonical order, every instance
-// is recycled onto the free list, and the two-level table is cleared in
+// pending instances with ≥2 reports are checked, the generation's
+// violations are published in canonical order, every instance is recycled onto the free list, and the two-level table is cleared in
 // place (level-1 entries and their maps persist across generations, so the
 // steady state allocates nothing).
 func (m *Monitor) closeGeneration(reason closeReason) {
@@ -537,7 +415,7 @@ func (m *Monitor) closeGeneration(reason closeReason) {
 		t0 = time.Now()
 	}
 	m.checkPending()
-	m.collectViolations()
+	m.publishViolations()
 	for _, l1 := range m.table {
 		for k2, inst := range l1.instances {
 			m.putInstance(inst)
@@ -609,8 +487,7 @@ func (m *Monitor) failsafe() {
 func (m *Monitor) discardAll() {
 	for tid, q := range m.queues {
 		if n := m.buffered(tid); n > 0 {
-			m.quarantined.Add(uint64(n))
-			m.met.quarantined.Add(uint64(n))
+			m.quarantine(n)
 			m.pending[tid] = m.pending[tid][:0]
 			m.pendingPos[tid] = 0
 		}
@@ -620,8 +497,7 @@ func (m *Monitor) discardAll() {
 			if n == 0 {
 				break
 			}
-			m.quarantined.Add(uint64(n))
-			m.met.quarantined.Add(uint64(n))
+			m.quarantine(n)
 		}
 		m.pending[tid] = m.pending[tid][:0]
 		m.pendingPos[tid] = 0
@@ -629,8 +505,8 @@ func (m *Monitor) discardAll() {
 }
 
 // process handles one dequeued event. slot is the queue the event was
-// popped from: Send routes by ev.Thread, so slot == ev.Thread unless the
-// payload was corrupted inside the queue (the EventTap fault model).
+// popped from: a Sender publishes only its own thread's events, so
+// slot == ev.Thread unless the producer mislabeled them or the payload was corrupted inside the queue (the EventTap fault model).
 // Generation and liveness bookkeeping therefore trusts slot — which is
 // deterministic per-queue FIFO state — never the payload. Malformed events
 // (unknown kind, mismatched or out-of-range thread, post-done stragglers,
@@ -640,14 +516,14 @@ func (m *Monitor) process(slot int, ev Event) {
 	switch ev.Kind {
 	case EvFlush:
 		if int(ev.Thread) != slot || m.doneThreads[slot] {
-			m.quarantine()
+			m.quarantine(1)
 			return
 		}
 		m.flushCount[slot]++
 		m.maybeFlushGeneration()
 	case EvDone:
 		if int(ev.Thread) != slot || m.doneThreads[slot] {
-			m.quarantine()
+			m.quarantine(1)
 			return
 		}
 		m.doneCount++
@@ -660,11 +536,11 @@ func (m *Monitor) process(slot int, ev Event) {
 			// Post-done straggler, or a pre-barrier leftover of a
 			// generation the watchdog force-closed: processing it could
 			// mix generations, so it is quarantined instead.
-			m.quarantine()
+			m.quarantine(1)
 			return
 		}
 		if tid := int(ev.Thread); tid < 0 || tid >= m.cfg.NumThreads {
-			m.quarantine() // corrupted-in-queue thread ID
+			m.quarantine(1) // corrupted-in-queue thread ID
 			return
 		}
 		m.events.Add(1)
@@ -673,7 +549,7 @@ func (m *Monitor) process(slot int, ev Event) {
 		}
 		m.insert(ev)
 	default:
-		m.quarantine()
+		m.quarantine(1)
 	}
 }
 
@@ -732,12 +608,25 @@ func (m *Monitor) putInstance(inst *instance) {
 // second-level map) makes the steady-state path allocation-free.
 func (m *Monitor) insert(ev Event) {
 	l1, ok := m.table[ev.Key1]
+	if ok && int(ev.BranchID) != l1.plan.BranchID {
+		// The payload's branch ID disagrees with the established
+		// Key1→plan binding (only possible under fault). Treat the event
+		// exactly as if it had arrived first, so the outcome does not
+		// depend on which thread's report of Key1 the drain processed
+		// first: an unchecked branch is ignored, anything else is
+		// quarantined and never mixed into this branch's instances.
+		if plan := m.cfg.Plans[int(ev.BranchID)]; plan != nil && !plan.Checked() {
+			return
+		}
+		m.quarantine(1)
+		return
+	}
 	if !ok {
 		plan := m.cfg.Plans[int(ev.BranchID)]
 		if plan == nil {
 			// Unknown branch ID: impossible in a fault-free run (the
 			// interpreter only sends planned branches), so count it.
-			m.quarantine()
+			m.quarantine(1)
 			return
 		}
 		if !plan.Checked() {
@@ -770,31 +659,23 @@ func (m *Monitor) insert(ev Event) {
 	}
 }
 
-// checkInstance validates one completed instance: inline when unsharded,
-// otherwise dispatched to the Key1 shard with a pooled copy of the report
-// set (the instance itself stays owned by the monitor goroutine, so a
-// straggler can still reopen it).
+// checkInstance validates one completed instance inline on the monitor
+// goroutine, buffering any violation for the generation's publish step.
+// The instance stays in the table, so a straggler can still reopen it.
 func (m *Monitor) checkInstance(plan *core.CheckPlan, k1, k2 uint64, inst *instance) {
 	if inst.checked {
 		return
 	}
 	inst.checked = true
 	m.instances.Add(1)
-	if m.checkers == nil {
-		if reason := CheckReports(plan, inst.reports); reason != "" {
-			m.genViolations = append(m.genViolations, Violation{
-				BranchID: plan.BranchID,
-				Key1:     k1,
-				Key2:     k2,
-				Reason:   reason,
-			})
-		}
-		return
+	if reason := CheckReports(plan, inst.reports); reason != "" {
+		m.genViolations = append(m.genViolations, Violation{
+			BranchID: plan.BranchID,
+			Key1:     k1,
+			Key2:     k2,
+			Reason:   reason,
+		})
 	}
-	w := m.checkers[int(k1%uint64(len(m.checkers)))]
-	buf := m.getReportBuf()
-	buf = append(buf, inst.reports...)
-	w.jobs <- checkMsg{plan: plan, k1: k1, k2: k2, reports: buf}
 }
 
 // checkPending validates instances that never received all threads'
@@ -808,6 +689,62 @@ func (m *Monitor) checkPending() {
 			}
 		}
 	}
+}
+
+// publishViolations sorts the generation's violations into canonical
+// order and appends them to the violation log. checkPending iterates
+// maps, so without the sort the log would depend on map iteration order.
+// Called from closeGeneration on the monitor goroutine.
+func (m *Monitor) publishViolations() {
+	// Timed inline rather than with a defer: this runs on every
+	// generation close, and a deferred closure would cost an allocation
+	// plus defer overhead per generation when a registry is attached.
+	var t0 time.Time
+	if m.met.mergeNs != nil {
+		t0 = time.Now()
+	}
+	if len(m.genViolations) > 0 {
+		vs := m.genViolations
+		sortViolations(vs)
+		m.mu.Lock()
+		m.violations = append(m.violations, vs...)
+		m.mu.Unlock()
+		m.detected.Store(true)
+		m.genViolations = vs[:0]
+	}
+	if m.met.mergeNs != nil {
+		m.met.mergeNs.Observe(time.Since(t0).Nanoseconds())
+	}
+}
+
+// sortViolations puts one generation's violations into the canonical
+// order: (Key1, Key2, BranchID, Reason). Every field of the tuple is part
+// of the key so the order is total, independent of map iteration.
+func sortViolations(vs []Violation) {
+	if len(vs) < 2 {
+		return
+	}
+	// Insertion sort: generations have zero violations in fault-free runs
+	// and a handful under fault, so this beats sort.Slice's closure
+	// allocation on the hot path.
+	for i := 1; i < len(vs); i++ {
+		for j := i; j > 0 && violationLess(vs[j], vs[j-1]); j-- {
+			vs[j], vs[j-1] = vs[j-1], vs[j]
+		}
+	}
+}
+
+func violationLess(a, b Violation) bool {
+	if a.Key1 != b.Key1 {
+		return a.Key1 < b.Key1
+	}
+	if a.Key2 != b.Key2 {
+		return a.Key2 < b.Key2
+	}
+	if a.BranchID != b.BranchID {
+		return a.BranchID < b.BranchID
+	}
+	return a.Reason < b.Reason
 }
 
 // Detected reports whether any violation has been recorded. Safe to call
@@ -830,29 +767,11 @@ func (m *Monitor) Stats() Stats {
 		Events:      m.events.Load(),
 		Instances:   m.instances.Load(),
 		Flushes:     m.flushes.Load(),
-		Dropped:     sumDrops(m.drops),
+		Dropped:     m.dropped(),
 		Quarantined: m.quarantined.Load(),
 		Watchdog:    m.watchdog.Load(),
 		Panics:      m.panics.Load(),
 	}
-}
-
-// Drops returns the per-thread counts of branch events dropped by the
-// overflow policy. Safe to call from any goroutine.
-func (m *Monitor) Drops() []uint64 {
-	out := make([]uint64, len(m.drops))
-	for i := range m.drops {
-		out[i] = m.drops[i].Load()
-	}
-	return out
-}
-
-func sumDrops(drops []atomic.Uint64) uint64 {
-	var n uint64
-	for i := range drops {
-		n += drops[i].Load()
-	}
-	return n
 }
 
 // Summarize groups the recorded violations by static branch, ordered by
@@ -863,8 +782,8 @@ func (m *Monitor) Summarize() []ViolationSummary {
 
 // SummarizeViolations groups violations by branch ID, most frequent first.
 // First is the reason of the branch's lowest-keyed (Key1, Key2) violation
-// — a canonical choice that does not depend on arrival order, so summaries
-// agree for every CheckWorkers value.
+// — a canonical choice that does not depend on arrival order, so every
+// deployment that records the same violations summarizes them alike.
 func SummarizeViolations(vs []Violation) []ViolationSummary {
 	type entry struct {
 		sum        ViolationSummary

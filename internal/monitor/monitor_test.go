@@ -23,16 +23,44 @@ func branchEv(tid int32, branch int32, key2, sig uint64, taken bool) Event {
 	}
 }
 
+// feed publishes test events through the per-thread Senders of one sink,
+// routed by each event's Thread field; an out-of-range thread goes
+// through the sink's quarantining Sender. Each thread's events must come
+// from one goroutine at a time (the Sender contract). Tests that rely on
+// every event reaching the queue as soon as it is sent configure
+// SenderBatch: 1.
+type feed struct {
+	sink    Sink
+	senders []*Sender
+}
+
+func newFeed(sink Sink, threads int) *feed {
+	f := &feed{sink: sink, senders: make([]*Sender, threads)}
+	for tid := range f.senders {
+		f.senders[tid] = sink.Sender(tid)
+	}
+	return f
+}
+
+func (f *feed) Send(ev Event) {
+	if tid := int(ev.Thread); tid >= 0 && tid < len(f.senders) {
+		f.senders[tid].Send(ev)
+		return
+	}
+	f.sink.Sender(int(ev.Thread)).Send(ev)
+}
+
 func TestMonitorDetectsSharedDivergence(t *testing.T) {
 	m, err := New(Config{NumThreads: 4, Plans: testPlans()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	in := newFeed(m, 4)
 	m.Start()
 	for tid := int32(0); tid < 4; tid++ {
 		taken := tid != 2 // thread 2 deviates
-		m.Send(branchEv(tid, 1, 7, 99, taken))
-		m.Send(Event{Kind: EvDone, Thread: tid})
+		in.Send(branchEv(tid, 1, 7, 99, taken))
+		in.Send(Event{Kind: EvDone, Thread: tid})
 	}
 	m.Close()
 	if !m.Detected() {
@@ -49,6 +77,7 @@ func TestMonitorCleanRunNoViolations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	in := newFeed(m, 4)
 	m.Start()
 	var wg sync.WaitGroup
 	for tid := int32(0); tid < 4; tid++ {
@@ -57,10 +86,10 @@ func TestMonitorCleanRunNoViolations(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for iter := uint64(0); iter < 100; iter++ {
-				m.Send(branchEv(tid, 1, iter, 5, iter%2 == 0))
-				m.Send(branchEv(tid, 2, iter, uint64(tid%2), tid%2 == 0))
+				in.Send(branchEv(tid, 1, iter, 5, iter%2 == 0))
+				in.Send(branchEv(tid, 2, iter, uint64(tid%2), tid%2 == 0))
 			}
-			m.Send(Event{Kind: EvDone, Thread: tid})
+			in.Send(Event{Kind: EvDone, Thread: tid})
 		}()
 	}
 	wg.Wait()
@@ -80,11 +109,12 @@ func TestMonitorPartialSubsetAtFlush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	in := newFeed(m, 4)
 	m.Start()
-	m.Send(branchEv(0, 2, 1, 42, true))
-	m.Send(branchEv(1, 2, 1, 42, false)) // same sig, different outcome
+	in.Send(branchEv(0, 2, 1, 42, true))
+	in.Send(branchEv(1, 2, 1, 42, false)) // same sig, different outcome
 	for tid := int32(0); tid < 4; tid++ {
-		m.Send(Event{Kind: EvDone, Thread: tid})
+		in.Send(Event{Kind: EvDone, Thread: tid})
 	}
 	m.Close()
 	if !m.Detected() {
@@ -97,10 +127,11 @@ func TestMonitorSingleReporterNeverFlagged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	in := newFeed(m, 4)
 	m.Start()
-	m.Send(branchEv(0, 2, 1, 42, true))
+	in.Send(branchEv(0, 2, 1, 42, true))
 	for tid := int32(0); tid < 4; tid++ {
-		m.Send(Event{Kind: EvDone, Thread: tid})
+		in.Send(Event{Kind: EvDone, Thread: tid})
 	}
 	m.Close()
 	if m.Detected() {
@@ -113,18 +144,19 @@ func TestMonitorBarrierGenerations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	in := newFeed(m, 2)
 	m.Start()
 	// Epoch 1: both threads agree.
-	m.Send(branchEv(0, 1, 1, 5, true))
-	m.Send(branchEv(1, 1, 1, 5, true))
-	m.Send(Event{Kind: EvFlush, Thread: 0})
-	m.Send(Event{Kind: EvFlush, Thread: 1})
+	in.Send(branchEv(0, 1, 1, 5, true))
+	in.Send(branchEv(1, 1, 1, 5, true))
+	in.Send(Event{Kind: EvFlush, Thread: 0})
+	in.Send(Event{Kind: EvFlush, Thread: 1})
 	// Epoch 2: same keys reused after the barrier — must not collide with
 	// epoch 1 state (table cleared per generation).
-	m.Send(branchEv(0, 1, 1, 6, false))
-	m.Send(branchEv(1, 1, 1, 6, false))
-	m.Send(Event{Kind: EvDone, Thread: 0})
-	m.Send(Event{Kind: EvDone, Thread: 1})
+	in.Send(branchEv(0, 1, 1, 6, false))
+	in.Send(branchEv(1, 1, 1, 6, false))
+	in.Send(Event{Kind: EvDone, Thread: 0})
+	in.Send(Event{Kind: EvDone, Thread: 1})
 	m.Close()
 	if m.Detected() {
 		t.Fatalf("cross-epoch false positive: %v", m.Violations())
@@ -139,14 +171,15 @@ func TestMonitorCheckingDisabledDrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	in := newFeed(m, 2)
 	m.Start()
 	// Far more events than the queue capacity: must not deadlock.
 	for i := uint64(0); i < 1000; i++ {
-		m.Send(branchEv(0, 1, i, 5, true))
-		m.Send(branchEv(1, 1, i, 5, false)) // would be a violation if checked
+		in.Send(branchEv(0, 1, i, 5, true))
+		in.Send(branchEv(1, 1, i, 5, false)) // would be a violation if checked
 	}
-	m.Send(Event{Kind: EvDone, Thread: 0})
-	m.Send(Event{Kind: EvDone, Thread: 1})
+	in.Send(Event{Kind: EvDone, Thread: 0})
+	in.Send(Event{Kind: EvDone, Thread: 1})
 	m.Close()
 	if m.Detected() {
 		t.Fatal("disabled monitor still checked")
@@ -161,13 +194,14 @@ func TestMonitorUnknownBranchIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	in := newFeed(m, 2)
 	m.Start()
-	m.Send(branchEv(0, 99, 1, 5, true))
-	m.Send(branchEv(1, 99, 1, 5, false))
-	m.Send(branchEv(0, 3, 1, 5, true)) // plan exists but is unchecked
-	m.Send(branchEv(1, 3, 1, 5, false))
-	m.Send(Event{Kind: EvDone, Thread: 0})
-	m.Send(Event{Kind: EvDone, Thread: 1})
+	in.Send(branchEv(0, 99, 1, 5, true))
+	in.Send(branchEv(1, 99, 1, 5, false))
+	in.Send(branchEv(0, 3, 1, 5, true)) // plan exists but is unchecked
+	in.Send(branchEv(1, 3, 1, 5, false))
+	in.Send(Event{Kind: EvDone, Thread: 0})
+	in.Send(Event{Kind: EvDone, Thread: 1})
 	m.Close()
 	if m.Detected() {
 		t.Fatalf("unchecked branch flagged: %v", m.Violations())
@@ -175,12 +209,13 @@ func TestMonitorUnknownBranchIgnored(t *testing.T) {
 }
 
 func TestMonitorCloseWithoutStart(t *testing.T) {
-	m, err := New(Config{NumThreads: 2, Plans: testPlans()})
+	m, err := New(Config{NumThreads: 2, Plans: testPlans(), SenderBatch: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Send(branchEv(0, 1, 1, 5, true))
-	m.Send(branchEv(1, 1, 1, 5, false))
+	in := newFeed(m, 2)
+	in.Send(branchEv(0, 1, 1, 5, true))
+	in.Send(branchEv(1, 1, 1, 5, false))
 	m.Close() // synchronous drain path
 	if !m.Detected() {
 		t.Fatal("synchronous drain missed the violation")
@@ -204,13 +239,14 @@ func TestMonitorStragglerRecheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	in := newFeed(m, 4)
 	m.Start()
 	for tid := int32(0); tid < 4; tid++ {
-		m.Send(branchEv(tid, 1, 7, 5, true))
+		in.Send(branchEv(tid, 1, 7, 5, true))
 	}
-	m.Send(branchEv(2, 1, 7, 5, true)) // duplicate instance report
+	in.Send(branchEv(2, 1, 7, 5, true)) // duplicate instance report
 	for tid := int32(0); tid < 4; tid++ {
-		m.Send(Event{Kind: EvDone, Thread: tid})
+		in.Send(Event{Kind: EvDone, Thread: tid})
 	}
 	m.Close()
 	if !m.Detected() {
@@ -245,11 +281,12 @@ func TestMonitorSummarizeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	in := newFeed(m, 2)
 	m.Start()
-	m.Send(branchEv(0, 1, 1, 5, true))
-	m.Send(branchEv(1, 1, 1, 5, false))
-	m.Send(Event{Kind: EvDone, Thread: 0})
-	m.Send(Event{Kind: EvDone, Thread: 1})
+	in.Send(branchEv(0, 1, 1, 5, true))
+	in.Send(branchEv(1, 1, 1, 5, false))
+	in.Send(Event{Kind: EvDone, Thread: 0})
+	in.Send(Event{Kind: EvDone, Thread: 1})
 	m.Close()
 	sum := m.Summarize()
 	if len(sum) != 1 || sum[0].BranchID != 1 {
@@ -265,12 +302,13 @@ func TestMonitorBoundedUnderFlood(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	in := newFeed(m, 2)
 	m.Start()
 	for i := uint64(0); i < 50_000; i++ {
-		m.Send(branchEv(0, 1, i, 5, true))
+		in.Send(branchEv(0, 1, i, 5, true))
 	}
-	m.Send(Event{Kind: EvDone, Thread: 0})
-	m.Send(Event{Kind: EvDone, Thread: 1})
+	in.Send(Event{Kind: EvDone, Thread: 0})
+	in.Send(Event{Kind: EvDone, Thread: 1})
 	m.Close()
 	if m.Detected() {
 		t.Fatalf("flood of singleton instances flagged: %v", m.Violations())
@@ -281,20 +319,21 @@ func TestMonitorBoundedUnderFlood(t *testing.T) {
 }
 
 func TestMonitorFloodStillDetectsWithinWindow(t *testing.T) {
-	m, err := New(Config{NumThreads: 2, Plans: testPlans(), MaxInstances: 1000})
+	m, err := New(Config{NumThreads: 2, Plans: testPlans(), SenderBatch: 1, MaxInstances: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
+	in := newFeed(m, 2)
 	m.Start()
 	// A genuine divergence, fully reported within one window: the eager
 	// all-threads check fires before any forced flush can evict it.
-	m.Send(branchEv(0, 1, 99_999, 5, true))
-	m.Send(branchEv(1, 1, 99_999, 5, false))
+	in.Send(branchEv(0, 1, 99_999, 5, true))
+	in.Send(branchEv(1, 1, 99_999, 5, false))
 	for i := uint64(0); i < 10_000; i++ {
-		m.Send(branchEv(0, 1, i, 5, true))
+		in.Send(branchEv(0, 1, i, 5, true))
 	}
-	m.Send(Event{Kind: EvDone, Thread: 0})
-	m.Send(Event{Kind: EvDone, Thread: 1})
+	in.Send(Event{Kind: EvDone, Thread: 0})
+	in.Send(Event{Kind: EvDone, Thread: 1})
 	m.Close()
 	if !m.Detected() {
 		t.Fatal("divergence lost under flood")
@@ -310,10 +349,11 @@ func TestCrashedThreadCannotWedgeGatedProducer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	in := newFeed(m, 2)
 	m.Start()
-	m.Send(branchEv(0, 1, 1, 5, true))
-	m.Send(Event{Kind: EvFlush, Thread: 0}) // thread 0 now gated
-	m.Send(Event{Kind: EvDone, Thread: 1})  // thread 1 dies without flushing
+	in.Send(branchEv(0, 1, 1, 5, true))
+	in.Send(Event{Kind: EvFlush, Thread: 0}) // thread 0 now gated
+	in.Send(Event{Kind: EvDone, Thread: 1})  // thread 1 dies without flushing
 
 	done := make(chan struct{})
 	go func() {
@@ -321,9 +361,9 @@ func TestCrashedThreadCannotWedgeGatedProducer(t *testing.T) {
 		// Far more post-barrier events than the queue holds: blocks
 		// forever unless the generation closes.
 		for i := uint64(0); i < 1000; i++ {
-			m.Send(branchEv(0, 1, 100+i, 5, true))
+			in.Send(branchEv(0, 1, 100+i, 5, true))
 		}
-		m.Send(Event{Kind: EvDone, Thread: 0})
+		in.Send(Event{Kind: EvDone, Thread: 0})
 	}()
 	select {
 	case <-done:

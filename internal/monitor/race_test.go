@@ -53,12 +53,13 @@ func stressMonitor(t *testing.T, mk func(cfg Config) (Sink, error), nthreads, br
 		wg.Add(1)
 		go func(tid int) {
 			defer wg.Done()
+			s := m.Sender(tid)
 			for gen := 0; gen < gens; gen++ {
 				for b := 0; b < branchesPerGen; b++ {
 					// All threads agree on signature and outcome: the
 					// stress must stay violation-free so any detection is
 					// itself a bug signal.
-					m.Send(Event{
+					s.Send(Event{
 						Kind:     EvBranch,
 						Thread:   int32(tid),
 						BranchID: 1,
@@ -68,9 +69,9 @@ func stressMonitor(t *testing.T, mk func(cfg Config) (Sink, error), nthreads, br
 						Taken:    b%2 == 0,
 					})
 				}
-				m.Send(Event{Kind: EvFlush, Thread: int32(tid)})
+				s.Send(Event{Kind: EvFlush, Thread: int32(tid)})
 			}
-			m.Send(Event{Kind: EvDone, Thread: int32(tid)})
+			s.Send(Event{Kind: EvDone, Thread: int32(tid)})
 		}(tid)
 	}
 	wg.Wait()
@@ -103,6 +104,7 @@ func TestMonitorCloseWhileProducersDraining(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		in := newFeed(m, 4)
 		m.Start()
 		var wg sync.WaitGroup
 		for tid := 0; tid < 4; tid++ {
@@ -110,10 +112,10 @@ func TestMonitorCloseWhileProducersDraining(t *testing.T) {
 			go func(tid int) {
 				defer wg.Done()
 				for b := 0; b < 200; b++ {
-					m.Send(Event{Kind: EvBranch, Thread: int32(tid), BranchID: 1,
+					in.Send(Event{Kind: EvBranch, Thread: int32(tid), BranchID: 1,
 						Key1: uint64(b) + 1, Key2: 0, Sig: 3, Taken: true})
 				}
-				m.Send(Event{Kind: EvDone, Thread: int32(tid)})
+				in.Send(Event{Kind: EvDone, Thread: int32(tid)})
 			}(tid)
 		}
 		wg.Wait()

@@ -7,11 +7,10 @@ import (
 	"sync/atomic"
 
 	"blockwatch/internal/metrics"
-	"blockwatch/internal/queue"
 )
 
 // Relay is a Sink whose back end is a stream instead of a checker: it
-// keeps the monitor's producer contract — per-thread lock-free SPSC
+// embeds the monitor's producer front end — per-thread lock-free SPSC
 // queues, batching Senders, the overflow policies, the fail-open health
 // machine — but its drain goroutine forwards events to an EventStream
 // (a remote connection, a trace file, or both) rather than a hash table.
@@ -30,14 +29,9 @@ import (
 // discarded branch events as drops, and still tracks done markers so
 // Close terminates. The program always runs to completion.
 type Relay struct {
-	cfg       RelayConfig
-	queues    []*queue.SPSC[Event]
-	sendSpins int
-	met       relayMetrics
-
-	drops       []atomic.Uint64
-	quarantined atomic.Uint64
-	health      atomic.Int32
+	frontEnd
+	cfg RelayConfig
+	met relayMetrics
 
 	mu      sync.Mutex
 	outcome RelayOutcome
@@ -118,29 +112,15 @@ func NewRelay(cfg RelayConfig) (*Relay, error) {
 	if cfg.Stream == nil {
 		return nil, ErrNoStream
 	}
-	capQ := cfg.QueueCap
-	if capQ <= 0 {
-		capQ = DefaultQueueCap
-	}
-	spins := cfg.SendSpins
-	if spins <= 0 {
-		spins = DefaultSendSpins
-	}
 	r := &Relay{
-		cfg:       cfg,
-		sendSpins: spins,
-		met:       newRelayMetrics(cfg.Metrics),
-		drops:     make([]atomic.Uint64, cfg.NumThreads),
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
+		cfg:  cfg,
+		met:  newRelayMetrics(cfg.Metrics),
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
 	}
-	r.queues = make([]*queue.SPSC[Event], cfg.NumThreads)
-	for i := range r.queues {
-		q, err := queue.NewSPSC[Event](capQ)
-		if err != nil {
-			return nil, err
-		}
-		r.queues[i] = q
+	err := r.initFrontEnd(cfg.NumThreads, cfg.QueueCap, cfg.Overflow, cfg.SendSpins, cfg.SenderBatch, r.met.frontEndMetrics)
+	if err != nil {
+		return nil, err
 	}
 	return r, nil
 }
@@ -149,53 +129,6 @@ func NewRelay(cfg RelayConfig) (*Relay, error) {
 var ErrNoStream = errors.New("relay requires an event stream")
 
 var _ Sink = (*Relay)(nil)
-
-// Send enqueues one event from thread ev.Thread, with exactly the
-// fail-open semantics of Monitor.Send: out-of-range threads are
-// quarantined, branch events obey the overflow policy, control events
-// block (the relay guarantees the queues drain).
-func (r *Relay) Send(ev Event) {
-	tid := int(ev.Thread)
-	if tid < 0 || tid >= len(r.queues) {
-		r.quarantined.Add(1)
-		r.met.quarantined.Inc()
-		r.Degrade()
-		return
-	}
-	q := r.queues[tid]
-	if ev.Kind != EvBranch {
-		for !q.Push(ev) {
-			runtime.Gosched()
-		}
-		return
-	}
-	if !pushPolicy(q, ev, r.cfg.Overflow, r.sendSpins) {
-		r.drops[tid].Add(1)
-		r.met.drops.Inc()
-		r.Degrade()
-	}
-}
-
-// Sender returns the batching producer handle for thread tid, mirroring
-// Monitor.Sender (including the quarantining handle for an out-of-range
-// tid).
-func (r *Relay) Sender(tid int) *Sender {
-	if tid < 0 || tid >= len(r.queues) {
-		return &Sender{quarantined: &r.quarantined, health: &r.health, metQuar: r.met.quarantined}
-	}
-	return &Sender{
-		q:           r.queues[tid],
-		buf:         make([]Event, 0, senderBatch(r.cfg.SenderBatch)),
-		policy:      r.cfg.Overflow,
-		spins:       r.sendSpins,
-		drops:       &r.drops[tid],
-		quarantined: &r.quarantined,
-		health:      &r.health,
-		metDrops:    r.met.drops,
-		metQuar:     r.met.quarantined,
-		metFlush:    r.met.flushSize,
-	}
-}
 
 // Start launches the relay goroutine.
 func (r *Relay) Start() {
@@ -230,14 +163,12 @@ func (r *Relay) Close() {
 // overwrites a terminal state). Streams that absorb their own errors —
 // e.g. a recorder whose file went away while in-process checking is
 // still fine — use it to surface the lost coverage.
-func (r *Relay) Degrade() {
-	r.health.CompareAndSwap(int32(Healthy), int32(Degraded))
-}
+func (r *Relay) Degrade() { r.degrade() }
 
 // Health reports the relay's degradation state merged with the
 // downstream outcome's (after Close).
 func (r *Relay) Health() HealthState {
-	local := HealthState(r.health.Load())
+	local := r.frontEnd.Health()
 	r.mu.Lock()
 	remote := r.outcome.Health
 	r.mu.Unlock()
@@ -271,7 +202,7 @@ func (r *Relay) Stats() Stats {
 	r.mu.Lock()
 	s := r.outcome.Stats
 	r.mu.Unlock()
-	s.Dropped += sumDrops(r.drops)
+	s.Dropped += r.dropped()
 	s.Quarantined += r.quarantined.Load()
 	return s
 }
@@ -381,8 +312,7 @@ func (s *relayState) forward(tid int, evs []Event) {
 				s.r.met.events.Add(uint64(end - start))
 			}
 		} else if start < end && s.broken {
-			s.r.drops[tid].Add(uint64(end - start))
-			s.r.met.drops.Add(uint64(end - start))
+			s.r.drop(tid, end-start)
 		}
 	}
 	for i := range evs {
@@ -406,9 +336,7 @@ func (s *relayState) forward(tid int, evs []Event) {
 		default:
 			flushRun(i)
 			start = i + 1
-			s.r.quarantined.Add(1)
-			s.r.met.quarantined.Inc()
-			s.r.Degrade()
+			s.r.quarantine(1)
 		}
 	}
 	flushRun(len(evs))
@@ -432,10 +360,9 @@ func (s *relayState) idle() {
 func (s *relayState) fail(tid, lost int) {
 	s.broken = true
 	s.r.met.degraded.Inc()
-	s.r.Degrade()
+	s.r.degrade()
 	if lost > 0 {
-		s.r.drops[tid].Add(uint64(lost))
-		s.r.met.drops.Add(uint64(lost))
+		s.r.drop(tid, lost)
 	}
 }
 
@@ -451,21 +378,11 @@ func (s *relayState) finish() {
 	}
 	outcome, err := s.r.cfg.Finish(s.broken)
 	if err != nil {
-		s.r.Degrade()
+		s.r.degrade()
 	}
 	s.r.mu.Lock()
 	s.r.outcome = outcome
 	s.r.mu.Unlock()
-}
-
-// Drops returns the relay-side per-thread drop counters (observability;
-// mirrors Monitor.Drops).
-func (r *Relay) Drops() []uint64 {
-	out := make([]uint64, len(r.drops))
-	for i := range r.drops {
-		out[i] = r.drops[i].Load()
-	}
-	return out
 }
 
 // statsProvider is implemented by every Sink in this repo that can

@@ -265,24 +265,6 @@ func TestRelayFailOpenOnStreamError(t *testing.T) {
 	}
 }
 
-func TestRelayQuarantinesOutOfRange(t *testing.T) {
-	r, err := NewRelay(RelayConfig{NumThreads: 1, Stream: newCollectStream()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Start()
-	r.Send(Event{Kind: EvBranch, Thread: 99})
-	r.Sender(-1).Send(relayEv(0, 1, 0))
-	r.Send(Event{Kind: EvDone, Thread: 0})
-	r.Close()
-	if got := r.Stats().Quarantined; got != 2 {
-		t.Errorf("quarantined = %d, want 2", got)
-	}
-	if r.Health() != Degraded {
-		t.Errorf("health = %v, want Degraded", r.Health())
-	}
-}
-
 func TestRelayQuarantinesUnknownKind(t *testing.T) {
 	stream := newCollectStream()
 	r, err := NewRelay(RelayConfig{NumThreads: 1, Stream: stream})
@@ -345,7 +327,7 @@ func TestRelayCloseWithoutStart(t *testing.T) {
 	s := r.Sender(0)
 	s.Send(relayEv(0, 7, 1))
 	s.Flush()
-	r.Send(Event{Kind: EvDone, Thread: 0})
+	s.Send(Event{Kind: EvDone, Thread: 0})
 	r.Close() // never started: must drain synchronously
 	if evs := stream.events(0); len(evs) != 1 || evs[0].BranchID != 7 {
 		t.Errorf("unstarted close lost events: %v", evs)

@@ -1,11 +1,5 @@
 package monitor
 
-import (
-	"runtime"
-
-	"blockwatch/internal/queue"
-)
-
 // Fail-open resilience: the paper assumes the monitor itself is fault-free
 // and sizes its queues "sufficiently large". This file holds the knobs and
 // state machine that drop those assumptions — overflow policies for the
@@ -18,8 +12,8 @@ import (
 // see docs/internals.md) and never *liveness* (producers are always
 // eventually unblocked).
 
-// OverflowPolicy selects what Monitor.Send does with a branch event when
-// the sending thread's front-end queue is full.
+// OverflowPolicy selects what a Sender does with branch events when its
+// thread's front-end queue is full.
 //
 // Control events (EvFlush, EvDone) always block regardless of policy:
 // dropping a flush could mix barrier generations (a false-positive
@@ -57,29 +51,6 @@ func (p OverflowPolicy) String() string {
 
 // DefaultSendSpins bounds the OverflowBlockTimeout spin loop.
 const DefaultSendSpins = 1 << 12
-
-// pushPolicy enqueues a branch event under the given overflow policy and
-// reports whether it was enqueued (false = caller must count a drop).
-// Shared by the flat and hierarchical monitors' Send paths.
-func pushPolicy(q *queue.SPSC[Event], ev Event, policy OverflowPolicy, spins int) bool {
-	switch policy {
-	case OverflowDropNewest:
-		return q.Push(ev)
-	case OverflowBlockTimeout:
-		for ; !q.Push(ev); spins-- {
-			if spins <= 0 {
-				return false
-			}
-			runtime.Gosched()
-		}
-		return true
-	default: // OverflowBlock
-		for !q.Push(ev) {
-			runtime.Gosched()
-		}
-		return true
-	}
-}
 
 // HealthState is the monitor's degradation level. Transitions only move
 // downward: Healthy → Degraded (events dropped, quarantined, or a

@@ -24,12 +24,13 @@ func TestSendOutOfRangeThreadQuarantined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	in := newFeed(m, 2)
 	m.Start()
-	m.Send(branchEv(-1, 1, 0, 5, true))
-	m.Send(branchEv(99, 1, 0, 5, true))
-	m.Send(Event{Kind: EvDone, Thread: -7}) // malformed control, same path
-	m.Send(Event{Kind: EvDone, Thread: 0})
-	m.Send(Event{Kind: EvDone, Thread: 1})
+	in.Send(branchEv(-1, 1, 0, 5, true))
+	in.Send(branchEv(99, 1, 0, 5, true))
+	in.Send(Event{Kind: EvDone, Thread: -7}) // malformed control, same path
+	in.Send(Event{Kind: EvDone, Thread: 0})
+	in.Send(Event{Kind: EvDone, Thread: 1})
 	m.Close()
 	if st := m.Stats(); st.Quarantined != 3 {
 		t.Errorf("Quarantined = %d, want 3", st.Quarantined)
@@ -45,17 +46,18 @@ func TestSendOutOfRangeThreadQuarantined(t *testing.T) {
 func TestOverflowDropNewestCountsDrops(t *testing.T) {
 	// Unstarted monitor: queues fill, so the policy decides. 10 sends into a
 	// 4-slot queue must drop exactly 6 and count them against thread 0.
-	m, err := New(Config{NumThreads: 2, Plans: testPlans(), QueueCap: 4,
+	m, err := New(Config{NumThreads: 2, Plans: testPlans(), SenderBatch: 1, QueueCap: 4,
 		Overflow: OverflowDropNewest})
 	if err != nil {
 		t.Fatal(err)
 	}
+	in := newFeed(m, 2)
 	for i := 0; i < 10; i++ {
-		m.Send(branchEv(0, 1, uint64(i), 5, true))
+		in.Send(branchEv(0, 1, uint64(i), 5, true))
 	}
 	// Thread 1 agrees on the instances that survived (keys 0..3).
 	for i := 0; i < 4; i++ {
-		m.Send(branchEv(1, 1, uint64(i), 5, true))
+		in.Send(branchEv(1, 1, uint64(i), 5, true))
 	}
 	if got := m.Drops(); got[0] != 6 || got[1] != 0 {
 		t.Errorf("Drops = %v, want [6 0]", got)
@@ -74,13 +76,14 @@ func TestOverflowDropNewestCountsDrops(t *testing.T) {
 }
 
 func TestOverflowBlockTimeoutDrops(t *testing.T) {
-	m, err := New(Config{NumThreads: 1, Plans: testPlans(), QueueCap: 4,
+	m, err := New(Config{NumThreads: 1, Plans: testPlans(), SenderBatch: 1, QueueCap: 4,
 		Overflow: OverflowBlockTimeout, SendSpins: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
+	in := newFeed(m, 1)
 	for i := 0; i < 10; i++ {
-		m.Send(branchEv(0, 1, uint64(i), 5, true)) // nobody drains: spins expire
+		in.Send(branchEv(0, 1, uint64(i), 5, true)) // nobody drains: spins expire
 	}
 	if got := m.Drops(); got[0] != 6 {
 		t.Errorf("Drops = %v, want [6]", got)
@@ -94,21 +97,22 @@ func TestOverflowBlockTimeoutDrops(t *testing.T) {
 func TestControlEventsNeverDropped(t *testing.T) {
 	// Even under a drop policy with a full, gated queue, EvFlush must block
 	// until there is room: dropping a flush could mix barrier generations.
-	m, err := New(Config{NumThreads: 2, Plans: testPlans(), QueueCap: 4,
+	m, err := New(Config{NumThreads: 2, Plans: testPlans(), SenderBatch: 1, QueueCap: 4,
 		Overflow: OverflowDropNewest})
 	if err != nil {
 		t.Fatal(err)
 	}
+	in := newFeed(m, 2)
 	m.Start()
 	defer m.Close()
 
 	// Gate thread 0 behind the open generation.
-	m.Send(Event{Kind: EvFlush, Thread: 0})
+	in.Send(Event{Kind: EvFlush, Thread: 0})
 	waitUntil(t, 5*time.Second, "flush drained", func() bool { return m.QueueBacklog() == 0 })
 
 	// Fill the gated queue; two extra branch events drop.
 	for i := 0; i < 6; i++ {
-		m.Send(branchEv(0, 1, uint64(i), 5, true))
+		in.Send(branchEv(0, 1, uint64(i), 5, true))
 	}
 	if got := m.Drops(); got[0] != 2 {
 		t.Fatalf("Drops = %v, want [2]", got)
@@ -116,7 +120,7 @@ func TestControlEventsNeverDropped(t *testing.T) {
 
 	flushed := make(chan struct{})
 	go func() {
-		m.Send(Event{Kind: EvFlush, Thread: 0}) // queue full: must block, not drop
+		in.Send(Event{Kind: EvFlush, Thread: 0}) // queue full: must block, not drop
 		close(flushed)
 	}()
 	select {
@@ -127,14 +131,14 @@ func TestControlEventsNeverDropped(t *testing.T) {
 
 	// Thread 1 flushes: the generation closes, thread 0 ungates and drains,
 	// and the blocked control Send completes.
-	m.Send(Event{Kind: EvFlush, Thread: 1})
+	in.Send(Event{Kind: EvFlush, Thread: 1})
 	select {
 	case <-flushed:
 	case <-time.After(5 * time.Second):
 		t.Fatal("control event still blocked after the generation closed")
 	}
-	m.Send(Event{Kind: EvDone, Thread: 0})
-	m.Send(Event{Kind: EvDone, Thread: 1})
+	in.Send(Event{Kind: EvDone, Thread: 0})
+	in.Send(Event{Kind: EvDone, Thread: 1})
 	m.Close()
 	if m.Detected() {
 		t.Fatalf("false positive: %v", m.Violations())
@@ -146,11 +150,12 @@ func TestPostDoneStragglerQuarantined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	in := newFeed(m, 2)
 	m.Start()
-	m.Send(Event{Kind: EvDone, Thread: 0})
-	m.Send(branchEv(0, 1, 0, 5, true)) // straggler after done
-	m.Send(Event{Kind: EvDone, Thread: 0})
-	m.Send(Event{Kind: EvDone, Thread: 1})
+	in.Send(Event{Kind: EvDone, Thread: 0})
+	in.Send(branchEv(0, 1, 0, 5, true)) // straggler after done
+	in.Send(Event{Kind: EvDone, Thread: 0})
+	in.Send(Event{Kind: EvDone, Thread: 1})
 	m.Close()
 	st := m.Stats()
 	if st.Quarantined != 2 { // straggler + duplicate done
@@ -169,9 +174,10 @@ func TestUnknownEventKindQuarantined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	in := newFeed(m, 1)
 	m.Start()
-	m.Send(Event{Kind: EventKind(7), Thread: 0})
-	m.Send(Event{Kind: EvDone, Thread: 0})
+	in.Send(Event{Kind: EventKind(7), Thread: 0})
+	in.Send(Event{Kind: EvDone, Thread: 0})
 	m.Close()
 	if st := m.Stats(); st.Quarantined != 1 {
 		t.Errorf("Quarantined = %d, want 1", st.Quarantined)
@@ -191,10 +197,11 @@ func TestCorruptedControlEventQuarantined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	in := newFeed(m, 2)
 	m.Start()
-	m.Send(Event{Kind: EvFlush, Thread: 0})
-	m.Send(Event{Kind: EvDone, Thread: 0})
-	m.Send(Event{Kind: EvDone, Thread: 1})
+	in.Send(Event{Kind: EvFlush, Thread: 0})
+	in.Send(Event{Kind: EvDone, Thread: 0})
+	in.Send(Event{Kind: EvDone, Thread: 1})
 	m.Close()
 	st := m.Stats()
 	if st.Quarantined != 1 {
@@ -220,14 +227,15 @@ func TestMonitorPanicFailsOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	in := newFeed(m, 2)
 	m.Start()
 	// Far more events than the queue holds, under the blocking policy: if
 	// the failsafe drain were missing, this loop would wedge forever.
 	for i := 0; i < 100; i++ {
-		m.Send(branchEv(0, 1, uint64(i), 5, true))
+		in.Send(branchEv(0, 1, uint64(i), 5, true))
 	}
-	m.Send(Event{Kind: EvDone, Thread: 0})
-	m.Send(Event{Kind: EvDone, Thread: 1})
+	in.Send(Event{Kind: EvDone, Thread: 0})
+	in.Send(Event{Kind: EvDone, Thread: 1})
 	m.Close()
 	if got := m.Health(); got != Failed {
 		t.Errorf("Health = %v, want Failed", got)
@@ -242,18 +250,19 @@ func TestMonitorPanicFailsOpen(t *testing.T) {
 
 func TestWatchdogForceClosesGeneration(t *testing.T) {
 	var clock atomic.Int64 // virtual nanoseconds
-	m, err := New(Config{NumThreads: 2, Plans: testPlans(),
+	m, err := New(Config{NumThreads: 2, Plans: testPlans(), SenderBatch: 1,
 		StallDeadline: time.Second,
 		Now:           func() time.Time { return time.Unix(0, clock.Load()) }})
 	if err != nil {
 		t.Fatal(err)
 	}
+	in := newFeed(m, 2)
 	m.Start()
 
 	// Thread 0 reports and flushes; thread 1 hangs without a flush. The
 	// generation can never close on its own.
-	m.Send(branchEv(0, 1, 0, 5, true))
-	m.Send(Event{Kind: EvFlush, Thread: 0})
+	in.Send(branchEv(0, 1, 0, 5, true))
+	in.Send(Event{Kind: EvFlush, Thread: 0})
 	waitUntil(t, 5*time.Second, "events drained", func() bool { return m.QueueBacklog() == 0 })
 
 	// Advance virtual time until the watchdog force-closes the generation.
@@ -266,20 +275,20 @@ func TestWatchdogForceClosesGeneration(t *testing.T) {
 	}
 
 	// Thread 0 is ungated: its next-generation event is processed normally.
-	m.Send(branchEv(0, 1, 100, 5, true))
+	in.Send(branchEv(0, 1, 100, 5, true))
 	waitUntil(t, 5*time.Second, "post-close event accepted", func() bool {
 		return m.Stats().Events == 2
 	})
 
 	// Thread 1 finally wakes up: its pre-barrier leftover belongs to the
 	// force-closed generation and must be quarantined, not mixed in.
-	m.Send(branchEv(1, 1, 0, 9, false))
+	in.Send(branchEv(1, 1, 0, 9, false))
 	waitUntil(t, 5*time.Second, "stale event quarantined", func() bool {
 		return m.Stats().Quarantined >= 1
 	})
 
-	m.Send(Event{Kind: EvDone, Thread: 0})
-	m.Send(Event{Kind: EvDone, Thread: 1})
+	in.Send(Event{Kind: EvDone, Thread: 0})
+	in.Send(Event{Kind: EvDone, Thread: 1})
 	m.Close()
 	st := m.Stats()
 	if st.Watchdog != 1 {
@@ -305,6 +314,7 @@ func TestWatchdogHungThreadBoundedNoLivelock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	in := newFeed(m, 2)
 	m.Start()
 
 	stopTick := make(chan struct{})
@@ -328,18 +338,18 @@ func TestWatchdogHungThreadBoundedNoLivelock(t *testing.T) {
 		defer close(finished)
 		for gen := 0; gen < 20; gen++ {
 			for b := 0; b < 6; b++ {
-				m.Send(branchEv(0, 1, uint64(gen*100+b), 5, true))
+				in.Send(branchEv(0, 1, uint64(gen*100+b), 5, true))
 			}
-			m.Send(Event{Kind: EvFlush, Thread: 0})
+			in.Send(Event{Kind: EvFlush, Thread: 0})
 		}
-		m.Send(Event{Kind: EvDone, Thread: 0})
+		in.Send(Event{Kind: EvDone, Thread: 0})
 	}()
 	select {
 	case <-finished:
 	case <-time.After(30 * time.Second):
 		t.Fatal("producer livelocked behind the hung thread")
 	}
-	m.Send(Event{Kind: EvDone, Thread: 1})
+	in.Send(Event{Kind: EvDone, Thread: 1})
 	m.Close()
 	close(stopTick)
 	tickWG.Wait()
@@ -364,15 +374,16 @@ func TestDrainAllForcedCloseDetectsDespiteMissingFlush(t *testing.T) {
 	// and a backlog gated behind it. drainAll must force the generation
 	// closed — and the subset check must still catch the divergence the
 	// crashed thread reported before dying.
-	m, err := New(Config{NumThreads: 2, Plans: testPlans()})
+	m, err := New(Config{NumThreads: 2, Plans: testPlans(), SenderBatch: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Send(branchEv(0, 1, 0, 5, true))
-	m.Send(Event{Kind: EvFlush, Thread: 0})
-	m.Send(branchEv(0, 1, 100, 5, true)) // next generation, gated
-	m.Send(branchEv(1, 1, 0, 5, false))  // divergent outcome, then crash: no flush
-	m.Close()                            // unstarted: synchronous drainAll + final check
+	in := newFeed(m, 2)
+	in.Send(branchEv(0, 1, 0, 5, true))
+	in.Send(Event{Kind: EvFlush, Thread: 0})
+	in.Send(branchEv(0, 1, 100, 5, true)) // next generation, gated
+	in.Send(branchEv(1, 1, 0, 5, false))  // divergent outcome, then crash: no flush
+	m.Close()                             // unstarted: synchronous drainAll + final check
 	if !m.Detected() {
 		t.Fatal("divergence lost when the generation was force-closed")
 	}
@@ -392,15 +403,16 @@ func TestMixedDoneLiveGenerationFlush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	in := newFeed(m, 3)
 	m.Start()
-	m.Send(branchEv(2, 1, 0, 5, true))
-	m.Send(Event{Kind: EvDone, Thread: 2})
+	in.Send(branchEv(2, 1, 0, 5, true))
+	in.Send(Event{Kind: EvDone, Thread: 2})
 	for _, tid := range []int32{0, 1} {
-		m.Send(branchEv(tid, 1, 0, 5, true))
-		m.Send(Event{Kind: EvFlush, Thread: tid})
-		m.Send(branchEv(tid, 1, 50, 5, true))
-		m.Send(Event{Kind: EvFlush, Thread: tid})
-		m.Send(Event{Kind: EvDone, Thread: tid})
+		in.Send(branchEv(tid, 1, 0, 5, true))
+		in.Send(Event{Kind: EvFlush, Thread: tid})
+		in.Send(branchEv(tid, 1, 50, 5, true))
+		in.Send(Event{Kind: EvFlush, Thread: tid})
+		in.Send(Event{Kind: EvDone, Thread: tid})
 	}
 	m.Close()
 	st := m.Stats()
@@ -427,6 +439,7 @@ func TestStatsConcurrentReaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	in := newFeed(m, nthreads)
 	m.Start()
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
@@ -453,9 +466,9 @@ func TestStatsConcurrentReaders(t *testing.T) {
 		go func(tid int32) {
 			defer producers.Done()
 			for i := uint64(0); i < 500; i++ {
-				m.Send(branchEv(tid, 1, i, 5, true))
+				in.Send(branchEv(tid, 1, i, 5, true))
 			}
-			m.Send(Event{Kind: EvDone, Thread: tid})
+			in.Send(Event{Kind: EvDone, Thread: tid})
 		}(tid)
 	}
 	producers.Wait()
@@ -476,11 +489,12 @@ func TestHierarchicalSendOutOfRangeQuarantined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	in := newFeed(h, 4)
 	h.Start()
-	h.Send(branchEv(-3, 1, 0, 5, true))
-	h.Send(branchEv(64, 1, 0, 5, true))
+	in.Send(branchEv(-3, 1, 0, 5, true))
+	in.Send(branchEv(64, 1, 0, 5, true))
 	for tid := int32(0); tid < 4; tid++ {
-		h.Send(Event{Kind: EvDone, Thread: tid})
+		in.Send(Event{Kind: EvDone, Thread: tid})
 	}
 	h.Close()
 	if got := h.Quarantined(); got != 2 {
@@ -491,5 +505,48 @@ func TestHierarchicalSendOutOfRangeQuarantined(t *testing.T) {
 	}
 	if h.Detected() {
 		t.Fatalf("false positive: %v", h.Violations())
+	}
+}
+
+// TestBranchIDMismatchSameInEitherOrder: a report whose BranchID was
+// corrupted is handled the same whether it is the first report of its
+// Key1 the drain sees or arrives after the Key1→plan binding exists — so
+// event-path campaign tallies do not depend on drain scheduling. An
+// unknown ID is quarantined; an unchecked branch's ID is ignored.
+func TestBranchIDMismatchSameInEitherOrder(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		badID     int32
+		wantQuar  uint64
+		wantCheck uint64
+	}{
+		{"unknown", 99, 1, 0},
+		{"unchecked", 3, 0, 0},
+	} {
+		for _, badFirst := range []bool{true, false} {
+			// Unstarted monitor: Close drains thread 0's queue before
+			// thread 1's, so badFirst decides which report binds Key1.
+			m, err := New(Config{NumThreads: 2, Plans: testPlans(), SenderBatch: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			good, bad := branchEv(0, 1, 1, 5, true), branchEv(1, 1, 1, 5, true)
+			if badFirst {
+				good.Thread, bad.Thread = 1, 0
+			}
+			bad.BranchID = tc.badID
+			in := newFeed(m, 2)
+			in.Send(good)
+			in.Send(bad)
+			m.Close()
+			st := m.Stats()
+			if st.Quarantined != tc.wantQuar || st.Instances != tc.wantCheck {
+				t.Errorf("%s, bad report first=%t: Quarantined=%d Instances=%d, want %d and %d",
+					tc.name, badFirst, st.Quarantined, st.Instances, tc.wantQuar, tc.wantCheck)
+			}
+			if m.Detected() {
+				t.Errorf("%s, bad report first=%t: false positive %v", tc.name, badFirst, m.Violations())
+			}
+		}
 	}
 }

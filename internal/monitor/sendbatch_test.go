@@ -62,7 +62,7 @@ func TestSendBatchQuarantines(t *testing.T) {
 	if got := m.QueueBacklog(); got != 0 {
 		t.Errorf("backlog = %d after empty SendBatch, want 0", got)
 	}
-	m.Send(Event{Kind: EvDone, Thread: 0})
+	s.Send(Event{Kind: EvDone, Thread: 0})
 	m.Close()
 }
 
@@ -110,11 +110,11 @@ func TestBindSenderReusesBuffer(t *testing.T) {
 	buf := &s.buf[:1][0]
 	s.Flush()
 	s.Send(Event{Kind: EvDone, Thread: 0})
-	m1.Send(Event{Kind: EvDone, Thread: 1})
+	m1.Sender(1).Send(Event{Kind: EvDone, Thread: 1})
 	m1.Close()
 
 	s.Unbind()
-	if s.q != nil || s.health != nil {
+	if s.q != nil || s.fe != nil {
 		t.Fatal("Unbind left monitor references behind")
 	}
 	m2 := mk()
@@ -124,7 +124,7 @@ func TestBindSenderReusesBuffer(t *testing.T) {
 	}
 	s.Send(branchEv(1, 1, 2, 5, true))
 	s.Send(Event{Kind: EvDone, Thread: 1})
-	m2.Send(Event{Kind: EvDone, Thread: 0})
+	m2.Sender(0).Send(Event{Kind: EvDone, Thread: 0})
 	m2.Close()
 	if got := m2.Stats().Events; got != 1 {
 		t.Errorf("rebound sender delivered %d events, want 1", got)
@@ -137,8 +137,8 @@ func TestBindSenderReusesBuffer(t *testing.T) {
 	if got := m3.Stats().Quarantined; got != 1 {
 		t.Errorf("Quarantined = %d after out-of-range rebind, want 1", got)
 	}
-	m3.Send(Event{Kind: EvDone, Thread: 0})
-	m3.Send(Event{Kind: EvDone, Thread: 1})
+	m3.Sender(0).Send(Event{Kind: EvDone, Thread: 0})
+	m3.Sender(1).Send(Event{Kind: EvDone, Thread: 1})
 	m3.Close()
 }
 

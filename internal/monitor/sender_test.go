@@ -86,55 +86,105 @@ func TestSenderBatchFillPublishes(t *testing.T) {
 	m.Close()
 }
 
-// TestSenderOutOfRangeQuarantines mirrors Send's fail-open contract for
-// the batched path: a Sender for a bogus thread ID counts and discards.
-func TestSenderOutOfRangeQuarantines(t *testing.T) {
-	m, err := New(Config{NumThreads: 2, Plans: testPlans()})
+// frontEndCase is one sink built over the shared producer front end.
+type frontEndCase struct {
+	name string
+	sink Sink
+	fe   *frontEnd
+}
+
+// frontEndCases builds the three sinks that embed the producer front end
+// — the flat monitor, the hierarchical monitor with two groups, and a
+// relay — from one configuration, unstarted so the queues fill.
+func frontEndCases(t *testing.T, cfg Config) []frontEndCase {
+	t.Helper()
+	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tid := range []int{-1, 2, 99} {
-		s := m.Sender(tid)
-		s.Send(branchEv(0, 1, 1, 5, true))
-		s.Send(Event{Kind: EvFlush, Thread: int32(tid)})
-		s.Flush()
+	h, err := NewHierarchical(cfg, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := m.Stats().Quarantined; got != 6 {
-		t.Errorf("Quarantined = %d, want 6", got)
-	}
-	if m.Health() != Degraded {
-		t.Errorf("Health = %s, want degraded", m.Health())
-	}
-	m.Send(Event{Kind: EvDone, Thread: 0})
-	m.Send(Event{Kind: EvDone, Thread: 1})
-	m.Close()
-}
-
-// TestSenderDropNewestCountsDrops: under the drop-newest policy a Flush
-// into a full queue counts the unsent remainder as dropped and never
-// blocks.
-func TestSenderDropNewestCountsDrops(t *testing.T) {
-	m, err := New(Config{
-		NumThreads: 1, Plans: testPlans(), QueueCap: 4,
-		Overflow: OverflowDropNewest, SenderBatch: 8,
+	r, err := NewRelay(RelayConfig{
+		NumThreads: cfg.NumThreads, QueueCap: cfg.QueueCap, Overflow: cfg.Overflow,
+		SenderBatch: cfg.SenderBatch, Stream: newCollectStream(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := m.Sender(0)
-	for k := uint64(0); k < 8; k++ {
-		s.Send(branchEv(0, 1, k, 5, true))
+	return []frontEndCase{
+		{"flat", m, &m.frontEnd},
+		{"hierarchical", h, &h.frontEnd},
+		{"relay", r, &r.frontEnd},
 	}
-	s.Flush() // queue holds 4; the rest must be counted, not spun on
-	if got := m.Drops()[0]; got != 4 {
-		t.Errorf("drops = %d, want 4", got)
+}
+
+// TestSenderOutOfRangeQuarantines: on every sink, a Sender for a bogus
+// thread ID counts and discards every event (single, control, batch) and
+// degrades health; once the sink has Failed, further quarantines never
+// lift it back to Degraded.
+func TestSenderOutOfRangeQuarantines(t *testing.T) {
+	for _, c := range frontEndCases(t, Config{NumThreads: 2, Plans: testPlans()}) {
+		t.Run(c.name, func(t *testing.T) {
+			defer c.sink.Close()
+			for _, tid := range []int{-1, 2, 99} {
+				s := c.sink.Sender(tid)
+				s.Send(branchEv(0, 1, 1, 5, true))
+				s.Send(Event{Kind: EvFlush, Thread: int32(tid)})
+				s.SendBatch([]Event{branchEv(0, 1, 2, 5, true), branchEv(0, 1, 3, 5, true)})
+				s.Flush()
+			}
+			if got := c.fe.quarantined.Load(); got != 12 {
+				t.Errorf("quarantined = %d, want 12", got)
+			}
+			if got := c.sink.Health(); got != Degraded {
+				t.Errorf("Health = %s, want degraded", got)
+			}
+			c.fe.health.Store(int32(Failed)) // as a recovered panic does
+			c.sink.Sender(-1).Send(branchEv(0, 1, 4, 5, true))
+			if got := c.sink.Health(); got != Failed {
+				t.Errorf("Health = %s after a quarantine while failed, want failed", got)
+			}
+		})
 	}
-	if m.Health() != Degraded {
-		t.Errorf("Health = %s, want degraded", m.Health())
+}
+
+// TestSenderDropNewestCountsDrops: on every sink, under the drop-newest
+// policy a Flush into a full queue counts the unsent remainder as dropped
+// against the sending thread and never blocks; once the sink has Failed,
+// further drops never lift it back to Degraded.
+func TestSenderDropNewestCountsDrops(t *testing.T) {
+	cfg := Config{
+		NumThreads: 2, Plans: testPlans(), QueueCap: 4,
+		Overflow: OverflowDropNewest, SenderBatch: 8,
 	}
-	m.Close() // inline drain; the full queue empties here
-	if m.Detected() {
-		t.Fatalf("unexpected violation: %v", m.Violations())
+	for _, c := range frontEndCases(t, cfg) {
+		t.Run(c.name, func(t *testing.T) {
+			defer c.sink.Close() // inline drain; the full queue empties here
+			s := c.sink.Sender(1)
+			for k := uint64(0); k < 8; k++ {
+				s.Send(branchEv(1, 1, k, 5, true))
+			}
+			// The eighth event filled the batch: queue holds 4, the rest
+			// must be counted, not spun on.
+			if got := c.fe.Drops(); !reflect.DeepEqual(got, []uint64{0, 4}) {
+				t.Errorf("Drops = %v, want [0 4]", got)
+			}
+			if got := c.sink.Health(); got != Degraded {
+				t.Errorf("Health = %s, want degraded", got)
+			}
+			c.fe.health.Store(int32(Failed)) // as a recovered panic does
+			for k := uint64(8); k < 16; k++ {
+				s.Send(branchEv(1, 1, k, 5, true))
+			}
+			if got := c.fe.Drops(); !reflect.DeepEqual(got, []uint64{0, 12}) {
+				t.Errorf("Drops = %v, want [0 12]", got)
+			}
+			if got := c.sink.Health(); got != Failed {
+				t.Errorf("Health = %s after a drop while failed, want failed", got)
+			}
+		})
 	}
 }
 
@@ -160,44 +210,6 @@ func TestHierarchicalSenderBarrierBoundary(t *testing.T) {
 	h.Close()
 	if h.Detected() {
 		t.Fatalf("batch leaked across the barrier: %v", h.Violations())
-	}
-}
-
-// TestCheckWorkersIdenticalViolations drives a violation-rich stream
-// through every worker count and requires the recorded violation logs to
-// be exactly equal — the canonical-merge guarantee sharding rests on.
-func TestCheckWorkersIdenticalViolations(t *testing.T) {
-	run := func(workers int) []Violation {
-		m, err := New(Config{NumThreads: 4, Plans: testPlans(), CheckWorkers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.Start()
-		for tid := int32(0); tid < 4; tid++ {
-			for key1 := uint64(0); key1 < 7; key1++ {
-				for k2 := uint64(0); k2 < 5; k2++ {
-					// Thread 3 diverges on odd keys: a spread of genuine
-					// violations across several shards.
-					taken := k2%2 == 0 || tid != 3
-					m.Send(Event{Kind: EvBranch, Thread: tid, BranchID: 1,
-						Key1: 1000 + key1, Key2: k2, Sig: 5, Taken: taken})
-				}
-				m.Send(Event{Kind: EvFlush, Thread: tid})
-			}
-			m.Send(Event{Kind: EvDone, Thread: tid})
-		}
-		m.Close()
-		return m.Violations()
-	}
-	base := run(1)
-	if len(base) == 0 {
-		t.Fatal("driver produced no violations; the comparison is vacuous")
-	}
-	for _, workers := range []int{2, 3, 4} {
-		if got := run(workers); !reflect.DeepEqual(got, base) {
-			t.Errorf("CheckWorkers=%d violations differ from inline:\n got %v\nwant %v",
-				workers, got, base)
-		}
 	}
 }
 

@@ -1,12 +1,11 @@
 package monitor
 
-// Sink is the interface the interpreter uses to deliver events: both the
-// flat Monitor and the Hierarchical extension implement it.
+// Sink is the interface the interpreter uses to deliver events: the flat
+// Monitor, the Hierarchical extension and the Relay implement it. Events
+// are published only through per-thread Senders.
 type Sink interface {
-	// Send enqueues one event from its thread's queue (lock-free).
-	Send(ev Event)
-	// Sender returns the batching producer handle for one thread; it
-	// replaces scalar Send for that thread (they must not be mixed).
+	// Sender returns the batching producer handle for one thread (the
+	// thread's only way to publish events).
 	Sender(tid int) *Sender
 	// Start launches the asynchronous checking goroutine(s).
 	Start()

@@ -51,9 +51,9 @@ const DefaultResultTimeout = 30 * time.Second
 // stalled daemon cannot block the sender forever.
 const DefaultWriteTimeout = 10 * time.Second
 
-// DefaultCoalesceBytes is the default frame-coalescing byte budget:
-// consecutive same-thread event batches merge into one wire frame until
-// the frame's encoded payload would pass it. 8 KiB merges roughly a
+// DefaultCoalesceBytes is the default frame-coalescing byte budget: a
+// thread's event batches merge into one wire frame until the frame's
+// encoded payload would pass it. 8 KiB merges roughly a
 // dozen default Sender batches per frame while staying far under the
 // codec's MaxPayload.
 const DefaultCoalesceBytes = 8 << 10
@@ -61,6 +61,12 @@ const DefaultCoalesceBytes = 8 << 10
 // maxCoalesceBytes caps a configured budget well under wire.MaxPayload
 // so a coalesced frame is always decodable on the far side.
 const maxCoalesceBytes = wire.MaxPayload / 2
+
+// coalesceLinger bounds how long coalesced events may wait for more of
+// their thread's batches while the relay is idle. Without it an idle
+// relay — the common case, since it drains faster than threads produce —
+// would flush after every batch and coalescing would merge nothing.
+const coalesceLinger = 5 * time.Millisecond
 
 // Retry defaults (RetryConfig zero values).
 const (
@@ -150,16 +156,17 @@ type ClientConfig struct {
 	Overflow    monitor.OverflowPolicy
 	SendSpins   int
 	SenderBatch int
-	// CoalesceBytes is the frame-coalescing byte budget: consecutive
-	// event batches from the same thread accumulate into one wire frame
-	// until its encoded payload would exceed this many bytes
+	// CoalesceBytes is the frame-coalescing byte budget: each thread's
+	// event batches accumulate into one wire frame until its encoded
+	// payload would exceed this many bytes
 	// (0 = DefaultCoalesceBytes, negative = no coalescing — one frame per
 	// relay batch, the pre-coalescing shape). Coalescing cuts per-frame
 	// overhead — header and CRC bytes, spool write syscalls, flushes — on
 	// busy streams without adding latency where it matters: a control
-	// marker (barrier), a thread switch, or an idle relay always flushes
-	// the pending frame first, so frames still never span a barrier and
-	// quiet periods are never stale.
+	// marker (barrier) always flushes its thread's pending frame first,
+	// and an idle relay flushes every pending frame once the oldest has
+	// waited coalesceLinger, so frames still never span a barrier and
+	// quiet periods are never stale for long.
 	CoalesceBytes int
 	// ResultTimeout bounds the wait for the server's result frame after
 	// the finish frame (0 = DefaultResultTimeout).
@@ -280,7 +287,7 @@ func (staticAddr) Observe(string, error) {}
 
 // Client is a monitor.Sink whose checking back end lives in a bwmonitord
 // daemon. Create with Dial or NewClient, then use exactly like a
-// monitor.Monitor: Start, per-thread Senders (or Send), Close, then
+// monitor.Monitor: Start, per-thread Senders, Close, then
 // Detected/Violations/Health/Stats.
 type Client struct {
 	*monitor.Relay
@@ -306,13 +313,21 @@ type Client struct {
 	sealedPath string
 	reconnects int
 
-	// Frame coalescer (relay goroutine only): branch events of one
-	// thread accumulated toward a single merged wire frame. coBudget is
-	// the encoded-payload byte budget (0 = coalescing disabled).
-	coBudget int
-	coSlot   int
-	coEvs    []monitor.Event
-	coBytes  int
+	// Frame coalescer (relay goroutine only): each thread slot's branch
+	// events accumulate toward a single merged wire frame. coBudget is
+	// the encoded-payload byte budget (0 = coalescing disabled);
+	// coPending counts slots holding events, the oldest buffered since
+	// coSince.
+	coBudget  int
+	co        []coalesced
+	coPending int
+	coSince   time.Time
+}
+
+// coalesced is one thread slot's pending coalesced events.
+type coalesced struct {
+	evs   []monitor.Event
+	bytes int
 }
 
 // SplitAddr resolves the CLI address syntax into a (network, address)
@@ -694,44 +709,62 @@ func (s *clientStream) StreamEvents(slot int, evs []monitor.Event) error {
 	return c.writeEvents(slot, evs)
 }
 
-// coalesce buffers one relay batch toward a merged frame, flushing the
-// pending frame first when the thread changes or the byte budget would
-// be passed. The buffered events are safe: they flush before any control
-// marker, on relay idle, and before the finish protocol, and they only
-// enter the spool when their frame is encoded — so a reconnect replay
-// can never duplicate them.
+// coalesce buffers one relay batch toward its thread slot's merged
+// frame, flushing that frame first when the byte budget would be passed.
+// Each slot buffers separately, so the relay's round-robin over threads
+// does not split frames. The buffered events are safe: a slot flushes
+// before its own control markers, everything flushes once the oldest
+// pending batch has lingered through relay idle and before the finish
+// protocol, and events only enter the spool when their frame is encoded
+// — so a reconnect replay can never duplicate them.
 func (c *Client) coalesce(slot int, evs []monitor.Event) error {
-	if len(c.coEvs) > 0 && c.coSlot != slot {
-		if err := c.flushCoalesced(); err != nil {
-			return err
-		}
+	for slot >= len(c.co) {
+		c.co = append(c.co, coalesced{})
 	}
+	p := &c.co[slot]
 	add := wire.EventsSize(slot, evs)
-	if len(c.coEvs) > 0 && c.coBytes+add+wire.EventsFrameOverhead > c.coBudget {
-		if err := c.flushCoalesced(); err != nil {
+	if len(p.evs) > 0 && p.bytes+add+wire.EventsFrameOverhead > c.coBudget {
+		if err := c.flushSlot(slot); err != nil {
 			return err
 		}
 	}
-	c.coSlot = slot
-	c.coEvs = append(c.coEvs, evs...)
-	c.coBytes += add
-	if c.coBytes+wire.EventsFrameOverhead >= c.coBudget {
-		return c.flushCoalesced()
+	if len(p.evs) == 0 {
+		if c.coPending == 0 {
+			c.coSince = time.Now()
+		}
+		c.coPending++
+	}
+	p.evs = append(p.evs, evs...)
+	p.bytes += add
+	if p.bytes+wire.EventsFrameOverhead >= c.coBudget {
+		return c.flushSlot(slot)
 	}
 	return c.status(nil)
 }
 
-// flushCoalesced encodes the pending coalesced events as one wire frame
-// (no-op when nothing is pending).
-func (c *Client) flushCoalesced() error {
-	if len(c.coEvs) == 0 {
+// flushSlot encodes one slot's pending coalesced events as one wire
+// frame (no-op when it has none).
+func (c *Client) flushSlot(slot int) error {
+	if slot >= len(c.co) || len(c.co[slot].evs) == 0 {
 		return c.status(nil)
 	}
-	slot, evs := c.coSlot, c.coEvs
-	err := c.writeEvents(slot, evs)
-	c.coEvs = c.coEvs[:0]
-	c.coBytes = 0
+	p := &c.co[slot]
+	err := c.writeEvents(slot, p.evs)
+	p.evs = p.evs[:0]
+	p.bytes = 0
+	c.coPending--
 	return err
+}
+
+// flushCoalesced flushes every slot's pending coalesced events, in slot
+// order.
+func (c *Client) flushCoalesced() error {
+	for slot := 0; c.coPending > 0 && slot < len(c.co); slot++ {
+		if err := c.flushSlot(slot); err != nil {
+			return err
+		}
+	}
+	return c.status(nil)
 }
 
 // writeEvents puts one events frame onto the stream: reconnect BEFORE
@@ -755,10 +788,11 @@ func (c *Client) writeEvents(slot int, evs []monitor.Event) error {
 
 func (s *clientStream) StreamControl(slot int, ev monitor.Event) error {
 	c := (*Client)(s)
-	// A control marker is a barrier edge: the pending coalesced events
-	// must hit the stream (and the spool) first so a frame never spans
-	// the barrier.
-	if err := c.flushCoalesced(); err != nil {
+	// A control marker is a barrier edge: the thread's pending coalesced
+	// events must hit the stream (and the spool) first so a frame never
+	// spans its barrier. Other threads' events are not ordered against
+	// this marker, so they keep coalescing.
+	if err := c.flushSlot(slot); err != nil {
 		return err
 	}
 	write := func(w interface {
@@ -794,10 +828,13 @@ func (s *clientStream) StreamControl(slot int, ev monitor.Event) error {
 // attempts while the daemon is down.
 func (s *clientStream) StreamIdle() error {
 	c := (*Client)(s)
-	// A quiet relay means no more batches are coming for now: the
-	// coalescer must not sit on events across the idle gap.
-	if err := c.flushCoalesced(); err != nil {
-		return err
+	// A quiet relay means no more batches are coming for now: once the
+	// oldest pending batch has lingered, the coalescer must not sit on
+	// events across the idle gap.
+	if c.coPending > 0 && time.Since(c.coSince) >= coalesceLinger {
+		if err := c.flushCoalesced(); err != nil {
+			return err
+		}
 	}
 	c.maybeReconnect()
 	var err error

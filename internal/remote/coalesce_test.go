@@ -100,7 +100,7 @@ func TestCoalescingFlushesBeforeControl(t *testing.T) {
 	s := client.Sender(0)
 	s.Send(monitor.Event{Kind: monitor.EvBranch, Thread: 0, BranchID: 1, Key1: 1, Key2: 1, Sig: 5, Taken: true})
 	s.Flush()
-	client.Send(monitor.Event{Kind: monitor.EvDone, Thread: 0})
+	s.Send(monitor.Event{Kind: monitor.EvDone, Thread: 0})
 	client.Close()
 	if client.Health() != monitor.Healthy {
 		t.Errorf("health = %v, want Healthy", client.Health())

@@ -177,6 +177,9 @@ func TestConcurrentSessions(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	// A handler counts its session in a defer that runs after the result
+	// frame reached the client; Close waits for every handler to return.
+	srv.Close()
 	if got := srv.Sessions(); got != uint64(len(names)) {
 		t.Errorf("server handled %d sessions, want %d", got, len(names))
 	}
@@ -302,8 +305,9 @@ func TestServerRejectsAbsurdThreadCount(t *testing.T) {
 	client.Start()
 	s := client.Sender(0)
 	s.Send(monitor.Event{Kind: monitor.EvBranch, Thread: 0, BranchID: 1, Key1: 1, Key2: 1})
-	for tid := 0; tid < 9; tid++ {
-		client.Send(monitor.Event{Kind: monitor.EvDone, Thread: int32(tid)})
+	s.Send(monitor.Event{Kind: monitor.EvDone, Thread: 0})
+	for tid := 1; tid < 9; tid++ {
+		client.Sender(tid).Send(monitor.Event{Kind: monitor.EvDone, Thread: int32(tid)})
 	}
 	client.Close()
 	if client.Health() == monitor.Healthy {

@@ -29,9 +29,6 @@ type ServerConfig struct {
 	// QueueCap overrides each session monitor's per-thread queue
 	// capacity (0 = monitor default).
 	QueueCap int
-	// CheckWorkers shards each session monitor's checking (monitor.Config
-	// semantics; detection results are identical for every value).
-	CheckWorkers int
 	// StallDeadline arms each session monitor's stall watchdog
 	// (0 = disabled).
 	StallDeadline time.Duration
@@ -362,10 +359,32 @@ func (sc *sessionScratch) release() {
 // result. Sessions are isolated — a malformed stream only ends its own
 // session (the monitor still closes and checks what it received).
 func (s *Server) handle(conn net.Conn) {
-	defer s.sessions.Add(1)
 	s.met.sessions.Inc()
 	s.met.active.Add(1)
-	defer s.met.active.Add(-1)
+	// endSession accounts the session exactly once: a clean finish calls
+	// it before writing the result frame, so a client holding its verdict
+	// always sees its session counted; every other exit accounts it on
+	// return. info is set once the hello is accepted.
+	var info *SessionInfo
+	accounted := false
+	endSession := func() {
+		if accounted {
+			return
+		}
+		accounted = true
+		if info != nil {
+			if info.Clean {
+				s.met.clean.Inc()
+			}
+			s.met.events.Add(info.Stats.Events)
+			s.met.violations.Add(uint64(info.Violations))
+			s.logf("session end: %q clean=%t violations=%d health=%s",
+				info.Program, info.Clean, info.Violations, info.Health)
+		}
+		s.met.active.Add(-1)
+		s.sessions.Add(1)
+	}
+	defer endSession()
 	sc := scratchPool.Get().(*sessionScratch)
 	defer sc.release()
 	rd := sc.rd
@@ -397,7 +416,6 @@ func (s *Server) handle(conn net.Conn) {
 		NumThreads:    hello.Threads,
 		Plans:         hello.PlanTable(),
 		QueueCap:      s.cfg.QueueCap,
-		CheckWorkers:  s.cfg.CheckWorkers,
 		StallDeadline: s.cfg.StallDeadline,
 		Metrics:       s.cfg.Metrics,
 	})
@@ -425,16 +443,7 @@ func (s *Server) handle(conn net.Conn) {
 	// quar counts events from corrupt out-of-range slots through the
 	// monitor's own fail-open path; bound lazily (corruption is rare).
 	var quar *monitor.Sender
-	info := SessionInfo{Program: hello.Program, Threads: hello.Threads}
-	defer func() {
-		if info.Clean {
-			s.met.clean.Inc()
-		}
-		s.met.events.Add(info.Stats.Events)
-		s.met.violations.Add(uint64(info.Violations))
-		s.logf("session end: %q clean=%t violations=%d health=%s",
-			info.Program, info.Clean, info.Violations, info.Health)
-	}()
+	info = &SessionInfo{Program: hello.Program, Threads: hello.Threads}
 
 	sender := func(slot int) *monitor.Sender {
 		if slot < 0 || slot >= len(senders) {
@@ -459,7 +468,7 @@ func (s *Server) handle(conn net.Conn) {
 				s.logf("session %q: stream error: %v", info.Program, err)
 			}
 			mon.Close()
-			fillSession(&info, mon, false)
+			fillSession(info, mon, false)
 			return
 		}
 		switch f.Type {
@@ -471,12 +480,13 @@ func (s *Server) handle(conn net.Conn) {
 			sender(f.Slot).Send(monitor.Event{Kind: monitor.EvDone, Thread: f.Thread})
 		case wire.FrameFinish:
 			mon.Close()
-			fillSession(&info, mon, true)
+			fillSession(info, mon, true)
 			res := &wire.Result{
 				Health:     mon.Health(),
 				Stats:      mon.Stats(),
 				Violations: mon.Violations(),
 			}
+			endSession()
 			if wt := s.writeTimeout(); wt > 0 {
 				_ = conn.SetWriteDeadline(time.Now().Add(wt))
 			}
@@ -495,7 +505,7 @@ func (s *Server) handle(conn net.Conn) {
 			// violation; end the session defensively.
 			s.logf("session %q: unexpected frame type 0x%02x", info.Program, f.Type)
 			mon.Close()
-			fillSession(&info, mon, false)
+			fillSession(info, mon, false)
 			return
 		}
 	}

@@ -304,3 +304,37 @@ func TestProgramsScaleAcrossThreadCounts(t *testing.T) {
 		t.Errorf("only %d/7 kernels speed up at 8 threads", speedups)
 	}
 }
+
+// TestSimTimeDeterministic pins the simulated-clock half of the
+// determinism contract: repeated runs of every kernel give identical
+// per-thread clocks and outputs. fft and water take contended locks,
+// which are granted in simulated-time order rather than in whatever
+// order the goroutines happen to reach them.
+func TestSimTimeDeterministic(t *testing.T) {
+	for _, p := range Programs() {
+		p := p
+		t.Run(p.Name, func(t *testing.T) {
+			m, err := p.Compile()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var first *interp.Result
+			for i := 0; i < 4; i++ {
+				res, err := interp.Run(m, interp.Options{Threads: 8})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if first == nil {
+					first = res
+					continue
+				}
+				if !reflect.DeepEqual(res.SimTimes, first.SimTimes) {
+					t.Fatalf("run %d clocks %v, first run %v", i, res.SimTimes, first.SimTimes)
+				}
+				if !reflect.DeepEqual(res.Output, first.Output) {
+					t.Fatalf("run %d output differs from the first run", i)
+				}
+			}
+		})
+	}
+}

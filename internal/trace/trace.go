@@ -41,8 +41,6 @@ type RecorderConfig struct {
 	Overflow    monitor.OverflowPolicy
 	SendSpins   int
 	SenderBatch int
-	// CheckWorkers shards the inner monitor's checking.
-	CheckWorkers int
 	// StallDeadline arms the inner monitor's stall watchdog.
 	StallDeadline time.Duration
 	// Metrics, when non-nil, receives the recorder's wire metrics
@@ -75,7 +73,6 @@ func NewRecorder(w io.Writer, cfg RecorderConfig) (*Recorder, error) {
 		NumThreads:    cfg.NumThreads,
 		Plans:         cfg.Plans,
 		QueueCap:      cfg.QueueCap,
-		CheckWorkers:  cfg.CheckWorkers,
 		StallDeadline: cfg.StallDeadline,
 		Metrics:       cfg.Metrics,
 	})
@@ -183,10 +180,9 @@ func (rec *Recorder) finish(bool) (monitor.RelayOutcome, error) {
 
 // ReplayConfig configures a replay.
 type ReplayConfig struct {
-	// QueueCap and CheckWorkers configure the replaying monitor
-	// (detection results are identical for every value).
-	QueueCap     int
-	CheckWorkers int
+	// QueueCap configures the replaying monitor's queues (detection
+	// results are identical for every value).
+	QueueCap int
 }
 
 // Outcome is the result of replaying (or inspecting) a trace.
@@ -251,10 +247,9 @@ func Replay(r io.Reader, cfg ReplayConfig) (*Outcome, error) {
 		return nil, err
 	}
 	mon, err := monitor.New(monitor.Config{
-		NumThreads:   hello.Threads,
-		Plans:        hello.PlanTable(),
-		QueueCap:     cfg.QueueCap,
-		CheckWorkers: cfg.CheckWorkers,
+		NumThreads: hello.Threads,
+		Plans:      hello.PlanTable(),
+		QueueCap:   cfg.QueueCap,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("trace replay monitor: %w", err)

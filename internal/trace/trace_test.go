@@ -141,7 +141,7 @@ func TestReplayDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Replay(bytes.NewReader(traceBytes), ReplayConfig{CheckWorkers: 4})
+	b, err := Replay(bytes.NewReader(traceBytes), ReplayConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
