@@ -273,9 +273,6 @@ type RunOptions struct {
 	StepLimit uint64
 	// Trace, when non-nil, receives one line per executed branch.
 	Trace io.Writer
-	// MonitorGroups selects the hierarchical monitor extension with that
-	// many sub-monitors (0/1 = the paper's flat monitor).
-	MonitorGroups int
 	// QueueCap overrides the monitor's per-thread queue capacity
 	// (0 = default 16384).
 	QueueCap int
@@ -295,7 +292,7 @@ type RunOptions struct {
 	// TCP, unix:/path or any path containing "/" for a unix socket) and
 	// the verdict comes back in the result exchange. Implies Protect. The
 	// client fails open: a dead or slow daemon degrades Health, never the
-	// program. Mutually exclusive with Record and MonitorGroups > 1.
+	// program. Mutually exclusive with Record.
 	//
 	// A comma-separated list ("addr1,addr2[=adminhost:port],...") names a
 	// daemon fleet instead of a single daemon: the session is placed on
@@ -318,7 +315,7 @@ type RunOptions struct {
 	// in the wire trace format while an in-process monitor keeps checking
 	// it live (implies Protect). The sealed trace replays to
 	// byte-identical violations (bwtrace replay). Mutually exclusive with
-	// Remote and MonitorGroups > 1.
+	// Remote.
 	Record io.Writer
 	// Metrics, when non-nil, attaches the run's monitor pipeline to this
 	// registry (bw_monitor_*, and bw_relay_*/bw_wire_*/bw_remote_* for
@@ -381,7 +378,6 @@ func (p *Program) Run(opts RunOptions) (*RunResult, error) {
 		Seed:          opts.Seed,
 		StepLimit:     opts.StepLimit,
 		Trace:         opts.Trace,
-		MonitorGroups: opts.MonitorGroups,
 		QueueCap:      opts.QueueCap,
 		Overflow:      opts.Overflow.toMonitor(),
 		SenderBatch:   opts.SenderBatch,
@@ -455,11 +451,12 @@ func (p *Program) Run(opts RunOptions) (*RunResult, error) {
 	}
 	res, err := interp.Run(p.mod, iopts)
 	if err != nil {
-		// The interpreter only closes a sink it started; on a config
-		// error the sink (and a remote client's connection) must still be
-		// torn down here.
-		if c, ok := iopts.Sink.(interface{ Close() }); ok {
-			c.Close()
+		// A config error returns before the interpreter starts the sink,
+		// and a setup trap closes the started sink; Close is idempotent,
+		// so closing here tears down the sink (and a remote client's
+		// connection) on every error path.
+		if iopts.Sink != nil {
+			iopts.Sink.Close()
 		}
 		return nil, err
 	}

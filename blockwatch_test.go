@@ -185,20 +185,6 @@ func TestDumpIR(t *testing.T) {
 	}
 }
 
-func TestHierarchicalFacadeRun(t *testing.T) {
-	prog, err := Compile(demoSrc, "demo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := prog.Run(RunOptions{Threads: 8, Protect: true, MonitorGroups: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Detected || res.Crashed || res.Hung {
-		t.Fatalf("hierarchical protected run misbehaved: %+v", res)
-	}
-}
-
 func TestStandaloneExamplePrograms(t *testing.T) {
 	files, err := filepath.Glob("examples/programs/*.mc")
 	if err != nil || len(files) < 3 {

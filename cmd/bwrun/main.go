@@ -92,7 +92,6 @@ func run(args []string, stdout, stderr io.Writer) (*blockwatch.RunResult, error)
 		Threads:       opt.Threads,
 		Protect:       opt.Protect,
 		Seed:          opt.Seed,
-		MonitorGroups: opt.Monitors,
 		QueueCap:      opt.QueueCap,
 		Overflow:      policy,
 		SenderBatch:   opt.Batch,

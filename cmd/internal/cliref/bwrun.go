@@ -15,7 +15,6 @@ type RunOpts struct {
 	Quiet         bool
 	Overhead      bool
 	Trace         bool
-	Monitors      int
 	QueueCap      int
 	Overflow      string
 	Batch         int
@@ -39,7 +38,6 @@ func RunFlags(stderr io.Writer) (*flag.FlagSet, *RunOpts) {
 	fs.BoolVar(&o.Quiet, "q", false, "suppress the program output listing")
 	fs.BoolVar(&o.Overhead, "overhead", false, "report instrumentation overhead")
 	fs.BoolVar(&o.Trace, "trace", false, "print every executed branch to stderr")
-	fs.IntVar(&o.Monitors, "monitors", 1, "hierarchical sub-monitors (>1 enables the Section VI extension)")
 	fs.IntVar(&o.QueueCap, "queuecap", 0, "per-thread monitor queue capacity (0 = default)")
 	fs.StringVar(&o.Overflow, "overflow", "block", "queue-overflow policy: block | drop-newest | block-timeout")
 	fs.IntVar(&o.Batch, "batch", 0, "per-thread event batch size (0 = default, 1 = unbatched)")

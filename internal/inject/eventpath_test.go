@@ -87,16 +87,11 @@ func TestEventCampaignWorkerCountInvariance(t *testing.T) {
 }
 
 // TestEventCampaignConfigErrors pins the configuration contract: plans are
-// required (there is no unprotected event path) and the tap needs the flat
-// monitor.
+// required (there is no unprotected event path).
 func TestEventCampaignConfigErrors(t *testing.T) {
-	m, plans := compileTest(t)
+	m, _ := compileTest(t)
 	if _, err := (Campaign{Module: m, Threads: 2, Faults: 5, Type: EventBit}).Run(); !errors.Is(err, ErrEventNeedsPlans) {
 		t.Errorf("no plans: err = %v, want ErrEventNeedsPlans", err)
-	}
-	c := Campaign{Module: m, Plans: plans, Threads: 4, Faults: 5, Type: EventBit, MonitorGroups: 2}
-	if _, err := c.Run(); !errors.Is(err, ErrEventNeedsFlat) {
-		t.Errorf("hierarchical: err = %v, want ErrEventNeedsFlat", err)
 	}
 }
 

@@ -192,9 +192,6 @@ type Campaign struct {
 	// Seed0 is the interpreter seed used for all runs (golden and faulty
 	// must match).
 	Seed0 uint64
-	// MonitorGroups selects the hierarchical monitor extension for the
-	// protected runs (0/1 = flat monitor).
-	MonitorGroups int
 	// Workers is the number of faulty runs executed concurrently
 	// (0 = runtime.GOMAXPROCS(0), 1 = fully sequential). The fault list is
 	// sampled from the campaign RNG before any run starts and results are
@@ -308,7 +305,6 @@ var (
 	ErrNoBranches      = errors.New("program executed no branches to inject into")
 	ErrNoEvents        = errors.New("program sent no monitor events to inject into")
 	ErrEventNeedsPlans = errors.New("event-path campaign requires check plans (Plans)")
-	ErrEventNeedsFlat  = errors.New("event-path campaign requires the flat monitor (MonitorGroups ≤ 1)")
 )
 
 // Run executes the three-step procedure of Section IV: profile, sample,
@@ -378,9 +374,6 @@ func (c Campaign) runAll(run runnerFull) (*CampaignResult, error) {
 	if c.Type == EventBit {
 		if c.Plans == nil {
 			return nil, ErrEventNeedsPlans
-		}
-		if c.MonitorGroups > 1 {
-			return nil, ErrEventNeedsFlat
 		}
 		goldenOpts.Mode = interp.MonitorDrainOnly
 		goldenOpts.Plans = c.Plans
@@ -648,14 +641,13 @@ func (c Campaign) runOneFull(f Fault, golden []interp.Value, stepLimit uint64) (
 		mode = interp.MonitorActive
 	}
 	res, err := interp.Run(c.Module, interp.Options{
-		Threads:       c.Threads,
-		Mode:          mode,
-		Plans:         c.Plans,
-		Fault:         ij,
-		Seed:          c.Seed0,
-		StepLimit:     stepLimit,
-		MonitorGroups: c.MonitorGroups,
-		Metrics:       c.Metrics,
+		Threads:   c.Threads,
+		Mode:      mode,
+		Plans:     c.Plans,
+		Fault:     ij,
+		Seed:      c.Seed0,
+		StepLimit: stepLimit,
+		Metrics:   c.Metrics,
 	})
 	if err != nil {
 		return Crash, runExtras{}

@@ -192,29 +192,3 @@ func TestOutcomeStrings(t *testing.T) {
 		t.Error("fault type names wrong")
 	}
 }
-
-func TestCampaignHierarchicalMonitorEquivalentDetection(t *testing.T) {
-	m, plans := compileTest(t)
-	flat := Campaign{Module: m, Plans: plans, Threads: 8, Faults: 80, Type: BranchFlip, Seed: 5}
-	hier := flat
-	hier.MonitorGroups = 4
-	rf, err := flat.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rh, err := hier.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same faults, same checks, different monitor topology: coverage must
-	// agree closely (the hierarchy may split a rare straggler instance
-	// across a generation boundary).
-	df := rf.Tally.Coverage() - rh.Tally.Coverage()
-	if df < -0.05 || df > 0.05 {
-		t.Fatalf("hierarchical coverage diverges: flat=%.3f hier=%.3f",
-			rf.Tally.Coverage(), rh.Tally.Coverage())
-	}
-	if rh.Tally.Counts[Detected] == 0 {
-		t.Fatal("hierarchical campaign detected nothing")
-	}
-}

@@ -392,7 +392,10 @@ func TestTraceOutput(t *testing.T) {
 	}
 }
 
-func TestHierarchicalMonitorIntegration(t *testing.T) {
+// TestMonitorDetectsInjectedFlip runs the in-process monitor over eight
+// interpreted threads: a clean run reports nothing, and a flip of a
+// shared loop branch on one thread is detected.
+func TestMonitorDetectsInjectedFlip(t *testing.T) {
 	m := compileViaLower(t, `
 global int n;
 global int acc[16];
@@ -413,16 +416,13 @@ func void slave() {
 	}
 }`)
 	plans := analyzeModule(t, m)
-	// Clean run with 4 sub-monitors over 8 threads: no false positives.
-	res, err := Run(m, Options{Threads: 8, Mode: MonitorActive, Plans: plans, MonitorGroups: 4})
+	res, err := Run(m, Options{Threads: 8, Mode: MonitorActive, Plans: plans})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Detected {
-		t.Fatalf("hierarchical false positive: %v", res.Violations)
+		t.Fatalf("false positive: %v", res.Violations)
 	}
-	// Faulty run: a shared-loop flip must still be detected through the
-	// hierarchy.
 	golden, err := Run(m, Options{Threads: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -432,7 +432,7 @@ func void slave() {
 		ij := &recordingInjector{flipAt: seq}
 		ij.tids = nil
 		fr, err := Run(m, Options{
-			Threads: 8, Mode: MonitorActive, Plans: plans, MonitorGroups: 4,
+			Threads: 8, Mode: MonitorActive, Plans: plans,
 			Fault: &targetThread{inner: ij, thread: 3},
 		})
 		if err != nil {
@@ -443,7 +443,7 @@ func void slave() {
 		}
 	}
 	if detected == 0 {
-		t.Fatal("hierarchical monitor never detected an injected flip")
+		t.Fatal("monitor never detected an injected flip")
 	}
 }
 

@@ -1,12 +1,14 @@
 package interp
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
 	"blockwatch/internal/core"
 	"blockwatch/internal/ir"
 	"blockwatch/internal/lower"
+	"blockwatch/internal/monitor"
 )
 
 func compile(t *testing.T, src string) *ir.Module {
@@ -375,6 +377,49 @@ func void slave() {
 	}
 	if res.MonitorStats.Instances != 5 {
 		t.Errorf("instances checked = %d, want 5", res.MonitorStats.Instances)
+	}
+}
+
+// TestExternalSink: a supplied Sink is fed and harvested like the
+// run-owned monitor (Stats included), and is rejected with EventTap or
+// MonitorOff.
+func TestExternalSink(t *testing.T) {
+	m := compile(t, `
+global int n;
+func void setup() { n = 4; }
+func void slave() {
+	int i;
+	for (i = 0; i < n; i = i + 1) {
+		output(i);
+	}
+}`)
+	an, err := core.Analyze(m, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	newSink := func() monitor.Sink {
+		s, err := monitor.New(monitor.Config{NumThreads: 2, Plans: an.Plans})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	res, err := Run(m, Options{Threads: 2, Mode: MonitorActive, Plans: an.Plans, Sink: newSink()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Detected || res.MonitorStats.Events != 10 {
+		t.Errorf("Detected = %v, Events = %d; want false, 10", res.Detected, res.MonitorStats.Events)
+	}
+	for name, opts := range map[string]Options{
+		"tap": {Mode: MonitorActive, EventTap: func(*monitor.Event) {}},
+		"off": {Mode: MonitorOff},
+	} {
+		opts.Threads, opts.Plans, opts.Sink = 2, an.Plans, newSink()
+		if _, err := Run(m, opts); !errors.Is(err, ErrSinkOpts) {
+			t.Errorf("%s: err = %v, want ErrSinkOpts", name, err)
+		}
+		opts.Sink.Close()
 	}
 }
 

@@ -63,12 +63,8 @@ type Options struct {
 	// virtual clock).
 	Now func() time.Time
 	// EventTap is the monitor-side event corruption hook (fault
-	// injection's event-path model). Requires the flat monitor
-	// (MonitorGroups ≤ 1).
+	// injection's event-path model).
 	EventTap func(*monitor.Event)
-	// MonitorGroups selects the hierarchical monitor extension with that
-	// many sub-monitors (0 or 1 = the paper's single flat monitor).
-	MonitorGroups int
 	// Metrics, when non-nil, attaches the run-owned monitor's pipeline
 	// metrics to this registry (no effect when Sink is supplied — an
 	// external sink carries its own registry).
@@ -76,11 +72,10 @@ type Options struct {
 	// Sink, when non-nil, replaces the run-owned monitor with an
 	// externally built event sink (a remote client, a trace recorder, or
 	// any other monitor.Sink). The run Starts it, feeds it, Closes it, and
-	// harvests Detected/Violations/Health (and Stats when the sink
-	// provides them) exactly as it would from its own monitor. Plans are
-	// still required — they select which branches are instrumented.
-	// Incompatible with MonitorGroups > 1 and EventTap, and requires a
-	// monitoring Mode.
+	// harvests Detected/Violations/Health/Stats exactly as it would from
+	// its own monitor. Plans are still required — they select which
+	// branches are instrumented. Incompatible with EventTap, and requires
+	// a monitoring Mode.
 	Sink monitor.Sink
 	// Trace, when non-nil, receives one line per executed conditional
 	// branch: "t<tid> branch#<id> seq=<k> taken=<bool>". Writes are
@@ -205,10 +200,9 @@ type FaultInjector interface {
 
 // Config errors.
 var (
-	ErrBadThreads   = errors.New("thread count must be at least 1")
-	ErrNeedPlans    = errors.New("monitor mode requires check plans")
-	ErrTapNeedsFlat = errors.New("EventTap requires the flat monitor (MonitorGroups ≤ 1)")
-	ErrSinkOpts     = errors.New("Sink is incompatible with MonitorGroups > 1, EventTap, and MonitorOff")
+	ErrBadThreads = errors.New("thread count must be at least 1")
+	ErrNeedPlans  = errors.New("monitor mode requires check plans")
+	ErrSinkOpts   = errors.New("Sink is incompatible with EventTap and MonitorOff")
 )
 
 // machine is the shared run state.
@@ -243,7 +237,7 @@ func Run(mod *ir.Module, opts Options) (*Result, error) {
 	if opts.Mode == 0 {
 		opts.Mode = MonitorOff
 	}
-	if opts.Sink != nil && (opts.MonitorGroups > 1 || opts.EventTap != nil || opts.Mode == MonitorOff) {
+	if opts.Sink != nil && (opts.EventTap != nil || opts.Mode == MonitorOff) {
 		return nil, ErrSinkOpts
 	}
 	if opts.Mode != MonitorOff && opts.Plans == nil {
@@ -273,7 +267,7 @@ func Run(mod *ir.Module, opts Options) (*Result, error) {
 		m.mon = opts.Sink
 		m.mon.Start()
 	} else if opts.Mode != MonitorOff {
-		mcfg := monitor.Config{
+		mon, err := monitor.New(monitor.Config{
 			NumThreads:       opts.Threads,
 			Plans:            opts.Plans,
 			QueueCap:         opts.QueueCap,
@@ -285,23 +279,11 @@ func Run(mod *ir.Module, opts Options) (*Result, error) {
 			Now:              opts.Now,
 			EventTap:         opts.EventTap,
 			Metrics:          opts.Metrics,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("monitor: %w", err)
 		}
-		if opts.MonitorGroups > 1 {
-			if opts.EventTap != nil {
-				return nil, ErrTapNeedsFlat
-			}
-			mon, err := monitor.NewHierarchical(mcfg, opts.MonitorGroups)
-			if err != nil {
-				return nil, fmt.Errorf("hierarchical monitor: %w", err)
-			}
-			m.mon = mon
-		} else {
-			mon, err := monitor.New(mcfg)
-			if err != nil {
-				return nil, fmt.Errorf("monitor: %w", err)
-			}
-			m.mon = mon
-		}
+		m.mon = mon
 		m.mon.Start()
 	}
 
@@ -347,7 +329,7 @@ func Run(mod *ir.Module, opts Options) (*Result, error) {
 			if res.EventCounts != nil {
 				res.EventCounts[tid] = t.eventSeq
 			}
-			m.threadExited(tid, trap)
+			m.threadExited(tid)
 			if t.sender != nil {
 				// Routed through the thread's Sender so buffered branch
 				// events are published before the done marker.
@@ -362,9 +344,7 @@ func Run(mod *ir.Module, opts Options) (*Result, error) {
 		res.Detected = m.mon.Detected()
 		res.Violations = m.mon.Violations()
 		res.MonitorHealth = m.mon.Health()
-		if sp, ok := m.mon.(interface{ Stats() monitor.Stats }); ok {
-			res.MonitorStats = sp.Stats()
-		}
+		res.MonitorStats = m.mon.Stats()
 	}
 	res.Output = append(res.Output, setupOut...)
 	for _, o := range outs {
@@ -382,9 +362,8 @@ func Run(mod *ir.Module, opts Options) (*Result, error) {
 func (m *machine) layoutGlobals() {
 	m.base = make([]int, len(m.mod.Globals))
 	total := 0
-	for i, g := range m.mod.Globals {
+	for _, g := range m.mod.Globals {
 		m.base[g.Index] = total
-		_ = i
 		if g.IsArray {
 			total += int(g.ArrayLen)
 		} else {
@@ -396,13 +375,12 @@ func (m *machine) layoutGlobals() {
 
 // threadExited updates liveness accounting and wakes barrier waiters so
 // they can detect the deadlock a missing participant causes.
-func (m *machine) threadExited(tid int, trap *Trap) {
+func (m *machine) threadExited(tid int) {
 	m.mu.Lock()
 	m.active--
 	m.mu.Unlock()
 	m.locks.exit(tid)
 	m.barrier.threadGone()
-	_ = trap
 }
 
 // abort stops all threads (deadlock or fatal trap elsewhere).

@@ -11,17 +11,16 @@ import (
 // FuzzNoFalsePositive is the paper's zero-false-positive invariant as a
 // fuzz target: every generated program is race-free and deterministic by
 // construction, so a protected (monitored) run must never report a
-// violation, at any thread count or monitor topology.
+// violation, at any thread count or Sender batch size. Varying the batch
+// checks that batch boundaries stay invisible to the checks against real
+// interpreted barriers and locks.
 func FuzzNoFalsePositive(f *testing.F) {
 	for seed := int64(0); seed < 12; seed++ {
-		f.Add(seed, uint8(seed%8), uint8(seed%3))
+		f.Add(seed, uint8(seed%8), uint8(seed%4))
 	}
-	f.Fuzz(func(t *testing.T, seed int64, threadsRaw, groupsRaw uint8) {
+	f.Fuzz(func(t *testing.T, seed int64, threadsRaw, batchRaw uint8) {
 		threads := 1 + int(threadsRaw%8) // 1..8
-		groups := 1 + int(groupsRaw%4)   // 1..4 (hierarchical when > 1)
-		if groups > threads {
-			groups = threads
-		}
+		batch := senderBatches[int(batchRaw)%len(senderBatches)]
 		src := Generate(seed, Options{})
 		mod, err := lower.Compile(src, "fuzz")
 		if err != nil {
@@ -32,11 +31,11 @@ func FuzzNoFalsePositive(f *testing.F) {
 			t.Fatalf("analysis failed: %v\n%s", err, src)
 		}
 		res, err := interp.Run(mod, interp.Options{
-			Threads:       threads,
-			Mode:          interp.MonitorActive,
-			Plans:         a.Plans,
-			MonitorGroups: groups,
-			StepLimit:     5_000_000,
+			Threads:     threads,
+			Mode:        interp.MonitorActive,
+			Plans:       a.Plans,
+			SenderBatch: batch,
+			StepLimit:   5_000_000,
 		})
 		if err != nil {
 			t.Fatalf("protected run failed: %v\n%s", err, src)
@@ -45,8 +44,12 @@ func FuzzNoFalsePositive(f *testing.F) {
 			t.Fatalf("generated program trapped: %v\n%s", res.Traps, src)
 		}
 		if res.Detected {
-			t.Fatalf("FALSE POSITIVE (seed %d, %d threads, %d groups): %v\n%s",
-				seed, threads, groups, res.Violations, src)
+			t.Fatalf("FALSE POSITIVE (seed %d, %d threads, batch %d): %v\n%s",
+				seed, threads, batch, res.Violations, src)
 		}
 	})
 }
+
+// senderBatches are the Sender batch sizes FuzzNoFalsePositive draws
+// from: unbatched, tiny, odd, and the default.
+var senderBatches = []int{1, 2, 7, 64}

@@ -359,18 +359,22 @@ func (m *Monitor) buffered(tid int) int {
 }
 
 // stalled reports whether the monitor is idle with work it cannot finish
-// by itself: undrained (gated) queue or buffer backlog, or instances
-// awaiting reports. Without pending work the watchdog has nothing to force.
+// by itself: instances awaiting reports, or a gated thread's queue or
+// buffer backlog. Without pending work the watchdog has nothing to force.
+// An ungated thread with events is never a stall: it published after the
+// last drain pass, and the next pass makes progress.
 func (m *Monitor) stalled() bool {
-	if m.numInstances > 0 {
-		return true
-	}
+	stuck := m.numInstances > 0
 	for tid, q := range m.queues {
-		if !q.Empty() || m.buffered(tid) > 0 {
-			return true
+		if q.Empty() && m.buffered(tid) == 0 {
+			continue
 		}
+		if !m.gated(tid) {
+			return false
+		}
+		stuck = true
 	}
-	return false
+	return stuck
 }
 
 // gated reports whether thread tid's queue must pause until the current

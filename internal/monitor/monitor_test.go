@@ -222,6 +222,26 @@ func TestMonitorCloseWithoutStart(t *testing.T) {
 	}
 }
 
+func TestMonitorCloseUnblocksMissingDone(t *testing.T) {
+	// Thread 1 never sends Done (e.g. it crashed under fault injection):
+	// Close must still terminate and check what arrived.
+	m, err := New(Config{NumThreads: 4, Plans: testPlans(), SenderBatch: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := newFeed(m, 4)
+	m.Start()
+	in.Send(branchEv(0, 1, 1, 5, true))
+	in.Send(branchEv(1, 1, 1, 5, false))
+	for _, tid := range []int32{0, 2, 3} {
+		in.Send(Event{Kind: EvDone, Thread: tid})
+	}
+	m.Close() // must not hang
+	if !m.Detected() {
+		t.Fatal("violation missed after forced close")
+	}
+}
+
 func TestMonitorConfigErrors(t *testing.T) {
 	if _, err := New(Config{NumThreads: 0, Plans: testPlans()}); err == nil {
 		t.Error("want error for zero threads")

@@ -13,19 +13,18 @@ func plansForStress() map[int]*core.CheckPlan {
 	return map[int]*core.CheckPlan{1: sharedPlan()}
 }
 
-// stressMonitor drives one Sink with nthreads concurrent producers — one
+// stressMonitor drives a Monitor with nthreads concurrent producers — one
 // goroutine per program thread, matching the monitor's per-thread SPSC
 // front-end contract — plus concurrent Detected() observers, then closes
 // it. Under `go test -race` this exercises the queue publication, the
 // gating/flush logic, and the Close handshake.
-func stressMonitor(t *testing.T, mk func(cfg Config) (Sink, error), nthreads, branchesPerGen, gens int) {
+func stressMonitor(t *testing.T, nthreads, branchesPerGen, gens int) {
 	t.Helper()
-	cfg := Config{
+	m, err := New(Config{
 		NumThreads: nthreads,
 		Plans:      plansForStress(),
 		QueueCap:   256, // small: make producers spin on full queues
-	}
-	m, err := mk(cfg)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,13 +86,7 @@ func stressMonitor(t *testing.T, mk func(cfg Config) (Sink, error), nthreads, br
 // TestMonitorSendCloseStressFlat: flat monitor under concurrent
 // producers. Sized to finish in well under 5s with -race.
 func TestMonitorSendCloseStressFlat(t *testing.T) {
-	stressMonitor(t, func(cfg Config) (Sink, error) { return New(cfg) }, 8, 400, 25)
-}
-
-// TestMonitorSendCloseStressHierarchical: same load through the
-// hierarchical extension (sub-monitors + root merge).
-func TestMonitorSendCloseStressHierarchical(t *testing.T) {
-	stressMonitor(t, func(cfg Config) (Sink, error) { return NewHierarchical(cfg, 4) }, 8, 400, 25)
+	stressMonitor(t, 8, 400, 25)
 }
 
 // TestMonitorCloseWhileProducersDraining closes the monitor immediately

@@ -384,12 +384,3 @@ func (s *relayState) finish() {
 	s.r.outcome = outcome
 	s.r.mu.Unlock()
 }
-
-// statsProvider is implemented by every Sink in this repo that can
-// report Stats; consumers (interp, facades) type-assert against it.
-type statsProvider interface {
-	Stats() Stats
-}
-
-var _ statsProvider = (*Monitor)(nil)
-var _ statsProvider = (*Relay)(nil)

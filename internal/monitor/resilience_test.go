@@ -484,30 +484,6 @@ func TestStatsConcurrentReaders(t *testing.T) {
 	}
 }
 
-func TestHierarchicalSendOutOfRangeQuarantined(t *testing.T) {
-	h, err := NewHierarchical(Config{NumThreads: 4, Plans: testPlans()}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := newFeed(h, 4)
-	h.Start()
-	in.Send(branchEv(-3, 1, 0, 5, true))
-	in.Send(branchEv(64, 1, 0, 5, true))
-	for tid := int32(0); tid < 4; tid++ {
-		in.Send(Event{Kind: EvDone, Thread: tid})
-	}
-	h.Close()
-	if got := h.Quarantined(); got != 2 {
-		t.Errorf("Quarantined = %d, want 2", got)
-	}
-	if got := h.Health(); got != Degraded {
-		t.Errorf("Health = %v, want Degraded", got)
-	}
-	if h.Detected() {
-		t.Fatalf("false positive: %v", h.Violations())
-	}
-}
-
 // TestBranchIDMismatchSameInEitherOrder: a report whose BranchID was
 // corrupted is handled the same whether it is the first report of its
 // Key1 the drain sees or arrives after the Key1→plan binding exists — so

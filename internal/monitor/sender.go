@@ -16,11 +16,11 @@ import (
 // flush the buffer first.
 const DefaultSenderBatch = 64
 
-// frontEnd is the fail-open producer front end that Monitor,
-// Hierarchical and Relay all embed: one lock-free SPSC queue per program
-// thread, the overflow policy, the per-thread drop counters, the
-// quarantine counter, and the health word. Producers reach it only
-// through Senders; the embedding sink's back end drains the queues.
+// frontEnd is the fail-open producer front end that Monitor and Relay
+// both embed: one lock-free SPSC queue per program thread, the overflow
+// policy, the per-thread drop counters, the quarantine counter, and the
+// health word. Producers reach it only through Senders; the embedding
+// sink's back end drains the queues.
 type frontEnd struct {
 	queues      []*queue.SPSC[Event]
 	policy      OverflowPolicy
@@ -139,13 +139,13 @@ func (f *frontEnd) dropped() uint64 {
 }
 
 // Sender is a per-thread batching front end to a sink's queue (obtained
-// from Sender or BindSender on Monitor, Hierarchical or Relay), and the
-// only way to publish events. Branch events accumulate in a thread-local
-// buffer and are published with a single PushBatch when the buffer
-// fills, when a control event (flush/done) must go out, or on an
-// explicit Flush. Control events therefore can never overtake buffered
-// branch events, and a batch never spans a barrier. A SenderBatch of 1
-// makes every branch event visible as soon as it is sent.
+// from Sender or BindSender on Monitor or Relay), and the only way to
+// publish events. Branch events accumulate in a thread-local buffer and
+// are published with a single PushBatch when the buffer fills, when a
+// control event (flush/done) must go out, or on an explicit Flush.
+// Control events therefore can never overtake buffered branch events,
+// and a batch never spans a barrier. A SenderBatch of 1 makes every
+// branch event visible as soon as it is sent.
 //
 // A Sender is owned by exactly one goroutine (it is the thread's queue
 // producer endpoint). The overflow policy applies per buffered event:

@@ -93,16 +93,12 @@ type frontEndCase struct {
 	fe   *frontEnd
 }
 
-// frontEndCases builds the three sinks that embed the producer front end
-// — the flat monitor, the hierarchical monitor with two groups, and a
-// relay — from one configuration, unstarted so the queues fill.
+// frontEndCases builds the two sinks that embed the producer front end
+// — the flat monitor and a relay — from one configuration, unstarted so
+// the queues fill.
 func frontEndCases(t *testing.T, cfg Config) []frontEndCase {
 	t.Helper()
 	m, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := NewHierarchical(cfg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +111,6 @@ func frontEndCases(t *testing.T, cfg Config) []frontEndCase {
 	}
 	return []frontEndCase{
 		{"flat", m, &m.frontEnd},
-		{"hierarchical", h, &h.frontEnd},
 		{"relay", r, &r.frontEnd},
 	}
 }
@@ -185,31 +180,6 @@ func TestSenderDropNewestCountsDrops(t *testing.T) {
 				t.Errorf("Health = %s after a drop while failed, want failed", got)
 			}
 		})
-	}
-}
-
-// TestHierarchicalSenderBarrierBoundary runs the barrier-boundary
-// scenario through the hierarchical monitor's Sender path.
-func TestHierarchicalSenderBarrierBoundary(t *testing.T) {
-	h, err := NewHierarchical(Config{NumThreads: 4, Plans: testPlans(), SenderBatch: 8}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Start()
-	for tid := int32(0); tid < 4; tid++ {
-		s := h.Sender(int(tid))
-		for k := uint64(0); k < 3; k++ {
-			s.Send(branchEv(tid, 1, k, 5, true))
-		}
-		s.Send(Event{Kind: EvFlush, Thread: tid})
-		for k := uint64(0); k < 3; k++ {
-			s.Send(branchEv(tid, 1, k, 6, false))
-		}
-		s.Send(Event{Kind: EvDone, Thread: tid})
-	}
-	h.Close()
-	if h.Detected() {
-		t.Fatalf("batch leaked across the barrier: %v", h.Violations())
 	}
 }
 
