@@ -61,6 +61,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzParse -fuzztime=5s ./internal/lang/
 	$(GO) test -fuzz=FuzzNoFalsePositive -fuzztime=10s ./internal/lang/langtest/
 	$(GO) test -fuzz=FuzzMonitorEvents -fuzztime=10s ./internal/monitor/
+	$(GO) test -fuzz=FuzzTableDifferential -fuzztime=10s ./internal/monitor/
 	$(GO) test -fuzz=FuzzWireDecode -fuzztime=10s ./internal/wire/
 
 # gofmt + vet + staticcheck (when installed; CI always runs it).

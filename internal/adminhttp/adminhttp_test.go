@@ -143,7 +143,8 @@ func TestMetricsJSONEndpoint(t *testing.T) {
 // monotonic — once the probe reports 503 draining, it never reports
 // 200 ok again.
 func TestHealthzUnderConcurrentDrain(t *testing.T) {
-	wire := remote.NewServer(remote.ServerConfig{})
+	reg := metrics.NewRegistry()
+	wire := remote.NewServer(remote.ServerConfig{Metrics: reg})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -173,6 +174,17 @@ func TestHealthzUnderConcurrentDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
+	// Drain only waits for sessions the server has accepted; until the
+	// handler runs, the held connection is just a queued dial and Drain
+	// could finish before any hammer sees the draining state.
+	active := reg.Gauge("bw_server_sessions_active", "")
+	accepted := time.Now().Add(2 * time.Second)
+	for active.Value() < 1 {
+		if time.Now().After(accepted) {
+			t.Fatal("the held connection never became a live session")
+		}
+		time.Sleep(time.Millisecond)
+	}
 
 	var (
 		stop           = make(chan struct{})

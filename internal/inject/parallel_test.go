@@ -67,6 +67,31 @@ func TestCampaignDefaultWorkersMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestCampaignWorkers4MatchesSequential: four workers run monitors at
+// once while the process keeps one spare monitor table; a protected
+// campaign must still reach the sequential campaign's verdicts exactly
+// (run it under -race to also catch two live monitors sharing a table).
+func TestCampaignWorkers4MatchesSequential(t *testing.T) {
+	m, plans := compileTest(t)
+	c := Campaign{Module: m, Plans: plans, Threads: 4, Faults: 60, Type: BranchFlip, Seed: 11, Workers: 1}
+	seq, err := c.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq.Tally.Counts[Detected] == 0 {
+		t.Fatal("no fault was detected: the comparison would be vacuous")
+	}
+	c.Workers = 4
+	par, err := c.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(seq.Tally, par.Tally) || seq.FirstDetected != par.FirstDetected {
+		t.Fatalf("Workers: 4 differs from sequential:\n seq: %+v (first %d)\n par: %+v (first %d)",
+			seq.Tally, seq.FirstDetected, par.Tally, par.FirstDetected)
+	}
+}
+
 // TestCampaignProgressSnapshots checks the observability contract: the
 // callback fires, snapshots are monotone in Injected, and the final
 // snapshot agrees with the returned tally.

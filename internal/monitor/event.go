@@ -5,6 +5,13 @@
 // similarity categories. A deviation is recorded as a Violation; the
 // design goal (and tested property) is zero false positives on fault-free
 // runs.
+//
+// The table (table.go) is flat: level 1 binds Key1 to its check plan for
+// the run, level 2 is an open-addressed index over dense per-generation
+// entries, and each instance's reports sit in one block of a report
+// arena. A barrier empties level 2 by bumping an epoch and truncating the
+// entries and the arena, and a finished monitor hands its table to the
+// next one in the process.
 package monitor
 
 import "fmt"
@@ -45,7 +52,9 @@ type Event struct {
 	Sig uint64
 }
 
-// Report is one thread's contribution to a branch instance.
+// Report is one thread's contribution to a branch instance. An instance's
+// reports are stored contiguously (the table's report arena), in arrival
+// order until CheckReports sorts them by thread.
 type Report struct {
 	Thread int32
 	Sig    uint64

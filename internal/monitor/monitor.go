@@ -1,9 +1,12 @@
 package monitor
 
 import (
+	"cmp"
 	"errors"
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -108,20 +111,21 @@ type ViolationSummary struct {
 // (reported via Health and Stats) but never block the program or
 // introduce a false positive.
 //
-// The steady-state ingest path is allocation-free: the two-level table and
-// its level-1 entries persist across barrier generations (instances are
-// cleared in place), instance structs and their report slices are recycled
-// on free lists, and the consumer drains each queue in batches into
-// reusable per-thread buffers.
+// The steady-state ingest path is allocation-free: the two-level instance
+// table (table.go) is a flat index over dense entries plus a report arena,
+// reset at each generation close by bumping an epoch and truncating, and
+// the consumer drains each queue in batches into reusable per-thread
+// buffers. After its final close the monitor hands its table to the next
+// monitor in the process (one spare, not a sync.Pool; see spare), so a
+// sequence of runs does not regrow it either.
 type Monitor struct {
 	frontEnd
 	cfg Config
 	now func() time.Time
 	met monMetrics
 
-	// Monitor-goroutine-private state.
-	table        map[uint64]*level1
-	numInstances int
+	// Monitor-goroutine-private state. tab is nil once handed on.
+	tab          *table
 	maxInstances int
 	flushCount   []uint64 // per-thread barrier flushes processed
 	doneThreads  []bool   // per-thread EvDone processed
@@ -135,13 +139,10 @@ type Monitor struct {
 	pending    [][]Event
 	pendingPos []int
 
-	// Allocation recycling (monitor-goroutine-private).
-	instPool []*instance // cleared instances, reports capacity NumThreads
-
 	// genViolations buffers the current generation's violations; they are
 	// sorted into canonical (Key1, Key2) order and published at every
-	// generation close, so the violation log does not depend on map
-	// iteration order.
+	// generation close, so the violation log does not depend on the order
+	// instances were inserted or checked in.
 	genViolations []Violation
 
 	mu         sync.Mutex
@@ -161,16 +162,6 @@ type Monitor struct {
 	closed  atomic.Bool
 	stop    chan struct{}
 	done    chan struct{}
-}
-
-type level1 struct {
-	plan      *core.CheckPlan
-	instances map[uint64]*instance
-}
-
-type instance struct {
-	reports []Report
-	checked bool
 }
 
 // errors for configuration problems.
@@ -199,7 +190,6 @@ func New(cfg Config) (*Monitor, error) {
 		cfg:          cfg,
 		now:          now,
 		met:          newMonMetrics(cfg.Metrics),
-		table:        make(map[uint64]*level1),
 		maxInstances: maxInst,
 		flushCount:   make([]uint64, cfg.NumThreads),
 		doneThreads:  make([]bool, cfg.NumThreads),
@@ -215,6 +205,7 @@ func New(cfg Config) (*Monitor, error) {
 	for i := range m.pending {
 		m.pending[i] = make([]Event, 0, drainBatch)
 	}
+	m.tab = takeTable(cfg.NumThreads)
 	return m, nil
 }
 
@@ -248,7 +239,7 @@ func (m *Monitor) Close() {
 			}
 		}()
 		m.drainAll()
-		m.closeGeneration(closeFinal)
+		m.finish()
 		return
 	}
 	close(m.stop)
@@ -258,8 +249,8 @@ func (m *Monitor) Close() {
 // loop drains the per-thread queues round-robin without taking locks on
 // the hot path (paper design goal 3), checking instances as they complete.
 // A panic anywhere in event processing is recovered into the Failed state:
-// the table is abandoned, and a failsafe drain keeps discarding events so
-// producers never block on a dead monitor.
+// the table is abandoned (never handed on), and a failsafe drain keeps
+// discarding events so producers never block on a dead monitor.
 func (m *Monitor) loop() {
 	defer close(m.done)
 	defer func() {
@@ -282,7 +273,7 @@ func (m *Monitor) loop() {
 			}
 		}
 		if m.doneCount >= m.cfg.NumThreads {
-			m.closeGeneration(closeFinal)
+			m.finish()
 			return
 		}
 		if !idle {
@@ -295,7 +286,7 @@ func (m *Monitor) loop() {
 		case <-m.stop:
 			// Final drain after the program stopped producing.
 			m.drainAll()
-			m.closeGeneration(closeFinal)
+			m.finish()
 			return
 		default:
 		}
@@ -364,7 +355,7 @@ func (m *Monitor) buffered(tid int) int {
 // An ungated thread with events is never a stall: it published after the
 // last drain pass, and the next pass makes progress.
 func (m *Monitor) stalled() bool {
-	stuck := m.numInstances > 0
+	stuck := len(m.tab.entries) > 0
 	for tid, q := range m.queues {
 		if q.Empty() && m.buffered(tid) == 0 {
 			continue
@@ -410,9 +401,9 @@ const (
 // closeGeneration is the single flush-and-reset sequence behind barrier
 // flushes, watchdog force-closes, overflow evictions, and the final check:
 // pending instances with ≥2 reports are checked, the generation's
-// violations are published in canonical order, every instance is recycled onto the free list, and the two-level table is cleared in
-// place (level-1 entries and their maps persist across generations, so the
-// steady state allocates nothing).
+// violations are published in canonical order, and the table's epoch
+// reset empties the second level in place (the Key1 bindings persist, so
+// the steady state allocates nothing).
 func (m *Monitor) closeGeneration(reason closeReason) {
 	var t0 time.Time
 	if m.met.genCloseNs != nil {
@@ -420,13 +411,7 @@ func (m *Monitor) closeGeneration(reason closeReason) {
 	}
 	m.checkPending()
 	m.publishViolations()
-	for _, l1 := range m.table {
-		for k2, inst := range l1.instances {
-			m.putInstance(inst)
-			delete(l1.instances, k2)
-		}
-	}
-	m.numInstances = 0
+	m.tab.reset()
 	switch reason {
 	case closeBarrier, closeForced:
 		m.flushedGens++
@@ -442,6 +427,15 @@ func (m *Monitor) closeGeneration(reason closeReason) {
 	if m.met.genCloseNs != nil {
 		m.met.genCloseNs.Observe(time.Since(t0).Nanoseconds())
 	}
+}
+
+// finish performs the final check and hands the table on as the process's
+// spare. A panic in the check skips the hand-off: a Failed monitor's table
+// may be corrupt.
+func (m *Monitor) finish() {
+	m.closeGeneration(closeFinal)
+	releaseTable(m.tab)
+	m.tab = nil
 }
 
 // drainAll empties every queue, forcing generations closed when some
@@ -583,50 +577,36 @@ func (m *Monitor) maybeFlushGeneration() {
 	}
 }
 
-// getInstance takes a cleared instance from the free list (or allocates
-// one with report capacity NumThreads, the steady-state report count).
-func (m *Monitor) getInstance() *instance {
-	if n := len(m.instPool); n > 0 {
-		inst := m.instPool[n-1]
-		m.instPool = m.instPool[:n-1]
-		return inst
-	}
-	return &instance{reports: make([]Report, 0, m.cfg.NumThreads)}
-}
-
-// putInstance clears an instance and returns it to the free list. The
-// list's high-water mark is the peak live-instance count of any single
-// generation (bounded by MaxInstances), the same memory the pre-pooling
-// monitor handed to the garbage collector each generation.
-func (m *Monitor) putInstance(inst *instance) {
-	inst.reports = inst.reports[:0]
-	inst.checked = false
-	m.instPool = append(m.instPool, inst)
-}
-
-// insert stores a branch report in the two-level hash table (paper: first
+// insert stores a branch report in the two-level table (paper: first
 // level call-site/static-branch key, second level loop-iteration key) and
-// eagerly checks the instance once every thread has reported. Level-1
-// entries persist across generations: Key1 identifies the static branch,
-// so its check plan never changes, and keeping the entry (with its cleared
-// second-level map) makes the steady-state path allocation-free.
+// eagerly checks the instance once every thread has reported. Key1's plan
+// binding persists across generations: Key1 identifies the static branch,
+// so its check plan never changes. An existing instance carries the
+// binding, so the common case is one level-2 probe.
 func (m *Monitor) insert(ev Event) {
-	l1, ok := m.table[ev.Key1]
-	if ok && int(ev.BranchID) != l1.plan.BranchID {
+	t := m.tab
+	i, slot := t.find(ev.Key1, ev.Key2)
+	var plan *core.CheckPlan
+	if i >= 0 {
+		plan = t.entries[i].plan
+	} else {
+		plan = t.binding(ev.Key1)
+	}
+	if plan != nil && int(ev.BranchID) != plan.BranchID {
 		// The payload's branch ID disagrees with the established
 		// Key1→plan binding (only possible under fault). Treat the event
 		// exactly as if it had arrived first, so the outcome does not
 		// depend on which thread's report of Key1 the drain processed
 		// first: an unchecked branch is ignored, anything else is
 		// quarantined and never mixed into this branch's instances.
-		if plan := m.cfg.Plans[int(ev.BranchID)]; plan != nil && !plan.Checked() {
+		if p := m.cfg.Plans[int(ev.BranchID)]; p != nil && !p.Checked() {
 			return
 		}
 		m.quarantine(1)
 		return
 	}
-	if !ok {
-		plan := m.cfg.Plans[int(ev.BranchID)]
+	if plan == nil {
+		plan = m.cfg.Plans[int(ev.BranchID)]
 		if plan == nil {
 			// Unknown branch ID: impossible in a fault-free run (the
 			// interpreter only sends planned branches), so count it.
@@ -636,47 +616,44 @@ func (m *Monitor) insert(ev Event) {
 		if !plan.Checked() {
 			return
 		}
-		l1 = &level1{plan: plan, instances: make(map[uint64]*instance)}
-		m.table[ev.Key1] = l1
+		t.bind(ev.Key1, plan)
 	}
-	inst, ok := l1.instances[ev.Key2]
-	if !ok {
-		if m.numInstances >= m.maxInstances {
+	if i < 0 {
+		if len(t.entries) >= m.maxInstances {
 			// Table flooded (runaway faulty loop): behave like a forced
-			// generation flush so memory stays bounded. l1 survives the
-			// in-place clear with its plan — trusting the established
-			// Key1→plan binding, never the corruptible BranchID field.
+			// generation flush so memory stays bounded. The Key1 binding
+			// survives the reset — trusting the established Key1→plan
+			// binding, never the corruptible BranchID field.
 			m.closeGeneration(closeOverflow)
+			slot = -1
 		}
-		inst = m.getInstance()
-		l1.instances[ev.Key2] = inst
-		m.numInstances++
+		i = t.insert(ev.Key1, ev.Key2, plan, slot)
 	}
-	if inst.checked {
-		// A straggler report for an already-checked instance: re-check the
-		// full set (only possible under fault, never in error-free runs).
-		inst.checked = false
-	}
-	inst.reports = append(inst.reports, Report{Thread: ev.Thread, Sig: ev.Sig, Taken: ev.Taken})
-	if len(inst.reports) >= m.cfg.NumThreads {
-		m.checkInstance(l1.plan, ev.Key1, ev.Key2, inst)
+	// A straggler report for an already-checked instance reopens it: the
+	// full set is re-checked (only possible under fault, never in
+	// error-free runs).
+	t.entries[i].checked = false
+	t.add(i, Report{Thread: ev.Thread, Sig: ev.Sig, Taken: ev.Taken})
+	if int(t.entries[i].count) >= m.cfg.NumThreads {
+		m.checkInstance(i)
 	}
 }
 
-// checkInstance validates one completed instance inline on the monitor
-// goroutine, buffering any violation for the generation's publish step.
-// The instance stays in the table, so a straggler can still reopen it.
-func (m *Monitor) checkInstance(plan *core.CheckPlan, k1, k2 uint64, inst *instance) {
-	if inst.checked {
+// checkInstance validates entry i inline on the monitor goroutine,
+// buffering any violation for the generation's publish step. The instance
+// stays in the table, so a straggler can still reopen it.
+func (m *Monitor) checkInstance(i int32) {
+	e := &m.tab.entries[i]
+	if e.checked {
 		return
 	}
-	inst.checked = true
+	e.checked = true
 	m.instances.Add(1)
-	if reason := CheckReports(plan, inst.reports); reason != "" {
+	if reason := CheckReports(e.plan, m.tab.reports(i)); reason != "" {
 		m.genViolations = append(m.genViolations, Violation{
-			BranchID: plan.BranchID,
-			Key1:     k1,
-			Key2:     k2,
+			BranchID: e.plan.BranchID,
+			Key1:     e.key1,
+			Key2:     e.key2,
 			Reason:   reason,
 		})
 	}
@@ -686,18 +663,16 @@ func (m *Monitor) checkInstance(plan *core.CheckPlan, k1, k2 uint64, inst *insta
 // reports (branches executed by a subset of threads); at least two
 // reports are required for any cross-thread check.
 func (m *Monitor) checkPending() {
-	for k1, l1 := range m.table {
-		for k2, inst := range l1.instances {
-			if !inst.checked && len(inst.reports) >= 2 {
-				m.checkInstance(l1.plan, k1, k2, inst)
-			}
+	for i := range m.tab.entries {
+		if e := &m.tab.entries[i]; !e.checked && e.count >= 2 {
+			m.checkInstance(int32(i))
 		}
 	}
 }
 
 // publishViolations sorts the generation's violations into canonical
-// order and appends them to the violation log. checkPending iterates
-// maps, so without the sort the log would depend on map iteration order.
+// order and appends them to the violation log, so the log does not
+// depend on the order the drain inserted instances in.
 // Called from closeGeneration on the monitor goroutine.
 func (m *Monitor) publishViolations() {
 	// Timed inline rather than with a defer: this runs on every
@@ -723,32 +698,25 @@ func (m *Monitor) publishViolations() {
 
 // sortViolations puts one generation's violations into the canonical
 // order: (Key1, Key2, BranchID, Reason). Every field of the tuple is part
-// of the key so the order is total, independent of map iteration.
+// of the key so the order is total, independent of the order instances
+// were checked in. slices.SortFunc with a plain function value allocates
+// nothing, and a faulty generation with thousands of violations stays
+// O(n log n).
 func sortViolations(vs []Violation) {
-	if len(vs) < 2 {
-		return
-	}
-	// Insertion sort: generations have zero violations in fault-free runs
-	// and a handful under fault, so this beats sort.Slice's closure
-	// allocation on the hot path.
-	for i := 1; i < len(vs); i++ {
-		for j := i; j > 0 && violationLess(vs[j], vs[j-1]); j-- {
-			vs[j], vs[j-1] = vs[j-1], vs[j]
-		}
-	}
+	slices.SortFunc(vs, compareViolations)
 }
 
-func violationLess(a, b Violation) bool {
-	if a.Key1 != b.Key1 {
-		return a.Key1 < b.Key1
+func compareViolations(a, b Violation) int {
+	if c := cmp.Compare(a.Key1, b.Key1); c != 0 {
+		return c
 	}
-	if a.Key2 != b.Key2 {
-		return a.Key2 < b.Key2
+	if c := cmp.Compare(a.Key2, b.Key2); c != 0 {
+		return c
 	}
-	if a.BranchID != b.BranchID {
-		return a.BranchID < b.BranchID
+	if c := cmp.Compare(a.BranchID, b.BranchID); c != 0 {
+		return c
 	}
-	return a.Reason < b.Reason
+	return strings.Compare(a.Reason, b.Reason)
 }
 
 // Detected reports whether any violation has been recorded. Safe to call

@@ -143,7 +143,7 @@ func TestBindSenderReusesBuffer(t *testing.T) {
 }
 
 // TestMonitorDrainZeroAlloc is the CI alloc ceiling for the monitor's
-// consumer side: once the two-level table, instance pool, and pending
+// consumer side: once the instance table, report arena, and pending
 // buffers are warm, a full generation — SendBatch publish, drain,
 // checking, barrier close — must not allocate anywhere in the process
 // (AllocsPerRun counts all goroutines, so the monitor goroutine's drain
@@ -179,7 +179,7 @@ func TestMonitorDrainZeroAlloc(t *testing.T) {
 		}
 	}
 	for i := 0; i < 3; i++ {
-		generation() // warm the table, instance pool, and pending buffers
+		generation() // warm the table, report arena, and pending buffers
 	}
 	avg := testing.AllocsPerRun(50, generation)
 	for tid := range senders {

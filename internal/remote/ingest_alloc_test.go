@@ -84,7 +84,7 @@ func TestServerIngestZeroAlloc(t *testing.T) {
 		}
 	}
 	for i := 0; i < 3; i++ {
-		ingest() // warm the decode scratch, table, and instance pool
+		ingest() // warm the decode scratch, instance table, and report arena
 	}
 	if avg := testing.AllocsPerRun(50, ingest); avg != 0 {
 		t.Errorf("steady-state ingest allocates %.1f times per generation, want 0", avg)

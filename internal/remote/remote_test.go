@@ -185,6 +185,59 @@ func TestConcurrentSessions(t *testing.T) {
 	}
 }
 
+// TestConcurrentFaultySessionsMatchSequential runs two faulty kernels
+// through one daemon one after the other, then both at once: the
+// simultaneous sessions' monitors (only one of which can reuse the
+// process's spare table) must reach the sequential verdicts, detections
+// included.
+func TestConcurrentFaultySessionsMatchSequential(t *testing.T) {
+	addr, _ := startServer(t, ServerConfig{})
+	type job struct {
+		name  string
+		mod   *ir.Module
+		plans map[int]*core.CheckPlan
+		fault *inject.Fault
+		seq   *interp.Result
+	}
+	var jobs []*job
+	for _, name := range splash.Names() {
+		if len(jobs) == 2 {
+			break
+		}
+		mod, plans := kernelPlans(t, name)
+		clean := runInProcess(t, mod, plans, nil)
+		for _, frac := range []uint64{2, 3, 5, 7} {
+			fault := &inject.Fault{Type: inject.BranchFlip, Thread: 1, Seq: clean.BranchCounts[1] / frac}
+			if res := runRemote(t, addr, name, mod, plans, fault); res.Detected {
+				jobs = append(jobs, &job{name, mod, plans, fault, res})
+				break
+			}
+		}
+	}
+	if len(jobs) != 2 {
+		t.Fatalf("found a detected fault in %d kernels, want 2", len(jobs))
+	}
+	conc := make([]*interp.Result, len(jobs))
+	var wg sync.WaitGroup
+	for i, j := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			conc[i] = runRemote(t, addr, j.name, j.mod, j.plans, j.fault)
+		}()
+	}
+	wg.Wait()
+	compared := 0
+	for i, j := range jobs {
+		if compareRuns(t, j.name+"/concurrent", j.seq, conc[i]) {
+			compared++
+		}
+	}
+	if compared == 0 {
+		t.Error("every faulty execution diverged between runs: nothing was compared")
+	}
+}
+
 // TestUnixSocketLoopback exercises the unix-socket transport end to end.
 func TestUnixSocketLoopback(t *testing.T) {
 	sock := filepath.Join(t.TempDir(), "bwmonitord.sock")
