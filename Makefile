@@ -25,6 +25,7 @@ race:
 	$(GO) test -race ./internal/queue/ ./internal/monitor/ ./internal/inject/ \
 		./internal/interp/ ./internal/remote/ ./internal/spool/ ./internal/trace/ \
 		./internal/metrics/ ./internal/adminhttp/ ./internal/wire/ ./internal/fleet/
+	$(GO) test -race -count=10 -timeout 5m -run 'Park|Wake' ./internal/monitor/ ./internal/remote/
 
 # One iteration of every benchmark: catches benchmark-rot without
 # measuring anything.

@@ -210,7 +210,7 @@ type machine struct {
 	mod   *ir.Module
 	opts  Options
 	cost  *CostModel
-	plans map[int]*core.CheckPlan
+	plans []*core.CheckPlan // checked plans by BranchID; nil elsewhere
 	mon   monitor.Sink
 
 	mem     []Value // global memory image
@@ -227,6 +227,33 @@ type machine struct {
 }
 
 const numLocks = 64
+
+// checkedPlans indexes the checked plans by BranchID, once per Run, so
+// every executed branch finds its plan with a bounds-checked slice load
+// instead of a map lookup.
+func checkedPlans(plans map[int]*core.CheckPlan) []*core.CheckPlan {
+	n := 0
+	for id, p := range plans {
+		if p != nil && p.Checked() && id >= n {
+			n = id + 1
+		}
+	}
+	dense := make([]*core.CheckPlan, n)
+	for id, p := range plans {
+		if p != nil && p.Checked() && id >= 0 {
+			dense[id] = p
+		}
+	}
+	return dense
+}
+
+// checkedPlan returns branch id's plan when the branch is checked, or nil.
+func (m *machine) checkedPlan(id int) *core.CheckPlan {
+	if uint(id) < uint(len(m.plans)) {
+		return m.plans[id]
+	}
+	return nil
+}
 
 // Run executes the module's SPMD program: setup() once, then
 // opts.Threads copies of slave() concurrently.
@@ -255,7 +282,7 @@ func Run(mod *ir.Module, opts Options) (*Result, error) {
 		mod:     mod,
 		opts:    opts,
 		cost:    cost,
-		plans:   opts.Plans,
+		plans:   checkedPlans(opts.Plans),
 		active:  opts.Threads,
 		aborted: make(chan struct{}),
 	}

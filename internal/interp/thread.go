@@ -3,6 +3,7 @@ package interp
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"blockwatch/internal/ir"
 	"blockwatch/internal/monitor"
@@ -218,7 +219,7 @@ func (t *Thread) execBranch(in *ir.Instr) (*ir.Block, *Trap) {
 		taken = !taken
 	}
 	if t.sender != nil {
-		if plan := t.m.plans[in.BranchID]; plan != nil && plan.Checked() {
+		if plan := t.m.checkedPlan(in.BranchID); plan != nil {
 			// Single-operand signatures are sent raw so the monitor can
 			// evaluate thread-ID relations exactly; multi-operand
 			// signatures are hashed.
@@ -297,7 +298,9 @@ func (t *Thread) execInstr(in *ir.Instr) *Trap {
 		if trap != nil {
 			return trap
 		}
-		t.fr.regs[in.ID] = t.m.mem[addr]
+		// Word-atomic: SPMD threads share globals without locks, and a
+		// faulty thread can race another on the same word.
+		t.fr.regs[in.ID] = atomic.LoadUint64(&t.m.mem[addr])
 	case ir.OpStore:
 		t.sim += t.memCost
 		var idxArgs []ir.Value
@@ -309,7 +312,7 @@ func (t *Thread) execInstr(in *ir.Instr) *Trap {
 		if trap != nil {
 			return trap
 		}
-		t.m.mem[addr] = t.val(val)
+		atomic.StoreUint64(&t.m.mem[addr], t.val(val))
 	case ir.OpPhi:
 		// Handled at block entry.
 		return t.trap(TrapInternal, "phi executed mid-block")

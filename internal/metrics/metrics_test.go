@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"expvar"
+	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -221,20 +223,25 @@ func TestWriteJSON(t *testing.T) {
 	}
 }
 
+// publishes numbers TestPublishExpvar's expvar names: expvar names are
+// process-global, so every invocation (go test -count=N) needs its own.
+var publishes atomic.Int64
+
 func TestPublishExpvar(t *testing.T) {
+	name := fmt.Sprintf("blockwatch_test_metrics_%d", publishes.Add(1))
 	r := NewRegistry()
 	r.Counter("bw_pub_total", "").Add(5)
-	if !r.PublishExpvar("blockwatch_test_metrics") {
+	if !r.PublishExpvar(name) {
 		t.Fatalf("first publish failed")
 	}
 	// Duplicate publish must be a refusal, not an expvar panic.
-	if r.PublishExpvar("blockwatch_test_metrics") {
+	if r.PublishExpvar(name) {
 		t.Fatalf("duplicate publish succeeded")
 	}
 	if r.PublishExpvar("") {
 		t.Fatalf("empty-name publish succeeded")
 	}
-	v := expvar.Get("blockwatch_test_metrics")
+	v := expvar.Get(name)
 	if v == nil {
 		t.Fatalf("expvar.Get returned nil after publish")
 	}

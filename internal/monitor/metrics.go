@@ -16,7 +16,8 @@ import (
 
 // monMetrics is the monitor's handle set (zero value = detached). The
 // front-end handles are bw_monitor_drops_total,
-// bw_monitor_quarantined_total and bw_sender_flush_size.
+// bw_monitor_quarantined_total, bw_sender_flush_size and
+// bw_monitor_parks_total.
 type monMetrics struct {
 	frontEndMetrics
 	events     *metrics.Counter   // bw_monitor_events_total
@@ -48,6 +49,8 @@ func newMonMetrics(r *metrics.Registry) monMetrics {
 			quarantined: r.Counter("bw_monitor_quarantined_total",
 				"malformed, stale, or straggler events skipped"),
 			flushSize: senderFlushHistogram(r),
+			parks: r.Counter("bw_monitor_parks_total",
+				"times the idle monitor goroutine parked until a Sender published"),
 		},
 		events: r.Counter("bw_monitor_events_total",
 			"events (branch and control) drained from the front-end queues"),
@@ -69,8 +72,8 @@ func newMonMetrics(r *metrics.Registry) monMetrics {
 }
 
 // relayMetrics is the relay's handle set (zero value = detached). The
-// front-end handles are bw_relay_drops_total, bw_relay_quarantined_total
-// and bw_sender_flush_size.
+// front-end handles are bw_relay_drops_total, bw_relay_quarantined_total,
+// bw_sender_flush_size and bw_relay_parks_total.
 type relayMetrics struct {
 	frontEndMetrics
 	events   *metrics.Counter // bw_relay_events_total
@@ -90,6 +93,8 @@ func newRelayMetrics(r *metrics.Registry) relayMetrics {
 			quarantined: r.Counter("bw_relay_quarantined_total",
 				"malformed events skipped by the relay"),
 			flushSize: senderFlushHistogram(r),
+			parks: r.Counter("bw_relay_parks_total",
+				"times the idle relay goroutine parked until a Sender published or a stream duty fell due"),
 		},
 		events: r.Counter("bw_relay_events_total",
 			"branch events forwarded to the relay's stream"),

@@ -3,7 +3,6 @@ package monitor
 import (
 	"cmp"
 	"errors"
-	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -248,6 +247,11 @@ func (m *Monitor) Close() {
 
 // loop drains the per-thread queues round-robin without taking locks on
 // the hot path (paper design goal 3), checking instances as they complete.
+// When a round finds nothing to drain it spins briefly, then parks until a
+// Sender publishes (frontEnd.idleWait): the paper's monitor thread polls, this
+// one gives its core back to the program while the queues are quiet. An
+// armed watchdog with work pending bounds the park by the remaining
+// StallDeadline, so it still fires on a parked monitor.
 // A panic anywhere in event processing is recovered into the Failed state:
 // the table is abandoned (never handed on), and a failsafe drain keeps
 // discarding events so producers never block on a dead monitor.
@@ -277,6 +281,7 @@ func (m *Monitor) loop() {
 			return
 		}
 		if !idle {
+			m.busy()
 			if armed {
 				lastProgress = m.now()
 			}
@@ -290,16 +295,34 @@ func (m *Monitor) loop() {
 			return
 		default:
 		}
-		if armed && m.stalled() && m.now().Sub(lastProgress) >= m.cfg.StallDeadline {
-			// A thread hung without EvDone: force the generation closed so
-			// gated producers unwedge and the table stays bounded.
-			m.closeGeneration(closeForced)
-			m.watchdog.Add(1)
-			m.degrade()
-			lastProgress = m.now()
+		var timeout time.Duration
+		if armed && m.stalled() {
+			waited := m.now().Sub(lastProgress)
+			if waited >= m.cfg.StallDeadline {
+				// A thread hung without EvDone: force the generation closed
+				// so gated producers unwedge and the table stays bounded.
+				m.closeGeneration(closeForced)
+				m.watchdog.Add(1)
+				m.degrade()
+				lastProgress = m.now()
+				continue
+			}
+			timeout = m.cfg.StallDeadline - waited
 		}
-		runtime.Gosched()
+		m.idleWait(m.stop, m.drainable, timeout)
 	}
+}
+
+// drainable reports whether an ungated thread has queued or buffered
+// events, i.e. whether a drain round could make progress now. It is the
+// monitor's recheck before it parks.
+func (m *Monitor) drainable() bool {
+	for tid, q := range m.queues {
+		if !m.gated(tid) && (!q.Empty() || m.buffered(tid) > 0) {
+			return true
+		}
+	}
+	return false
 }
 
 // drainSlot processes thread tid's buffered remainder and batch-refills
@@ -466,26 +489,32 @@ func (m *Monitor) drainAll() {
 // failsafe keeps draining and discarding events after the monitor
 // goroutine's state was lost to a panic, so producers blocked on full
 // queues are released and the program runs to completion (without
-// coverage). It exits when Close signals stop.
+// coverage). It parks like the loop does, rechecking every queue since
+// gating no longer applies, and exits when Close signals stop.
 func (m *Monitor) failsafe() {
 	for {
-		m.discardAll()
+		if m.discardAll() {
+			m.busy()
+		}
 		select {
 		case <-m.stop:
 			m.discardAll()
 			return
 		default:
-			runtime.Gosched()
 		}
+		m.idleWait(m.stop, m.queued, 0)
 	}
 }
 
 // discardAll pops and quarantines every queued or buffered event without
-// touching the (possibly corrupt) table state.
-func (m *Monitor) discardAll() {
+// touching the (possibly corrupt) table state. Reports whether it
+// discarded anything.
+func (m *Monitor) discardAll() bool {
+	discarded := false
 	for tid, q := range m.queues {
 		if n := m.buffered(tid); n > 0 {
 			m.quarantine(n)
+			discarded = true
 			m.pending[tid] = m.pending[tid][:0]
 			m.pendingPos[tid] = 0
 		}
@@ -496,10 +525,12 @@ func (m *Monitor) discardAll() {
 				break
 			}
 			m.quarantine(n)
+			discarded = true
 		}
 		m.pending[tid] = m.pending[tid][:0]
 		m.pendingPos[tid] = 0
 	}
+	return discarded
 }
 
 // process handles one dequeued event. slot is the queue the event was

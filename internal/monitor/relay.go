@@ -2,9 +2,9 @@ package monitor
 
 import (
 	"errors"
-	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"blockwatch/internal/metrics"
 )
@@ -61,11 +61,13 @@ type EventStream interface {
 // each time the drain loop finds every queue empty. Streams use the
 // hook to do deferred work that must not ride the hot path — flush a
 // write buffer so a dead transport is noticed during quiet periods, or
-// pace reconnect attempts while the daemon is down. Returning an error
-// switches the relay into discard mode, exactly like a failed stream
-// call.
+// pace reconnect attempts while the daemon is down. The returned
+// duration is the stream's next timed duty: a relay that parks wakes
+// within it to call StreamIdle again; zero or less means none, and the
+// relay parks until a producer publishes. Returning an error switches
+// the relay into discard mode, exactly like a failed stream call.
 type StreamIdler interface {
-	StreamIdle() error
+	StreamIdle() (time.Duration, error)
 }
 
 // RelayOutcome is the checking outcome the stream's finisher reports
@@ -215,7 +217,9 @@ func (r *Relay) loop() {
 // run drains the queues until every thread's done marker has been
 // forwarded (or Close fires and a final drain empties the queues), then
 // runs the finisher. It is the body of both the relay goroutine and the
-// synchronous never-started Close path.
+// synchronous never-started Close path. Between bursts it spins briefly,
+// then parks like the monitor (frontEnd.idleWait), waking in time for the
+// stream's next timed duty.
 func (r *Relay) run() {
 	s := &relayState{
 		r:        r,
@@ -229,16 +233,18 @@ func (r *Relay) run() {
 			r.health.Store(int32(Failed))
 			s.broken = true
 			for s.doneCount < len(r.queues) {
-				if !s.drainOnce() {
-					select {
-					case <-r.stop:
-						s.drainDry()
-						s.finish()
-						return
-					default:
-						runtime.Gosched()
-					}
+				if s.drainOnce() {
+					r.busy()
+					continue
 				}
+				select {
+				case <-r.stop:
+					s.drainDry()
+					s.finish()
+					return
+				default:
+				}
+				r.idleWait(r.stop, r.queued, 0)
 			}
 			s.finish()
 		}
@@ -250,9 +256,10 @@ func (r *Relay) run() {
 			return
 		}
 		if progress {
+			r.busy()
 			continue
 		}
-		s.idle()
+		timeout := s.idle()
 		select {
 		case <-r.stop:
 			// Producers stopped: one final drain, then finish even if
@@ -261,8 +268,8 @@ func (r *Relay) run() {
 			s.finish()
 			return
 		default:
-			runtime.Gosched()
 		}
+		r.idleWait(r.stop, r.queued, timeout)
 	}
 }
 
@@ -342,18 +349,22 @@ func (s *relayState) forward(tid int, evs []Event) {
 	flushRun(len(evs))
 }
 
-// idle gives a StreamIdler stream its quiet-period hook.
-func (s *relayState) idle() {
+// idle gives a StreamIdler stream its quiet-period hook and returns the
+// stream's next timed duty (0: none).
+func (s *relayState) idle() time.Duration {
 	if s.broken {
-		return
+		return 0
 	}
 	idler, ok := s.r.cfg.Stream.(StreamIdler)
 	if !ok {
-		return
+		return 0
 	}
-	if err := idler.StreamIdle(); err != nil {
+	next, err := idler.StreamIdle()
+	if err != nil {
 		s.fail(0, 0)
+		return 0
 	}
+	return next
 }
 
 // fail switches the relay into discard mode after a stream error.

@@ -138,11 +138,11 @@ type idleStream struct {
 	idleErr error
 }
 
-func (s *idleStream) StreamIdle() error {
+func (s *idleStream) StreamIdle() (time.Duration, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.idles++
-	return s.idleErr
+	return 0, s.idleErr
 }
 
 func (s *idleStream) idleCount() int {

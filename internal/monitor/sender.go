@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync/atomic"
+	"time"
 
 	"blockwatch/internal/metrics"
 	"blockwatch/internal/queue"
@@ -15,6 +16,13 @@ import (
 // events stale — and never stale across a barrier, because control events
 // flush the buffer first.
 const DefaultSenderBatch = 64
+
+// idleSpins is how many consecutive idle drain rounds a consumer yields
+// the processor (runtime.Gosched) before it parks. A short spin keeps the
+// wake-up cost off bursts separated by brief gaps — a barrier, a lock
+// hand-off — while a longer quiet period gives the core back to the
+// program.
+const idleSpins = 64
 
 // frontEnd is the fail-open producer front end that Monitor and Relay
 // both embed: one lock-free SPSC queue per program thread, the overflow
@@ -30,6 +38,18 @@ type frontEnd struct {
 	quarantined atomic.Uint64
 	health      atomic.Int32
 	prodMet     frontEndMetrics
+	park        parker
+}
+
+// parker is the consumer's spin-then-park state (see frontEnd.idleWait). The
+// padding keeps the consumer's per-round writes to spun off the cache
+// line that producers read on every publish.
+type parker struct {
+	parked atomic.Bool   // the consumer is blocked, or about to block, on wake
+	wake   chan struct{} // one slot: a pending wake-up
+	_      [64]byte
+	spun   int         // consumer-private: consecutive idle rounds spun
+	timer  *time.Timer // consumer-private: the park timer, reused
 }
 
 // frontEndMetrics are the embedding sink's handles for the counters the
@@ -39,6 +59,7 @@ type frontEndMetrics struct {
 	drops       *metrics.Counter
 	quarantined *metrics.Counter
 	flushSize   *metrics.Histogram
+	parks       *metrics.Counter
 }
 
 // initFrontEnd builds the per-thread queues and counters, applying the
@@ -55,6 +76,7 @@ func (f *frontEnd) initFrontEnd(threads, queueCap int, policy OverflowPolicy, sp
 		batch = DefaultSenderBatch
 	}
 	f.policy, f.spins, f.batch, f.prodMet = policy, spins, batch, met
+	f.park.wake = make(chan struct{}, 1)
 	f.drops = make([]atomic.Uint64, threads)
 	f.queues = make([]*queue.SPSC[Event], threads)
 	for i := range f.queues {
@@ -94,6 +116,86 @@ func (f *frontEnd) BindSender(s *Sender, tid int) {
 		buf = make([]Event, 0, f.batch)
 	}
 	*s = Sender{q: f.queues[tid], buf: buf[:0], fe: f, tid: tid}
+}
+
+// signal wakes the consumer if it is parked. Senders call it after every
+// push that stores a queue tail. The tail store followed by this load of
+// parked, against the consumer's store of parked followed by its recheck
+// of the queues in idleWait, is a Dekker pair under Go's sequentially
+// consistent atomics: either the producer sees parked and sends, or the
+// consumer's recheck sees the new tail. A wake-up is never lost, and the
+// publish path pays one atomic load per pushed batch.
+func (f *frontEnd) signal() {
+	if f.park.parked.Load() {
+		select {
+		case f.park.wake <- struct{}{}:
+		default: // a wake-up is already pending
+		}
+	}
+}
+
+// busy resets the consumer's spin budget after a drain round that made
+// progress.
+func (f *frontEnd) busy() { f.park.spun = 0 }
+
+// idleWait is the consumer's step after a drain round that made no progress.
+// The first idleSpins consecutive idle rounds yield the processor. After
+// that the consumer parks: it announces itself in parked, re-checks ready
+// (which reports whether any queue or buffer the consumer may drain now
+// holds events), and blocks until a producer signals, stop closes, or a
+// positive timeout passes. A timeout <= 0 parks with no timer, so only a
+// producer or stop ends the wait. The caller re-runs its drain round and
+// its stop check after idleWait returns.
+func (f *frontEnd) idleWait(stop <-chan struct{}, ready func() bool, timeout time.Duration) {
+	p := &f.park
+	if p.spun < idleSpins {
+		p.spun++
+		runtime.Gosched()
+		return
+	}
+	select { // drop a wake-up left over from an earlier park
+	case <-p.wake:
+	default:
+	}
+	p.parked.Store(true)
+	if ready() {
+		p.parked.Store(false)
+		return
+	}
+	var expired <-chan time.Time
+	if timeout > 0 {
+		if p.timer == nil {
+			p.timer = time.NewTimer(timeout)
+		} else {
+			p.timer.Reset(timeout)
+		}
+		expired = p.timer.C
+	}
+	f.prodMet.parks.Inc()
+	select {
+	case <-p.wake:
+	case <-stop:
+	case <-expired:
+		expired = nil
+	}
+	p.parked.Store(false)
+	if expired != nil && !p.timer.Stop() {
+		select { // the timer fired as another case won: drain it
+		case <-p.timer.C:
+		default:
+		}
+	}
+}
+
+// queued reports whether any queue holds events: the recheck before a
+// consumer that drains every queue regardless of gating parks.
+func (f *frontEnd) queued() bool {
+	for _, q := range f.queues {
+		if !q.Empty() {
+			return true
+		}
+	}
+	return false
 }
 
 // drop counts n branch events of thread tid lost to the overflow policy
@@ -172,6 +274,7 @@ func (s *Sender) Send(ev Event) {
 		for !s.q.Push(ev) {
 			runtime.Gosched()
 		}
+		s.fe.signal()
 		return
 	}
 	s.buf = append(s.buf, ev)
@@ -216,17 +319,23 @@ func (s *Sender) Flush() {
 
 // publish pushes rest through the queue under the overflow policy. It is
 // the one PushBatch choke point shared by Flush (the sender's own
-// buffer) and SendBatch (a caller-owned batch).
+// buffer) and SendBatch (a caller-owned batch). Every push that lands
+// events signals a parked consumer at once, including the partial pushes
+// inside the blocking waits: a producer waiting on a full queue must
+// never wait on a consumer that was not told the queue has events.
 func (s *Sender) publish(rest []Event) {
 	switch s.fe.policy {
 	case OverflowDropNewest:
-		if n := s.q.PushBatch(rest); n < len(rest) {
+		n := s.q.PushBatch(rest)
+		s.pushed(n)
+		if n < len(rest) {
 			s.fe.drop(s.tid, len(rest)-n)
 		}
 	case OverflowBlockTimeout:
 		spins := s.fe.spins
 		for len(rest) > 0 {
 			n := s.q.PushBatch(rest)
+			s.pushed(n)
 			rest = rest[n:]
 			if len(rest) == 0 {
 				break
@@ -241,11 +350,19 @@ func (s *Sender) publish(rest []Event) {
 	default: // OverflowBlock
 		for len(rest) > 0 {
 			n := s.q.PushBatch(rest)
+			s.pushed(n)
 			rest = rest[n:]
 			if len(rest) > 0 {
 				runtime.Gosched()
 			}
 		}
+	}
+}
+
+// pushed signals a parked consumer after a push that stored n > 0 events.
+func (s *Sender) pushed(n int) {
+	if n > 0 {
+		s.fe.signal()
 	}
 }
 

@@ -825,15 +825,17 @@ func (s *clientStream) StreamControl(slot int, ev monitor.Event) error {
 
 // StreamIdle is the relay's quiet-period hook: flush buffered frames so
 // a broken transport is noticed between bursts, and pace reconnect
-// attempts while the daemon is down.
-func (s *clientStream) StreamIdle() error {
+// attempts while the daemon is down. It returns the next of those duties
+// that falls due — the coalesce linger of a pending batch, the next
+// reconnect dial — so a parked relay wakes in time for it.
+func (s *clientStream) StreamIdle() (time.Duration, error) {
 	c := (*Client)(s)
 	// A quiet relay means no more batches are coming for now: once the
 	// oldest pending batch has lingered, the coalescer must not sit on
 	// events across the idle gap.
 	if c.coPending > 0 && time.Since(c.coSince) >= coalesceLinger {
 		if err := c.flushCoalesced(); err != nil {
-			return err
+			return 0, err
 		}
 	}
 	c.maybeReconnect()
@@ -846,7 +848,33 @@ func (s *clientStream) StreamIdle() error {
 			c.dirty = false
 		}
 	}
-	return c.status(err)
+	if err = c.status(err); err != nil {
+		return 0, err
+	}
+	return c.nextIdleDuty(), nil
+}
+
+// nextIdleDuty is how long until StreamIdle has timed work again: the
+// linger deadline of the oldest coalesced batch, or the next reconnect
+// dial while disconnected. Zero means no timed duty.
+func (c *Client) nextIdleDuty() time.Duration {
+	var next time.Duration
+	due := func(at time.Time) {
+		d := time.Until(at)
+		if d <= 0 {
+			d = time.Millisecond // overdue: retry shortly, never spin
+		}
+		if next == 0 || d < next {
+			next = d
+		}
+	}
+	if c.coPending > 0 {
+		due(c.coSince.Add(coalesceLinger))
+	}
+	if !c.connected && c.canReconnect() {
+		due(c.nextDial)
+	}
+	return next
 }
 
 // finish completes the protocol on the relay goroutine: finish frame
