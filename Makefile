@@ -22,7 +22,7 @@ test:
 # list as the CI race job, including the fleet pool whose probe loop,
 # sessions, and failover paths race by construction.
 race:
-	$(GO) test -race ./internal/queue/ ./internal/monitor/ ./internal/inject/ \
+	$(GO) test -race . ./internal/queue/ ./internal/monitor/ ./internal/inject/ \
 		./internal/interp/ ./internal/remote/ ./internal/spool/ ./internal/trace/ \
 		./internal/metrics/ ./internal/adminhttp/ ./internal/wire/ ./internal/fleet/
 	$(GO) test -race -count=10 -timeout 5m -run 'Park|Wake' ./internal/monitor/ ./internal/remote/

@@ -264,8 +264,9 @@ type RunOptions struct {
 	Threads int
 	// Protect instruments the program and runs the checking monitor.
 	Protect bool
-	// Analysis supplies a previously computed Report; nil means analyze
-	// with defaults when Protect is set.
+	// Analysis supplies a Report from this program's Analyze; nil means
+	// analyze with defaults when Protect is set. Another program's Report
+	// is an error.
 	Analysis *Report
 	// Seed perturbs the program's rnd() streams.
 	Seed uint64
@@ -364,6 +365,23 @@ type RunResult struct {
 	SealedTrace string
 }
 
+// plans returns the check plans of rep, analyzing with defaults when rep
+// is nil. A Report that this program's Analyze did not produce (another
+// program's, or a zero Report) is an error: its plans index branches this
+// program does not have.
+func (p *Program) plans(rep *Report) (map[int]*core.CheckPlan, error) {
+	if rep == nil {
+		var err error
+		if rep, err = p.Analyze(AnalysisOptions{}); err != nil {
+			return nil, err
+		}
+	}
+	if rep.analysis == nil || rep.analysis.Mod != p.mod {
+		return nil, fmt.Errorf("analysis report was not produced by program %s's Analyze", p.name)
+	}
+	return rep.analysis.Plans, nil
+}
+
 // Run executes the program.
 func (p *Program) Run(opts RunOptions) (*RunResult, error) {
 	if opts.Remote != "" && opts.Record != nil {
@@ -374,27 +392,18 @@ func (p *Program) Run(opts RunOptions) (*RunResult, error) {
 	}
 	var remoteClient *remote.Client
 	iopts := interp.Options{
-		Threads:       opts.Threads,
-		Seed:          opts.Seed,
-		StepLimit:     opts.StepLimit,
-		Trace:         opts.Trace,
-		QueueCap:      opts.QueueCap,
-		Overflow:      opts.Overflow.toMonitor(),
-		SenderBatch:   opts.SenderBatch,
-		StallDeadline: opts.StallDeadline,
-		Metrics:       opts.Metrics,
+		Threads:   opts.Threads,
+		Seed:      opts.Seed,
+		StepLimit: opts.StepLimit,
+		Trace:     opts.Trace,
 	}
 	if opts.Protect {
-		rep := opts.Analysis
-		if rep == nil {
-			var err error
-			rep, err = p.Analyze(AnalysisOptions{})
-			if err != nil {
-				return nil, err
-			}
+		plans, err := p.plans(opts.Analysis)
+		if err != nil {
+			return nil, err
 		}
 		iopts.Mode = interp.MonitorActive
-		iopts.Plans = rep.analysis.Plans
+		iopts.Plans = plans
 		switch {
 		case opts.Remote != "":
 			ccfg := remote.ClientConfig{
@@ -447,6 +456,20 @@ func (p *Program) Run(opts RunOptions) (*RunResult, error) {
 				return nil, err
 			}
 			iopts.Sink = rec
+		default:
+			mon, err := monitor.New(monitor.Config{
+				NumThreads:    opts.Threads,
+				Plans:         plans,
+				QueueCap:      opts.QueueCap,
+				Overflow:      opts.Overflow.toMonitor(),
+				SenderBatch:   opts.SenderBatch,
+				StallDeadline: opts.StallDeadline,
+				Metrics:       opts.Metrics,
+			})
+			if err != nil {
+				return nil, fmt.Errorf("monitor: %w", err)
+			}
+			iopts.Sink = mon
 		}
 	}
 	res, err := interp.Run(p.mod, iopts)
@@ -531,7 +554,8 @@ type CampaignOptions struct {
 	Model   FaultModel // zero = BranchFlip
 	Protect bool       // run with BLOCKWATCH checking
 	Seed    int64
-	// Analysis supplies a precomputed Report for Protect.
+	// Analysis supplies a Report from this program's Analyze for
+	// Protect (nil = analyze with defaults).
 	Analysis *Report
 	// Workers is the number of faulty runs executed concurrently
 	// (0 = all cores, 1 = sequential). Every statistical field of
@@ -653,15 +677,11 @@ func (p *Program) Campaign(opts CampaignOptions) (*CampaignResult, error) {
 		}
 	}
 	if opts.Protect {
-		rep := opts.Analysis
-		if rep == nil {
-			var err error
-			rep, err = p.Analyze(AnalysisOptions{})
-			if err != nil {
-				return nil, err
-			}
+		plans, err := p.plans(opts.Analysis)
+		if err != nil {
+			return nil, err
 		}
-		c.Plans = rep.analysis.Plans
+		c.Plans = plans
 	}
 	res, err := c.Run()
 	if err != nil {
@@ -719,8 +739,8 @@ type NetFaultOptions struct {
 	// Workers is the number of injected runs executed concurrently
 	// (0 = all cores).
 	Workers int
-	// Analysis supplies a precomputed Report (nil = analyze with
-	// defaults). The campaign always runs protected.
+	// Analysis supplies a Report from this program's Analyze (nil =
+	// analyze with defaults). The campaign always runs protected.
 	Analysis *Report
 }
 
@@ -749,17 +769,13 @@ type NetFaultResult struct {
 // caught by CRC, and the verdict is recovered live or sealed for offline
 // replay — never silently lost.
 func (p *Program) NetFaultCampaign(opts NetFaultOptions) (*NetFaultResult, error) {
-	rep := opts.Analysis
-	if rep == nil {
-		var err error
-		rep, err = p.Analyze(AnalysisOptions{})
-		if err != nil {
-			return nil, err
-		}
+	plans, err := p.plans(opts.Analysis)
+	if err != nil {
+		return nil, err
 	}
 	c := netfault.Campaign{
 		Module:       p.mod,
-		Plans:        rep.analysis.Plans,
+		Plans:        plans,
 		Threads:      opts.Threads,
 		Faults:       opts.Faults,
 		Seed:         opts.Seed,

@@ -260,3 +260,44 @@ func TestRunRejectsRemoteWithRecord(t *testing.T) {
 		t.Fatal("Run accepted Remote together with Record")
 	}
 }
+
+// TestForeignReportRejected: a Report from another program, or a zero
+// Report, is an error at every entry point that takes one — never a panic
+// in an interpreter goroutine the caller cannot recover.
+func TestForeignReportRejected(t *testing.T) {
+	fft, err := LoadBenchmark("fft")
+	if err != nil {
+		t.Fatal(err)
+	}
+	radix, err := LoadBenchmark("radix")
+	if err != nil {
+		t.Fatal(err)
+	}
+	radixRep, err := radix.Analyze(AnalysisOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := map[string]func(*Report) error{
+		"Run": func(rep *Report) error {
+			_, err := fft.Run(RunOptions{Threads: 4, Protect: true, Analysis: rep})
+			return err
+		},
+		"Campaign": func(rep *Report) error {
+			_, err := fft.Campaign(CampaignOptions{Threads: 2, Faults: 2, Protect: true, Analysis: rep})
+			return err
+		},
+		"NetFaultCampaign": func(rep *Report) error {
+			_, err := fft.NetFaultCampaign(NetFaultOptions{Threads: 2, Faults: 2, Analysis: rep})
+			return err
+		},
+	}
+	for name, entry := range entries {
+		t.Run(name, func(t *testing.T) {
+			for kind, rep := range map[string]*Report{"foreign": radixRep, "zero": {}} {
+				if err := entry(rep); err == nil {
+					t.Errorf("%s Report accepted", kind)
+				}
+			}
+		})
+	}
+}

@@ -377,9 +377,8 @@ func (c Campaign) runAll(run runnerFull) (*CampaignResult, error) {
 		}
 		goldenOpts.Mode = interp.MonitorDrainOnly
 		goldenOpts.Plans = c.Plans
-		goldenOpts.Metrics = c.Metrics
 	}
-	golden, err := interp.Run(c.Module, goldenOpts)
+	golden, err := c.run(goldenOpts, nil)
 	if err != nil {
 		return nil, fmt.Errorf("golden run: %w", err)
 	}
@@ -640,15 +639,14 @@ func (c Campaign) runOneFull(f Fault, golden []interp.Value, stepLimit uint64) (
 	if c.Plans != nil {
 		mode = interp.MonitorActive
 	}
-	res, err := interp.Run(c.Module, interp.Options{
+	res, err := c.run(interp.Options{
 		Threads:   c.Threads,
 		Mode:      mode,
 		Plans:     c.Plans,
 		Fault:     ij,
 		Seed:      c.Seed0,
 		StepLimit: stepLimit,
-		Metrics:   c.Metrics,
-	})
+	}, nil)
 	if err != nil {
 		return Crash, runExtras{}
 	}
@@ -670,15 +668,13 @@ func (c Campaign) runOne(f Fault, golden []interp.Value, stepLimit uint64) Outco
 // targeted queued event on the monitor side.
 func (c Campaign) runOneEvent(f Fault, golden []interp.Value, stepLimit uint64) (Outcome, runExtras) {
 	tap := NewTap(f)
-	res, err := interp.Run(c.Module, interp.Options{
+	res, err := c.run(interp.Options{
 		Threads:   c.Threads,
 		Mode:      interp.MonitorActive,
 		Plans:     c.Plans,
 		Seed:      c.Seed0,
 		StepLimit: stepLimit,
-		EventTap:  tap.Corrupt,
-		Metrics:   c.Metrics,
-	})
+	}, tap.Corrupt)
 	if err != nil {
 		return Crash, runExtras{}
 	}
@@ -687,6 +683,30 @@ func (c Campaign) runOneEvent(f Fault, golden []interp.Value, stepLimit uint64) 
 		return NotActivated, ex
 	}
 	return classify(res, golden, ex), ex
+}
+
+// run executes one campaign run. A monitoring opts.Mode gets a monitor
+// built here with the campaign's Metrics and the event tap (nil = none);
+// a monitor whose run failed is closed.
+func (c Campaign) run(opts interp.Options, tap func(*monitor.Event)) (*interp.Result, error) {
+	if opts.Mode == interp.MonitorActive || opts.Mode == interp.MonitorDrainOnly {
+		mon, err := monitor.New(monitor.Config{
+			NumThreads:       opts.Threads,
+			Plans:            opts.Plans,
+			CheckingDisabled: opts.Mode == interp.MonitorDrainOnly,
+			EventTap:         tap,
+			Metrics:          c.Metrics,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("monitor: %w", err)
+		}
+		opts.Sink = mon
+	}
+	res, err := interp.Run(c.Module, opts)
+	if err != nil && opts.Sink != nil {
+		opts.Sink.Close()
+	}
+	return res, err
 }
 
 // classify applies the paper's outcome taxonomy to a completed run.

@@ -381,8 +381,7 @@ func void slave() {
 }
 
 // TestExternalSink: a supplied Sink is fed and harvested like the
-// run-owned monitor (Stats included), and is rejected with EventTap or
-// MonitorOff.
+// run-owned monitor (Stats included), and is rejected with MonitorOff.
 func TestExternalSink(t *testing.T) {
 	m := compile(t, `
 global int n;
@@ -411,16 +410,11 @@ func void slave() {
 	if res.Detected || res.MonitorStats.Events != 10 {
 		t.Errorf("Detected = %v, Events = %d; want false, 10", res.Detected, res.MonitorStats.Events)
 	}
-	for name, opts := range map[string]Options{
-		"tap": {Mode: MonitorActive, EventTap: func(*monitor.Event) {}},
-		"off": {Mode: MonitorOff},
-	} {
-		opts.Threads, opts.Plans, opts.Sink = 2, an.Plans, newSink()
-		if _, err := Run(m, opts); !errors.Is(err, ErrSinkOpts) {
-			t.Errorf("%s: err = %v, want ErrSinkOpts", name, err)
-		}
-		opts.Sink.Close()
+	off := newSink()
+	if _, err := Run(m, Options{Threads: 2, Mode: MonitorOff, Plans: an.Plans, Sink: off}); !errors.Is(err, ErrSinkOpts) {
+		t.Errorf("off: err = %v, want ErrSinkOpts", err)
 	}
+	off.Close()
 }
 
 func TestInstrumentationAddsSimTime(t *testing.T) {

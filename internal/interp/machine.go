@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 
 	"blockwatch/internal/core"
 	"blockwatch/internal/ir"
-	"blockwatch/internal/metrics"
 	"blockwatch/internal/monitor"
 )
 
@@ -46,36 +44,13 @@ type Options struct {
 	StepLimit uint64
 	// Seed perturbs the rnd() streams (same seed ⇒ identical run).
 	Seed uint64
-	// QueueCap overrides the monitor queue capacity (0 = default).
-	QueueCap int
-	// Overflow selects the monitor's Sender overflow policy for branch
-	// events (zero = OverflowBlock, the lossless default).
-	Overflow monitor.OverflowPolicy
-	// SendSpins bounds the OverflowBlockTimeout spin (0 = monitor default).
-	SendSpins int
-	// SenderBatch sets the per-thread Sender buffer size: branch events
-	// are batched locally and published with one queue operation
-	// (0 = monitor default, 1 = effectively unbatched).
-	SenderBatch int
-	// StallDeadline arms the monitor's stall watchdog (0 = disabled).
-	StallDeadline time.Duration
-	// Now overrides the watchdog clock (nil = time.Now; tests use a
-	// virtual clock).
-	Now func() time.Time
-	// EventTap is the monitor-side event corruption hook (fault
-	// injection's event-path model).
-	EventTap func(*monitor.Event)
-	// Metrics, when non-nil, attaches the run-owned monitor's pipeline
-	// metrics to this registry (no effect when Sink is supplied — an
-	// external sink carries its own registry).
-	Metrics *metrics.Registry
-	// Sink, when non-nil, replaces the run-owned monitor with an
-	// externally built event sink (a remote client, a trace recorder, or
-	// any other monitor.Sink). The run Starts it, feeds it, Closes it, and
-	// harvests Detected/Violations/Health/Stats exactly as it would from
-	// its own monitor. Plans are still required — they select which
-	// branches are instrumented. Incompatible with EventTap, and requires
-	// a monitoring Mode.
+	// Sink is the event sink the run drives (a monitor built with
+	// monitor.New, a remote client, a trace recorder, ...): the run Starts,
+	// feeds and Closes it and harvests its verdict, health and stats. Every
+	// monitor setting belongs to the sink. When Sink is nil and Mode
+	// monitors, the run builds monitor.New(Config{NumThreads, Plans,
+	// CheckingDisabled}). A Sink requires a monitoring Mode, and Plans,
+	// which select the instrumented branches.
 	Sink monitor.Sink
 	// Trace, when non-nil, receives one line per executed conditional
 	// branch: "t<tid> branch#<id> seq=<k> taken=<bool>". Writes are
@@ -202,7 +177,7 @@ type FaultInjector interface {
 var (
 	ErrBadThreads = errors.New("thread count must be at least 1")
 	ErrNeedPlans  = errors.New("monitor mode requires check plans")
-	ErrSinkOpts   = errors.New("Sink is incompatible with EventTap and MonitorOff")
+	ErrSinkOpts   = errors.New("Sink requires a monitoring Mode")
 )
 
 // machine is the shared run state.
@@ -264,7 +239,7 @@ func Run(mod *ir.Module, opts Options) (*Result, error) {
 	if opts.Mode == 0 {
 		opts.Mode = MonitorOff
 	}
-	if opts.Sink != nil && (opts.EventTap != nil || opts.Mode == MonitorOff) {
+	if opts.Sink != nil && opts.Mode == MonitorOff {
 		return nil, ErrSinkOpts
 	}
 	if opts.Mode != MonitorOff && opts.Plans == nil {
@@ -297,15 +272,7 @@ func Run(mod *ir.Module, opts Options) (*Result, error) {
 		mon, err := monitor.New(monitor.Config{
 			NumThreads:       opts.Threads,
 			Plans:            opts.Plans,
-			QueueCap:         opts.QueueCap,
 			CheckingDisabled: opts.Mode == MonitorDrainOnly,
-			Overflow:         opts.Overflow,
-			SendSpins:        opts.SendSpins,
-			SenderBatch:      opts.SenderBatch,
-			StallDeadline:    opts.StallDeadline,
-			Now:              opts.Now,
-			EventTap:         opts.EventTap,
-			Metrics:          opts.Metrics,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("monitor: %w", err)

@@ -6,6 +6,7 @@ import (
 	"blockwatch/internal/core"
 	"blockwatch/internal/interp"
 	"blockwatch/internal/lower"
+	"blockwatch/internal/monitor"
 )
 
 // FuzzNoFalsePositive is the paper's zero-false-positive invariant as a
@@ -30,12 +31,16 @@ func FuzzNoFalsePositive(f *testing.F) {
 		if err != nil {
 			t.Fatalf("analysis failed: %v\n%s", err, src)
 		}
+		mon, err := monitor.New(monitor.Config{NumThreads: threads, Plans: a.Plans, SenderBatch: batch})
+		if err != nil {
+			t.Fatal(err)
+		}
 		res, err := interp.Run(mod, interp.Options{
-			Threads:     threads,
-			Mode:        interp.MonitorActive,
-			Plans:       a.Plans,
-			SenderBatch: batch,
-			StepLimit:   5_000_000,
+			Threads:   threads,
+			Mode:      interp.MonitorActive,
+			Plans:     a.Plans,
+			Sink:      mon,
+			StepLimit: 5_000_000,
 		})
 		if err != nil {
 			t.Fatalf("protected run failed: %v\n%s", err, src)

@@ -46,9 +46,6 @@ type Config struct {
 	// Overflow selects the Sender overflow policy for branch events
 	// (zero value = OverflowBlock, the paper's lossless behavior).
 	Overflow OverflowPolicy
-	// SendSpins bounds the OverflowBlockTimeout spin loop
-	// (0 = DefaultSendSpins).
-	SendSpins int
 	// SenderBatch is the per-thread Sender buffer size: branch events are
 	// batched locally and pushed with one queue publish (0 = default,
 	// 1 = effectively unbatched). See Sender.
@@ -197,7 +194,7 @@ func New(cfg Config) (*Monitor, error) {
 		stop:         make(chan struct{}),
 		done:         make(chan struct{}),
 	}
-	err := m.initFrontEnd(cfg.NumThreads, cfg.QueueCap, cfg.Overflow, cfg.SendSpins, cfg.SenderBatch, m.met.frontEndMetrics)
+	err := m.initFrontEnd(cfg.NumThreads, cfg.QueueCap, cfg.Overflow, cfg.SenderBatch, m.met.frontEndMetrics)
 	if err != nil {
 		return nil, err
 	}

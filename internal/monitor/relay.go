@@ -89,8 +89,6 @@ type RelayConfig struct {
 	// Overflow selects the branch-event overflow policy (same semantics
 	// as Config.Overflow; control events always block).
 	Overflow OverflowPolicy
-	// SendSpins bounds the OverflowBlockTimeout spin (0 = default).
-	SendSpins int
 	// SenderBatch is the per-thread Sender buffer size (0 = default).
 	SenderBatch int
 	// Stream receives the ordered event stream.
@@ -120,7 +118,7 @@ func NewRelay(cfg RelayConfig) (*Relay, error) {
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
-	err := r.initFrontEnd(cfg.NumThreads, cfg.QueueCap, cfg.Overflow, cfg.SendSpins, cfg.SenderBatch, r.met.frontEndMetrics)
+	err := r.initFrontEnd(cfg.NumThreads, cfg.QueueCap, cfg.Overflow, cfg.SenderBatch, r.met.frontEndMetrics)
 	if err != nil {
 		return nil, err
 	}

@@ -32,7 +32,7 @@ const (
 	// counts it in the per-thread drop counters.
 	OverflowDropNewest
 	// OverflowBlockTimeout spins a bounded number of times
-	// (Config.SendSpins), then drops and counts the event.
+	// (DefaultSendSpins), then drops and counts the event.
 	OverflowBlockTimeout
 )
 

@@ -77,7 +77,7 @@ func TestOverflowDropNewestCountsDrops(t *testing.T) {
 
 func TestOverflowBlockTimeoutDrops(t *testing.T) {
 	m, err := New(Config{NumThreads: 1, Plans: testPlans(), SenderBatch: 1, QueueCap: 4,
-		Overflow: OverflowBlockTimeout, SendSpins: 8})
+		Overflow: OverflowBlockTimeout})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,6 @@ const idleSpins = 64
 type frontEnd struct {
 	queues      []*queue.SPSC[Event]
 	policy      OverflowPolicy
-	spins       int
 	batch       int
 	drops       []atomic.Uint64 // per producing thread
 	quarantined atomic.Uint64
@@ -63,19 +62,16 @@ type frontEndMetrics struct {
 }
 
 // initFrontEnd builds the per-thread queues and counters, applying the
-// QueueCap (DefaultQueueCap), SendSpins (DefaultSendSpins) and
-// SenderBatch (DefaultSenderBatch) defaults for non-positive values.
-func (f *frontEnd) initFrontEnd(threads, queueCap int, policy OverflowPolicy, spins, batch int, met frontEndMetrics) error {
+// QueueCap (DefaultQueueCap) and SenderBatch (DefaultSenderBatch)
+// defaults for non-positive values.
+func (f *frontEnd) initFrontEnd(threads, queueCap int, policy OverflowPolicy, batch int, met frontEndMetrics) error {
 	if queueCap <= 0 {
 		queueCap = DefaultQueueCap
-	}
-	if spins <= 0 {
-		spins = DefaultSendSpins
 	}
 	if batch <= 0 {
 		batch = DefaultSenderBatch
 	}
-	f.policy, f.spins, f.batch, f.prodMet = policy, spins, batch, met
+	f.policy, f.batch, f.prodMet = policy, batch, met
 	f.park.wake = make(chan struct{}, 1)
 	f.drops = make([]atomic.Uint64, threads)
 	f.queues = make([]*queue.SPSC[Event], threads)
@@ -332,7 +328,7 @@ func (s *Sender) publish(rest []Event) {
 			s.fe.drop(s.tid, len(rest)-n)
 		}
 	case OverflowBlockTimeout:
-		spins := s.fe.spins
+		spins := DefaultSendSpins
 		for len(rest) > 0 {
 			n := s.q.PushBatch(rest)
 			s.pushed(n)

@@ -147,14 +147,13 @@ type ClientConfig struct {
 	// Plans is the check-plan table from the local static analysis; its
 	// checker-facing reduction is shipped in the hello frame.
 	Plans map[int]*core.CheckPlan
-	// QueueCap, Overflow, SendSpins, SenderBatch configure the client's
+	// QueueCap, Overflow and SenderBatch configure the client's
 	// producer front end exactly like the in-process monitor's
 	// (monitor.Config semantics). Backpressure from the connection maps
 	// onto the overflow policy: a slow daemon fills the per-thread
 	// queues, and the policy decides between blocking and dropping.
 	QueueCap    int
 	Overflow    monitor.OverflowPolicy
-	SendSpins   int
 	SenderBatch int
 	// CoalesceBytes is the frame-coalescing byte budget: each thread's
 	// event batches accumulate into one wire frame until its encoded
@@ -463,7 +462,6 @@ func (c *Client) buildRelay() error {
 		NumThreads:  c.cfg.NumThreads,
 		QueueCap:    c.cfg.QueueCap,
 		Overflow:    c.cfg.Overflow,
-		SendSpins:   c.cfg.SendSpins,
 		SenderBatch: c.cfg.SenderBatch,
 		Stream:      (*clientStream)(c),
 		Finish:      c.finish,

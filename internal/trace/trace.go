@@ -35,11 +35,10 @@ type RecorderConfig struct {
 	// Plans is the check-plan table; its checker-facing reduction is
 	// stored in the trace header (wire.Hello).
 	Plans map[int]*core.CheckPlan
-	// QueueCap, Overflow, SendSpins, SenderBatch configure the producer
+	// QueueCap, Overflow and SenderBatch configure the producer
 	// front end (monitor.Config semantics).
 	QueueCap    int
 	Overflow    monitor.OverflowPolicy
-	SendSpins   int
 	SenderBatch int
 	// StallDeadline arms the inner monitor's stall watchdog.
 	StallDeadline time.Duration
@@ -93,7 +92,6 @@ func NewRecorder(w io.Writer, cfg RecorderConfig) (*Recorder, error) {
 		NumThreads:  cfg.NumThreads,
 		QueueCap:    cfg.QueueCap,
 		Overflow:    cfg.Overflow,
-		SendSpins:   cfg.SendSpins,
 		SenderBatch: cfg.SenderBatch,
 		Stream:      (*recorderStream)(rec),
 		Finish:      rec.finish,
