@@ -20,12 +20,13 @@ test:
 
 # The concurrency-sensitive packages under the race detector — the same
 # list as the CI race job, including the fleet pool whose probe loop,
-# sessions, and failover paths race by construction.
+# sessions, and failover paths race by construction, and the CLIs.
 race:
 	$(GO) test -race . ./internal/queue/ ./internal/monitor/ ./internal/inject/ \
 		./internal/interp/ ./internal/remote/ ./internal/spool/ ./internal/trace/ \
-		./internal/metrics/ ./internal/adminhttp/ ./internal/wire/ ./internal/fleet/
-	$(GO) test -race -count=10 -timeout 5m -run 'Park|Wake' ./internal/monitor/ ./internal/remote/
+		./internal/metrics/ ./internal/adminhttp/ ./internal/wire/ ./internal/fleet/ \
+		./cmd/...
+	$(GO) test -race -count=10 -timeout 5m -run 'Park|Wake|RingsBackToBack' ./internal/monitor/ ./internal/remote/
 
 # One iteration of every benchmark: catches benchmark-rot without
 # measuring anything.

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -15,12 +16,31 @@ import (
 	"blockwatch"
 )
 
+// syncBuffer is a bytes.Buffer that the daemon goroutine may write while
+// the test polls what it has written.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
 // TestServeAndShutdown boots the daemon on a unix socket, runs one
 // protected benchmark through it via the facade, then delivers the stop
 // signal and checks the shutdown line.
 func TestServeAndShutdown(t *testing.T) {
 	sock := filepath.Join(t.TempDir(), "bw.sock")
-	var stdout, stderr bytes.Buffer
+	var stdout, stderr syncBuffer
 	stop := make(chan os.Signal, 1)
 	done := make(chan error, 1)
 	go func() {
@@ -77,7 +97,7 @@ func TestServeAndShutdown(t *testing.T) {
 // behavior under live sessions is covered by internal/remote.
 func TestDrainOnSignal(t *testing.T) {
 	sock := filepath.Join(t.TempDir(), "bw.sock")
-	var stdout, stderr bytes.Buffer
+	var stdout, stderr syncBuffer
 	stop := make(chan os.Signal, 1)
 	done := make(chan error, 1)
 	go func() {
@@ -137,7 +157,7 @@ func TestUsageErrors(t *testing.T) {
 // /healthz, and a live pprof index.
 func TestAdminMetricsEndpoint(t *testing.T) {
 	sock := filepath.Join(t.TempDir(), "bw.sock")
-	var stdout, stderr bytes.Buffer
+	var stdout, stderr syncBuffer
 	stop := make(chan os.Signal, 1)
 	done := make(chan error, 1)
 	go func() {

@@ -29,20 +29,29 @@ type Thread struct {
 	rng       uint64
 	pathHash  uint64
 	loopStack []uint64
+	loopKeys  []uint64 // loopKeys[i]: Key2 of loopStack[:i]; see key2
 	depth     int
 	held      []uint64
 	fr        *frame
+	frames    []*frame // by call depth, reused across calls
+	phiBuf    []Value  // parallel-copy scratch for block-entry phis
 
 	// Cached per-run costs.
 	memCost, sendCost int64
 }
 
+// frame is one activation. A thread's frames are reused by every call at
+// the same depth: regs is re-sliced and cleared per call, and args is the
+// argument buffer this frame passes to its callees (the callee's params).
 type frame struct {
 	fn     *ir.Func
 	regs   []Value
 	params []Value
-	prev   *frame
+	args   []Value
 }
+
+// loopKeyBase is the Key2 of an empty loop stack.
+const loopKeyBase = 0x517cc1b727220a95
 
 // newThread creates an execution context; tid -1 is the serial setup
 // context (single-"core" memory costs, excluded from the parallel section).
@@ -52,6 +61,7 @@ func newThread(m *machine, tid int) *Thread {
 		tid:       tid,
 		stepLimit: m.opts.StepLimit,
 		rng:       mix64(m.opts.Seed ^ uint64(tid+2)*0x9e3779b97f4a7c15),
+		loopKeys:  []uint64{loopKeyBase},
 	}
 	if t.stepLimit == 0 {
 		t.stepLimit = DefaultStepLimit
@@ -123,22 +133,38 @@ func (t *Thread) trap(kind TrapKind, format string, args ...any) *Trap {
 	return &Trap{Thread: t.tid, Kind: kind, Msg: fmt.Sprintf(format, args...)}
 }
 
-// call executes fn with the given arguments and returns its result.
+// call executes fn with the given arguments and returns its result. The
+// activation reuses the thread's frame at the new depth; its registers
+// start zeroed, as in a fresh frame.
 func (t *Thread) call(fn *ir.Func, args []Value) (Value, *Trap) {
 	if t.depth >= maxCallDepth {
 		return 0, t.trap(TrapStackOverflow, "call depth %d", t.depth)
 	}
-	t.depth++
-	fr := &frame{fn: fn, regs: make([]Value, fn.NumValues()), params: args, prev: t.fr}
+	if t.depth == len(t.frames) {
+		t.frames = append(t.frames, &frame{})
+	}
+	fr := t.frames[t.depth]
+	n := fn.NumValues()
+	if cap(fr.regs) < n {
+		fr.regs = make([]Value, n)
+	} else {
+		fr.regs = fr.regs[:n]
+		clear(fr.regs)
+	}
+	fr.fn, fr.params = fn, args
+	caller := t.fr
 	t.fr = fr
-	defer func() {
-		t.fr = fr.prev
-		t.depth--
-	}()
+	t.depth++
+	ret, trap := t.exec(fr)
+	t.fr = caller
+	t.depth--
+	return ret, trap
+}
 
-	blk := fn.Entry()
+// exec runs the active frame fr from its function's entry block.
+func (t *Thread) exec(fr *frame) (Value, *Trap) {
+	blk := fr.fn.Entry()
 	var prev *ir.Block
-	var phiBuf []Value
 	for {
 		i := 0
 		// Evaluate phis as a parallel copy from the incoming edge.
@@ -153,17 +179,17 @@ func (t *Thread) call(fn *ir.Func, args []Value) (Value, *Trap) {
 			if predIdx < 0 {
 				return 0, t.trap(TrapInternal, "phi: unknown predecessor in %s", blk.Name())
 			}
-			phiBuf = phiBuf[:0]
-			n := 0
+			phis := t.phiBuf[:0]
 			for _, in := range blk.Instrs {
 				if in.Op != ir.OpPhi {
 					break
 				}
-				phiBuf = append(phiBuf, t.val(in.Args[predIdx]))
-				n++
+				phis = append(phis, t.val(in.Args[predIdx]))
 			}
-			for j := 0; j < n; j++ {
-				fr.regs[blk.Instrs[j].ID] = phiBuf[j]
+			t.phiBuf = phis
+			n := len(phis)
+			for j, v := range phis {
+				fr.regs[blk.Instrs[j].ID] = v
 				t.sim += t.m.cost.Default
 			}
 			i = n
@@ -232,17 +258,13 @@ func (t *Thread) execBranch(in *ir.Instr) (*ir.Block, *Trap) {
 					sig = hashCombine(sig, t.val(sv))
 				}
 			}
-			key2 := uint64(0x517cc1b727220a95)
-			for _, it := range t.loopStack {
-				key2 = hashCombine(key2, it)
-			}
 			t.sender.Send(monitor.Event{
 				Kind:     monitor.EvBranch,
 				Taken:    taken,
 				Thread:   int32(t.tid),
 				BranchID: int32(in.BranchID),
 				Key1:     hashCombine(t.pathHash, uint64(in.BranchID)),
-				Key2:     key2,
+				Key2:     t.key2(),
 				Sig:      sig,
 			})
 			t.eventSeq++
@@ -318,10 +340,13 @@ func (t *Thread) execInstr(in *ir.Instr) *Trap {
 		return t.trap(TrapInternal, "phi executed mid-block")
 	case ir.OpCall:
 		t.sim += c.Call
-		args := make([]Value, len(in.Args))
-		for i, a := range in.Args {
-			args[i] = t.val(a)
+		// The callee's params live in this frame's argument buffer, which
+		// no other call can reuse until the callee returns.
+		args := t.fr.args[:0]
+		for _, a := range in.Args {
+			args = append(args, t.val(a))
 		}
+		t.fr.args = args
 		callee := t.m.mod.Func(in.Callee)
 		if callee == nil {
 			return t.trap(TrapInternal, "unknown function %s", in.Callee)
@@ -359,18 +384,42 @@ func (t *Thread) execInstr(in *ir.Instr) *Trap {
 		t.output = append(t.output, t.val(in.Args[0]))
 	case ir.OpLoopPush:
 		t.sim += c.Default
-		t.loopStack = append(t.loopStack, 0)
+		t.loopPush()
 	case ir.OpLoopInc:
 		t.sim += c.Default
-		t.loopStack[len(t.loopStack)-1]++
+		t.loopInc()
 	case ir.OpLoopPop:
 		t.sim += c.Default
-		t.loopStack = t.loopStack[:len(t.loopStack)-1]
+		t.loopPop()
 	default:
 		return t.trap(TrapInternal, "unhandled op %s", in.Op)
 	}
 	return nil
 }
+
+// The loop-iteration stack and its Key2 prefix hashes move together:
+// loopKeys[i+1] = hashCombine(loopKeys[i], loopStack[i]), so the Key2 of
+// the whole stack — the fold of hashCombine over it from loopKeyBase — is
+// the top of loopKeys, and each loop op rehashes only the top.
+
+func (t *Thread) loopPush() {
+	t.loopStack = append(t.loopStack, 0)
+	t.loopKeys = append(t.loopKeys, hashCombine(t.loopKeys[len(t.loopKeys)-1], 0))
+}
+
+func (t *Thread) loopInc() {
+	top := len(t.loopStack) - 1
+	t.loopStack[top]++
+	t.loopKeys[top+1] = hashCombine(t.loopKeys[top], t.loopStack[top])
+}
+
+func (t *Thread) loopPop() {
+	t.loopStack = t.loopStack[:len(t.loopStack)-1]
+	t.loopKeys = t.loopKeys[:len(t.loopKeys)-1]
+}
+
+// key2 is the current loop-iteration key (the paper's second-level key).
+func (t *Thread) key2() uint64 { return t.loopKeys[len(t.loopKeys)-1] }
 
 func (t *Thread) execArith(in *ir.Instr) *Trap {
 	a, b := t.val(in.Args[0]), t.val(in.Args[1])

@@ -112,8 +112,9 @@ type ViolationSummary struct {
 // reset at each generation close by bumping an epoch and truncating, and
 // the consumer drains each queue in batches into reusable per-thread
 // buffers. After its final close the monitor hands its table to the next
-// monitor in the process (one spare, not a sync.Pool; see spare), so a
-// sequence of runs does not regrow it either.
+// monitor in the process (one spare, not a sync.Pool; see spare), and a
+// clean Close hands on its queues the same way (see recycleRings), so a
+// sequence of runs does not reallocate either.
 type Monitor struct {
 	frontEnd
 	cfg Config
@@ -216,7 +217,8 @@ func (m *Monitor) Start() {
 // Close asks the monitor to finish draining and waits for it. It is safe
 // to call after all program threads have sent their EvDone events; any
 // still-pending instances are checked before the goroutine exits. Close is
-// idempotent.
+// idempotent. After a clean run Close hands the queues to the next sink in
+// the process (see recycleRings), so no Sender may be used after it.
 func (m *Monitor) Close() {
 	if m.closed.Swap(true) {
 		if m.started.Load() {
@@ -224,22 +226,28 @@ func (m *Monitor) Close() {
 		}
 		return
 	}
-	if !m.started.Load() {
-		// Never started: drain synchronously so callers still get checks.
-		// A panic (corrupt event state) fails open instead of propagating.
-		defer func() {
-			if r := recover(); r != nil {
-				m.panics.Add(1)
-				m.health.Store(int32(Failed))
-				m.discardAll()
-			}
-		}()
-		m.drainAll()
-		m.finish()
-		return
+	if m.started.Load() {
+		close(m.stop)
+		<-m.done
+	} else {
+		m.closeUnstarted()
 	}
-	close(m.stop)
-	<-m.done
+	m.recycleRings(m.doneCount >= m.cfg.NumThreads)
+}
+
+// closeUnstarted drains a monitor that was never started synchronously,
+// so callers still get checks. A panic (corrupt event state) fails open
+// instead of propagating.
+func (m *Monitor) closeUnstarted() {
+	defer func() {
+		if r := recover(); r != nil {
+			m.panics.Add(1)
+			m.health.Store(int32(Failed))
+			m.discardAll()
+		}
+	}()
+	m.drainAll()
+	m.finish()
 }
 
 // loop drains the per-thread queues round-robin without taking locks on
@@ -820,11 +828,6 @@ func SummarizeViolations(vs []Violation) []ViolationSummary {
 }
 
 // QueueBacklog returns the current total number of undrained events
-// (diagnostic; queue occupancy only, safe from any goroutine).
-func (m *Monitor) QueueBacklog() int {
-	n := 0
-	for _, q := range m.queues {
-		n += q.Len()
-	}
-	return n
-}
+// (diagnostic; queue occupancy only, safe from any goroutine). It is 0
+// once Close has handed the queues on.
+func (m *Monitor) QueueBacklog() int { return m.backlog() }

@@ -36,6 +36,8 @@ type Relay struct {
 	mu      sync.Mutex
 	outcome RelayOutcome
 
+	allDone bool // written by the drain loop before done closes
+
 	started atomic.Bool
 	closed  atomic.Bool
 	stop    chan struct{}
@@ -139,7 +141,8 @@ func (r *Relay) Start() {
 }
 
 // Close drains outstanding events through the stream, runs the finisher,
-// and waits for the relay goroutine. Idempotent.
+// and waits for the relay goroutine. Idempotent. Like Monitor.Close, a
+// clean Close hands the queues to the next sink in the process.
 func (r *Relay) Close() {
 	if r.closed.Swap(true) {
 		if r.started.Load() {
@@ -147,16 +150,16 @@ func (r *Relay) Close() {
 		}
 		return
 	}
-	if !r.started.Load() {
-		// Never started: drain synchronously so a trace still captures
-		// whatever was queued. stop is closed first so the drain
-		// terminates even when done markers never arrived.
-		close(r.stop)
-		r.run()
-		return
-	}
+	// Closing stop first lets a never-started relay, drained synchronously
+	// so a trace still captures whatever was queued, terminate even when
+	// done markers never arrived.
 	close(r.stop)
-	<-r.done
+	if r.started.Load() {
+		<-r.done
+	} else {
+		r.run()
+	}
+	r.recycleRings(r.allDone)
 }
 
 // Degrade lowers the relay's health from Healthy to Degraded (it never
@@ -382,6 +385,7 @@ func (s *relayState) finish() {
 		return
 	}
 	s.finished = true
+	s.r.allDone = s.doneCount >= len(s.r.queues)
 	if s.r.cfg.Finish == nil {
 		return
 	}

@@ -3,8 +3,10 @@ package monitor
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"blockwatch/internal/metrics"
 	"blockwatch/internal/queue"
@@ -30,7 +32,8 @@ const idleSpins = 64
 // health word. Producers reach it only through Senders; the embedding
 // sink's back end drains the queues.
 type frontEnd struct {
-	queues      []*queue.SPSC[Event]
+	queues      []*queue.SPSC[Event] // nil once handed on (recycleRings)
+	queuesMu    sync.Mutex           // orders QueueBacklog against the hand-off
 	policy      OverflowPolicy
 	batch       int
 	drops       []atomic.Uint64 // per producing thread
@@ -74,6 +77,9 @@ func (f *frontEnd) initFrontEnd(threads, queueCap int, policy OverflowPolicy, ba
 	f.policy, f.batch, f.prodMet = policy, batch, met
 	f.park.wake = make(chan struct{}, 1)
 	f.drops = make([]atomic.Uint64, threads)
+	if f.queues = takeRings(threads, queue.RoundCap(queueCap)); f.queues != nil {
+		return nil
+	}
 	f.queues = make([]*queue.SPSC[Event], threads)
 	for i := range f.queues {
 		q, err := queue.NewSPSC[Event](queueCap)
@@ -83,6 +89,72 @@ func (f *frontEnd) initFrontEnd(threads, queueCap int, policy OverflowPolicy, ba
 		f.queues[i] = q
 	}
 	return nil
+}
+
+// spareRingBytes caps the ring set kept for the next sink: at
+// DefaultQueueCap it holds up to six threads' queues (640 KiB each).
+const spareRingBytes = 4 << 20
+
+// spareRings holds at most one idle ring set (one queue per thread) for
+// the next Monitor or Relay in the process: a one-slot channel, for the
+// same reasons as the spare table.
+var spareRings = make(chan []*queue.SPSC[Event], 1)
+
+// takeRings returns the spare ring set, reset, when it has exactly threads
+// queues of capacity capacity; otherwise nil. A spare that does not fit
+// is dropped, so the ring set of the latest configuration is the one
+// kept.
+func takeRings(threads, capacity int) []*queue.SPSC[Event] {
+	select {
+	case rings := <-spareRings:
+		if len(rings) != threads || rings[0].Cap() != capacity {
+			return nil
+		}
+		for _, q := range rings {
+			q.Reset()
+		}
+		return rings
+	default:
+		return nil
+	}
+}
+
+// recycleRings offers the front end's rings as the process's spare. It
+// runs in the embedding sink's Close, after the consumer goroutine has
+// exited, never on that goroutine: a producer may still publish after
+// its thread's EvDone was consumed (a daemon session's read loop does,
+// up to its finish frame), and only Close is ordered after the last
+// publish. allDone reports that the consumer saw every thread's EvDone.
+// The rings are kept only when that holds, every queue is empty and the
+// consumer did not fail; otherwise they are left to the garbage
+// collector, so no event of this run can reach another sink.
+func (f *frontEnd) recycleRings(allDone bool) {
+	if !allDone || f.Health() == Failed || f.queued() {
+		return
+	}
+	f.queuesMu.Lock()
+	rings := f.queues
+	f.queues = nil
+	f.queuesMu.Unlock()
+	if len(rings)*rings[0].Cap()*int(unsafe.Sizeof(Event{})) > spareRingBytes {
+		return
+	}
+	select {
+	case spareRings <- rings:
+	default:
+	}
+}
+
+// backlog returns the number of events queued but not yet drained, or 0
+// once the rings were handed on.
+func (f *frontEnd) backlog() int {
+	f.queuesMu.Lock()
+	defer f.queuesMu.Unlock()
+	n := 0
+	for _, q := range f.queues {
+		n += q.Len()
+	}
+	return n
 }
 
 // Sender returns the batching producer handle for thread tid. At most one
@@ -246,10 +318,11 @@ func (f *frontEnd) dropped() uint64 {
 // branch event visible as soon as it is sent.
 //
 // A Sender is owned by exactly one goroutine (it is the thread's queue
-// producer endpoint). The overflow policy applies per buffered event:
-// block spins, drop-newest counts the unsent remainder as dropped,
-// block-timeout spins a bounded budget before dropping. Control events
-// always block.
+// producer endpoint), and must not be used after its sink's Close: Close
+// may hand the queues to the next sink in the process. The overflow
+// policy applies per buffered event: block spins, drop-newest counts the
+// unsent remainder as dropped, block-timeout spins a bounded budget
+// before dropping. Control events always block.
 type Sender struct {
 	q   *queue.SPSC[Event] // nil: quarantining handle (out-of-range thread)
 	buf []Event

@@ -29,11 +29,32 @@ func NewSPSC[T any](capacity int) (*SPSC[T], error) {
 	if capacity < 1 {
 		return nil, ErrBadCapacity
 	}
-	n := uint64(1)
-	for n < uint64(capacity) {
+	n := uint64(RoundCap(capacity))
+	return &SPSC[T]{buf: make([]T, n), mask: n - 1}, nil
+}
+
+// RoundCap returns the capacity NewSPSC(capacity) allocates: capacity
+// rounded up to a power of two (1 for capacity < 1).
+func RoundCap(capacity int) int {
+	n := 1
+	for n < capacity {
 		n <<= 1
 	}
-	return &SPSC[T]{buf: make([]T, n), mask: n - 1}, nil
+	return n
+}
+
+// Reset empties the queue, releasing any elements still buffered, so it
+// can be handed to a new producer/consumer pair. It may only be called
+// when neither endpoint is in use; the caller must also order it before
+// the new endpoints' first operations (a channel hand-off does).
+func (q *SPSC[T]) Reset() {
+	var zero T
+	for i, tail := q.head.Load(), q.tail.Load(); i != tail; i++ {
+		q.buf[i&q.mask] = zero
+	}
+	q.head.Store(0)
+	q.tail.Store(0)
+	q.cachedHead, q.cachedTail = 0, 0
 }
 
 // Push appends v and reports whether there was room (Lamport's producer:

@@ -75,6 +75,56 @@ func TestWraparound(t *testing.T) {
 	}
 }
 
+// TestSPSCReset: a queue reset after its indices wrapped, with elements
+// still buffered, releases them and is an empty FIFO again, full at
+// exactly its capacity.
+func TestSPSCReset(t *testing.T) {
+	q, _ := NewSPSC[*int](4)
+	for i := 0; i < 10; i++ { // wrap the indices past the ring twice
+		v := i
+		if !q.Push(&v) {
+			t.Fatal("unexpected full")
+		}
+		if _, ok := q.Pop(); !ok {
+			t.Fatal("unexpected empty")
+		}
+	}
+	for i := 0; i < 3; i++ {
+		v := i
+		q.Push(&v)
+	}
+	q.Reset()
+	if !q.Empty() || q.Len() != 0 {
+		t.Fatalf("Len = %d after Reset, want 0", q.Len())
+	}
+	for i, p := range q.buf {
+		if p != nil {
+			t.Fatalf("slot %d still references an element after Reset", i)
+		}
+	}
+	if _, ok := q.Pop(); ok {
+		t.Fatal("Pop after Reset returned an element")
+	}
+	vals := []int{10, 11, 12, 13}
+	for i := range vals {
+		if !q.Push(&vals[i]) {
+			t.Fatalf("Push %d after Reset failed", i)
+		}
+	}
+	if q.Push(new(int)) {
+		t.Fatal("Push past capacity after Reset succeeded")
+	}
+	dst := make([]*int, 8)
+	if n := q.PopBatch(dst); n != 4 {
+		t.Fatalf("PopBatch = %d after Reset, want 4", n)
+	}
+	for i := 0; i < 4; i++ {
+		if *dst[i] != vals[i] {
+			t.Fatalf("element %d = %d, want %d", i, *dst[i], vals[i])
+		}
+	}
+}
+
 func TestConcurrentProducerConsumer(t *testing.T) {
 	q, _ := NewSPSC[uint64](64)
 	const n = 20000
