@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench-smoke perf-smoke baseline docs docs-check fuzz-smoke lint vuln clean
+.PHONY: all build test race allocs bench-smoke perf-smoke baseline docs docs-check fuzz-smoke lint vuln clean
 
 all: build test
 
@@ -27,6 +27,12 @@ race:
 		./internal/metrics/ ./internal/adminhttp/ ./internal/wire/ ./internal/fleet/ \
 		./cmd/...
 	$(GO) test -race -count=10 -timeout 5m -run 'Park|Wake|RingsBackToBack' ./internal/monitor/ ./internal/remote/
+
+# The alloc gates (the CI "Alloc gates" step): zero-allocation hot paths
+# and the flat per-run allocations of warm protected and unprotected runs.
+allocs:
+	$(GO) test -run 'ZeroAlloc|AllocsFlat' -v . ./internal/wire/ ./internal/monitor/ \
+		./internal/remote/ ./internal/interp/
 
 # One iteration of every benchmark: catches benchmark-rot without
 # measuring anything.

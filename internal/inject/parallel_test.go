@@ -252,3 +252,24 @@ func TestCampaignRunnerErrorIndexStable(t *testing.T) {
 		}
 	}
 }
+
+// TestCampaignWorkers4FreshModule: a campaign over a freshly compiled
+// module — its golden run decodes the module, then four workers execute
+// the decoded program at once — reaches the sequential campaign's
+// verdicts exactly. Run it under -race; interp's TestConcurrentFirstRuns
+// covers runs that race to decode.
+func TestCampaignWorkers4FreshModule(t *testing.T) {
+	m, plans := compileTest(t)
+	seq, err := Campaign{Module: m, Plans: plans, Threads: 2, Faults: 40, Type: CondBit, Seed: 5, Workers: 1}.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, plans := compileTest(t)
+	par, err := Campaign{Module: fresh, Plans: plans, Threads: 2, Faults: 40, Type: CondBit, Seed: 5, Workers: 4}.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(seq.Tally, par.Tally) || seq.FirstDetected != par.FirstDetected {
+		t.Fatalf("Workers: 4 on a fresh module differs from sequential:\n seq: %+v\n par: %+v", seq.Tally, par.Tally)
+	}
+}

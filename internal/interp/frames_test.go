@@ -7,7 +7,7 @@ import (
 )
 
 // foldKey2 is the reference Key2: the fold of hashCombine over the whole
-// loop-iteration stack, as execBranch computed it per branch before the
+// loop-iteration stack, as the branch path computed it per branch before the
 // prefix hashes.
 func foldKey2(stack []uint64) uint64 {
 	key2 := uint64(0x517cc1b727220a95)

@@ -182,14 +182,13 @@ var (
 
 // machine is the shared run state.
 type machine struct {
-	mod   *ir.Module
+	prog  *program
 	opts  Options
 	cost  *CostModel
 	plans []*core.CheckPlan // checked plans by BranchID; nil elsewhere
 	mon   monitor.Sink
 
 	mem     []Value // global memory image
-	base    []int   // global slot offsets by Global.Index
 	locks   lockSched
 	barrier *simBarrier
 
@@ -245,8 +244,8 @@ func Run(mod *ir.Module, opts Options) (*Result, error) {
 	if opts.Mode != MonitorOff && opts.Plans == nil {
 		return nil, ErrNeedPlans
 	}
-	slave := mod.Func("slave")
-	if slave == nil {
+	prog := decoded(mod)
+	if prog.slave == nil {
 		return nil, errors.New("module has no slave() function")
 	}
 	cost := opts.Cost
@@ -254,15 +253,15 @@ func Run(mod *ir.Module, opts Options) (*Result, error) {
 		cost = DefaultCostModel()
 	}
 	m := &machine{
-		mod:     mod,
+		prog:    prog,
 		opts:    opts,
+		mem:     make([]Value, prog.memSize),
 		cost:    cost,
 		plans:   checkedPlans(opts.Plans),
 		active:  opts.Threads,
 		aborted: make(chan struct{}),
 	}
 	m.locks.init(opts.Threads, cost.LockAcquire)
-	m.layoutGlobals()
 	m.barrier = newSimBarrier(m, opts.Threads, cost.barrierCost(opts.Threads))
 
 	if opts.Sink != nil {
@@ -292,9 +291,9 @@ func Run(mod *ir.Module, opts Options) (*Result, error) {
 
 	// Phase 1: setup, single-threaded, not part of the parallel section.
 	var setupOut []Value
-	if setup := mod.Func("setup"); setup != nil {
+	if prog.setup != nil {
 		t := newThread(m, -1)
-		if _, trap := t.call(setup, nil); trap != nil {
+		if _, trap := t.call(prog.setup, nil, nil); trap != nil {
 			if m.mon != nil {
 				m.mon.Close()
 			}
@@ -312,7 +311,7 @@ func Run(mod *ir.Module, opts Options) (*Result, error) {
 		go func() {
 			defer wg.Done()
 			t := newThread(m, tid)
-			_, trap := t.call(slave, nil)
+			_, trap := t.call(prog.slave, nil, nil)
 			m.releaseAll(t)
 			if trap != nil {
 				res.Traps[tid] = trap
@@ -350,21 +349,6 @@ func Run(mod *ir.Module, opts Options) (*Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// layoutGlobals assigns each global a contiguous slot range in m.mem.
-func (m *machine) layoutGlobals() {
-	m.base = make([]int, len(m.mod.Globals))
-	total := 0
-	for _, g := range m.mod.Globals {
-		m.base[g.Index] = total
-		if g.IsArray {
-			total += int(g.ArrayLen)
-		} else {
-			total++
-		}
-	}
-	m.mem = make([]Value, total)
 }
 
 // threadExited updates liveness accounting and wakes barrier waiters so

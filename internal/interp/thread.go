@@ -33,21 +33,20 @@ type Thread struct {
 	depth     int
 	held      []uint64
 	fr        *frame
-	frames    []*frame // by call depth, reused across calls
-	phiBuf    []Value  // parallel-copy scratch for block-entry phis
+	frames    []*frame      // by call depth, reused across calls
+	phiBuf    []Value       // parallel-copy scratch for the phis of an edge
+	fault     FaultInjector // Options.Fault; nil for the setup context
 
 	// Cached per-run costs.
 	memCost, sendCost int64
 }
 
 // frame is one activation. A thread's frames are reused by every call at
-// the same depth: regs is re-sliced and cleared per call, and args is the
-// argument buffer this frame passes to its callees (the callee's params).
+// the same depth: regs is re-sliced and reset from the callee's template
+// per call.
 type frame struct {
-	fn     *ir.Func
-	regs   []Value
-	params []Value
-	args   []Value
+	fn   *function
+	regs []Value
 }
 
 // loopKeyBase is the Key2 of an empty loop stack.
@@ -66,8 +65,11 @@ func newThread(m *machine, tid int) *Thread {
 	if t.stepLimit == 0 {
 		t.stepLimit = DefaultStepLimit
 	}
-	if m.mon != nil && tid >= 0 {
-		t.sender = m.mon.Sender(tid)
+	if tid >= 0 {
+		t.fault = m.opts.Fault
+		if m.mon != nil {
+			t.sender = m.mon.Sender(tid)
+		}
 	}
 	n := m.opts.Threads
 	if tid < 0 {
@@ -110,13 +112,15 @@ func (t *Thread) CorruptBit(v ir.Value, bit uint) bool {
 		t.fr.regs[x.ID] ^= 1 << bit
 		return true
 	case *ir.Param:
-		t.fr.params[x.Idx] ^= 1 << bit
+		t.fr.regs[t.fr.fn.params+int32(x.Idx)] ^= 1 << bit
 		return true
 	}
 	return false
 }
 
-// val reads an operand.
+// val reads an IR operand in the active frame. Decoded code reads slots;
+// only the fault hook and the signatures of checked branches, whose
+// plans name IR values, come through here.
 func (t *Thread) val(v ir.Value) Value {
 	switch x := v.(type) {
 	case *ir.Instr:
@@ -124,7 +128,7 @@ func (t *Thread) val(v ir.Value) Value {
 	case *ir.Const:
 		return constBits(x)
 	case *ir.Param:
-		return t.fr.params[x.Idx]
+		return t.fr.regs[t.fr.fn.params+int32(x.Idx)]
 	}
 	return 0
 }
@@ -133,10 +137,11 @@ func (t *Thread) trap(kind TrapKind, format string, args ...any) *Trap {
 	return &Trap{Thread: t.tid, Kind: kind, Msg: fmt.Sprintf(format, args...)}
 }
 
-// call executes fn with the given arguments and returns its result. The
-// activation reuses the thread's frame at the new depth; its registers
-// start zeroed, as in a fresh frame.
-func (t *Thread) call(fn *ir.Func, args []Value) (Value, *Trap) {
+// call executes fn with the arguments in the caller's slots args of from
+// and returns its result. The activation reuses the thread's frame at the
+// new depth: its registers start as fn's template, with the arguments
+// written straight into the parameter slots.
+func (t *Thread) call(fn *function, args []int32, from []Value) (Value, *Trap) {
 	if t.depth >= maxCallDepth {
 		return 0, t.trap(TrapStackOverflow, "call depth %d", t.depth)
 	}
@@ -144,108 +149,322 @@ func (t *Thread) call(fn *ir.Func, args []Value) (Value, *Trap) {
 		t.frames = append(t.frames, &frame{})
 	}
 	fr := t.frames[t.depth]
-	n := fn.NumValues()
+	n := len(fn.regs)
 	if cap(fr.regs) < n {
 		fr.regs = make([]Value, n)
-	} else {
-		fr.regs = fr.regs[:n]
-		clear(fr.regs)
 	}
-	fr.fn, fr.params = fn, args
+	fr.regs = fr.regs[:n]
+	copy(fr.regs, fn.regs)
+	params := fr.regs[fn.params:]
+	for i, s := range args {
+		params[i] = from[s]
+	}
+	fr.fn = fn
 	caller := t.fr
 	t.fr = fr
 	t.depth++
-	ret, trap := t.exec(fr)
+	ret, trap := t.exec(fn, fr.regs)
 	t.fr = caller
 	t.depth--
 	return ret, trap
 }
 
-// exec runs the active frame fr from its function's entry block.
-func (t *Thread) exec(fr *frame) (Value, *Trap) {
-	blk := fr.fn.Entry()
-	var prev *ir.Block
-	for {
-		i := 0
-		// Evaluate phis as a parallel copy from the incoming edge.
-		if len(blk.Instrs) > 0 && blk.Instrs[0].Op == ir.OpPhi {
-			predIdx := -1
-			for pi, p := range blk.Preds {
-				if p == prev {
-					predIdx = pi
-					break
-				}
+// enter takes edge e of fn: it runs the target block's phis as a parallel
+// copy and returns the pc the edge lands on.
+func (t *Thread) enter(fn *function, regs []Value, e *edge) (int32, *Trap) {
+	if e.bad {
+		return 0, &Trap{Thread: t.tid, Kind: TrapInternal, Msg: fn.bad[e.pc]}
+	}
+	if e.lo < e.hi {
+		moves := fn.moves[e.lo:e.hi]
+		if e.scratch {
+			vals := t.phiBuf[:0]
+			for _, mv := range moves {
+				vals = append(vals, regs[mv.src])
 			}
-			if predIdx < 0 {
-				return 0, t.trap(TrapInternal, "phi: unknown predecessor in %s", blk.Name())
+			for i, mv := range moves {
+				regs[mv.dst] = vals[i]
 			}
-			phis := t.phiBuf[:0]
-			for _, in := range blk.Instrs {
-				if in.Op != ir.OpPhi {
-					break
-				}
-				phis = append(phis, t.val(in.Args[predIdx]))
+			t.phiBuf = vals
+		} else {
+			for _, mv := range moves {
+				regs[mv.dst] = regs[mv.src]
 			}
-			t.phiBuf = phis
-			n := len(phis)
-			for j, v := range phis {
-				fr.regs[blk.Instrs[j].ID] = v
-				t.sim += t.m.cost.Default
-			}
-			i = n
-			t.steps += uint64(n)
 		}
-		for ; i < len(blk.Instrs); i++ {
-			in := blk.Instrs[i]
-			t.steps++
-			if t.steps > t.stepLimit {
-				return 0, t.trap(TrapStepLimit, "exceeded %d steps", t.stepLimit)
+		n := len(moves)
+		t.sim += int64(n) * t.m.cost.Default
+		t.steps += uint64(n)
+	}
+	return e.pc, nil
+}
+
+// exec runs fn in the active frame, whose register file is regs, from
+// the function's entry.
+func (t *Thread) exec(fn *function, regs []Value) (Value, *Trap) {
+	c := t.m.cost
+	mem, globals := t.m.mem, t.m.prog.globals
+	code := fn.code
+	pc, trap := t.enter(fn, regs, &fn.entry)
+	if trap != nil {
+		return 0, trap
+	}
+	for {
+		in := &code[pc]
+		t.steps++
+		if t.steps > t.stepLimit {
+			return 0, t.trap(TrapStepLimit, "exceeded %d steps", t.stepLimit)
+		}
+		if t.steps&1023 == 0 && t.m.isAborted() {
+			return 0, t.trap(TrapAborted, "machine aborted")
+		}
+		pc++
+		switch in.op {
+		case opAddI:
+			t.sim += c.Default
+			regs[in.dst] = IntVal(AsInt(regs[in.a]) + AsInt(regs[in.b]))
+		case opSubI:
+			t.sim += c.Default
+			regs[in.dst] = IntVal(AsInt(regs[in.a]) - AsInt(regs[in.b]))
+		case opMulI:
+			t.sim += c.Default
+			regs[in.dst] = IntVal(AsInt(regs[in.a]) * AsInt(regs[in.b]))
+		case opDivI:
+			t.sim += c.Default
+			y := AsInt(regs[in.b])
+			if y == 0 {
+				return 0, t.trap(TrapDivZero, "integer division by zero")
 			}
-			if t.steps&1023 == 0 && t.m.isAborted() {
-				return 0, t.trap(TrapAborted, "machine aborted")
+			regs[in.dst] = IntVal(AsInt(regs[in.a]) / y)
+		case opRemI:
+			t.sim += c.Default
+			y := AsInt(regs[in.b])
+			if y == 0 {
+				return 0, t.trap(TrapDivZero, "integer remainder by zero")
 			}
-			switch in.Op {
-			case ir.OpBr:
-				nxt, trap := t.execBranch(in)
-				if trap != nil {
-					return 0, trap
-				}
-				prev, blk = blk, nxt
-			case ir.OpJmp:
-				t.sim += t.m.cost.Default
-				prev, blk = blk, in.Then
-			case ir.OpRet:
-				t.sim += t.m.cost.Default
-				if len(in.Args) == 1 {
-					return t.val(in.Args[0]), nil
-				}
-				return 0, nil
-			default:
-				if trap := t.execInstr(in); trap != nil {
-					return 0, trap
-				}
-				continue
+			regs[in.dst] = IntVal(AsInt(regs[in.a]) % y)
+		case opAddF:
+			t.sim += c.Default
+			regs[in.dst] = FloatVal(AsFloat(regs[in.a]) + AsFloat(regs[in.b]))
+		case opSubF:
+			t.sim += c.Default
+			regs[in.dst] = FloatVal(AsFloat(regs[in.a]) - AsFloat(regs[in.b]))
+		case opMulF:
+			t.sim += c.Default
+			regs[in.dst] = FloatVal(AsFloat(regs[in.a]) * AsFloat(regs[in.b]))
+		case opDivF:
+			t.sim += c.Default
+			regs[in.dst] = FloatVal(AsFloat(regs[in.a]) / AsFloat(regs[in.b])) // IEEE: ±Inf/NaN, no trap
+		case opRemF:
+			t.sim += c.Default
+			regs[in.dst] = FloatVal(0)
+		case opNegI:
+			t.sim += c.Default
+			regs[in.dst] = IntVal(-AsInt(regs[in.a]))
+		case opNegF:
+			t.sim += c.Default
+			regs[in.dst] = FloatVal(-AsFloat(regs[in.a]))
+		case opNot:
+			t.sim += c.Default
+			regs[in.dst] = BoolVal(!AsBool(regs[in.a]))
+		case opEqI:
+			t.sim += c.Default
+			regs[in.dst] = BoolVal(AsInt(regs[in.a]) == AsInt(regs[in.b]))
+		case opNeI:
+			t.sim += c.Default
+			regs[in.dst] = BoolVal(AsInt(regs[in.a]) != AsInt(regs[in.b]))
+		case opLtI:
+			t.sim += c.Default
+			regs[in.dst] = BoolVal(AsInt(regs[in.a]) < AsInt(regs[in.b]))
+		case opLeI:
+			t.sim += c.Default
+			regs[in.dst] = BoolVal(AsInt(regs[in.a]) <= AsInt(regs[in.b]))
+		case opGtI:
+			t.sim += c.Default
+			regs[in.dst] = BoolVal(AsInt(regs[in.a]) > AsInt(regs[in.b]))
+		case opGeI:
+			t.sim += c.Default
+			regs[in.dst] = BoolVal(AsInt(regs[in.a]) >= AsInt(regs[in.b]))
+		case opEqF:
+			t.sim += c.Default
+			regs[in.dst] = BoolVal(AsFloat(regs[in.a]) == AsFloat(regs[in.b]))
+		case opNeF:
+			t.sim += c.Default
+			regs[in.dst] = BoolVal(AsFloat(regs[in.a]) != AsFloat(regs[in.b]))
+		case opLtF:
+			t.sim += c.Default
+			regs[in.dst] = BoolVal(AsFloat(regs[in.a]) < AsFloat(regs[in.b]))
+		case opLeF:
+			t.sim += c.Default
+			regs[in.dst] = BoolVal(AsFloat(regs[in.a]) <= AsFloat(regs[in.b]))
+		case opGtF:
+			t.sim += c.Default
+			regs[in.dst] = BoolVal(AsFloat(regs[in.a]) > AsFloat(regs[in.b]))
+		case opGeF:
+			t.sim += c.Default
+			regs[in.dst] = BoolVal(AsFloat(regs[in.a]) >= AsFloat(regs[in.b]))
+		case opI2F:
+			t.sim += c.Default
+			regs[in.dst] = FloatVal(float64(AsInt(regs[in.a])))
+		case opF2I:
+			t.sim += c.Default
+			f := AsFloat(regs[in.a])
+			if math.IsNaN(f) {
+				f = 0
 			}
-			break // took a terminator
+			f = math.Max(math.Min(f, math.MaxInt64), math.MinInt64)
+			regs[in.dst] = IntVal(int64(f))
+		case opLoad:
+			t.sim += t.memCost
+			// Word-atomic: SPMD threads share globals without locks, and a
+			// faulty thread can race another on the same word.
+			regs[in.dst] = atomic.LoadUint64(&mem[globals[in.aux].base])
+		case opLoadIdx:
+			t.sim += t.memCost
+			addr, trap := t.index(&globals[in.aux], regs[in.a])
+			if trap != nil {
+				return 0, trap
+			}
+			regs[in.dst] = atomic.LoadUint64(&mem[addr])
+		case opStore:
+			t.sim += t.memCost
+			atomic.StoreUint64(&mem[globals[in.aux].base], regs[in.a])
+		case opStoreIdx:
+			t.sim += t.memCost
+			addr, trap := t.index(&globals[in.aux], regs[in.a])
+			if trap != nil {
+				return 0, trap
+			}
+			atomic.StoreUint64(&mem[addr], regs[in.b])
+		case opCall:
+			t.sim += c.Call
+			cs := &fn.calls[in.aux]
+			if cs.fn == nil {
+				return 0, t.trap(TrapInternal, "unknown function %s", fn.src[pc-1].Callee)
+			}
+			savedPath := t.pathHash
+			t.pathHash = hashCombine(t.pathHash, cs.site)
+			ret, trap := t.call(cs.fn, cs.args, regs)
+			t.pathHash = savedPath
+			if trap != nil {
+				return 0, trap
+			}
+			if in.dst >= 0 {
+				regs[in.dst] = ret
+			}
+		case opTid:
+			t.sim += c.Default
+			regs[in.dst] = IntVal(int64(t.tid))
+		case opNthreads:
+			t.sim += c.Default
+			regs[in.dst] = IntVal(int64(t.m.opts.Threads))
+		case opRnd:
+			t.sim += c.Default
+			t.rng = t.rng*6364136223846793005 + 1442695040888963407
+			regs[in.dst] = IntVal(int64(t.rng >> 33))
+		case opAbs:
+			t.sim += c.Default
+			v := AsInt(regs[in.a])
+			if v < 0 {
+				v = -v
+			}
+			regs[in.dst] = IntVal(v)
+		case opMin:
+			t.sim += c.Default
+			regs[in.dst] = IntVal(min(AsInt(regs[in.a]), AsInt(regs[in.b])))
+		case opMax:
+			t.sim += c.Default
+			regs[in.dst] = IntVal(max(AsInt(regs[in.a]), AsInt(regs[in.b])))
+		case opFabs:
+			t.sim += c.MathFn
+			regs[in.dst] = FloatVal(math.Abs(AsFloat(regs[in.a])))
+		case opSqrt:
+			t.sim += c.MathFn
+			regs[in.dst] = FloatVal(math.Sqrt(AsFloat(regs[in.a])))
+		case opSin:
+			t.sim += c.MathFn
+			regs[in.dst] = FloatVal(math.Sin(AsFloat(regs[in.a])))
+		case opCos:
+			t.sim += c.MathFn
+			regs[in.dst] = FloatVal(math.Cos(AsFloat(regs[in.a])))
+		case opExp:
+			t.sim += c.MathFn
+			regs[in.dst] = FloatVal(math.Exp(AsFloat(regs[in.a])))
+		case opLock:
+			t.sim += c.Default
+			if trap := t.m.acquire(t, AsInt(regs[in.a])); trap != nil {
+				return 0, trap
+			}
+		case opUnlock:
+			t.sim += c.Default
+			if trap := t.m.release(t, AsInt(regs[in.a])); trap != nil {
+				return 0, trap
+			}
+		case opBarrier:
+			if t.tid < 0 {
+				return 0, t.trap(TrapInternal, "barrier in setup()")
+			}
+			if t.sender != nil {
+				// Control events flush the Sender's buffer first, so the
+				// batch never crosses the barrier.
+				t.sender.Send(monitor.Event{Kind: monitor.EvFlush, Thread: int32(t.tid)})
+			}
+			if trap := t.m.barrier.wait(t); trap != nil {
+				return 0, trap
+			}
+		case opOutput:
+			t.sim += c.Output
+			t.output = append(t.output, regs[in.a])
+		case opLoopPush:
+			t.sim += c.Default
+			t.loopPush()
+		case opLoopInc:
+			t.sim += c.Default
+			t.loopInc()
+		case opLoopPop:
+			t.sim += c.Default
+			t.loopPop()
+		case opBr:
+			e := in.aux
+			if !t.branch(fn.src[pc-1], in, regs) {
+				e++
+			}
+			if pc, trap = t.enter(fn, regs, &fn.edges[e]); trap != nil {
+				return 0, trap
+			}
+		case opJmp:
+			t.sim += c.Default
+			if pc, trap = t.enter(fn, regs, &fn.edges[in.aux]); trap != nil {
+				return 0, trap
+			}
+		case opRet:
+			t.sim += c.Default
+			return regs[in.a], nil
+		case opRetVoid:
+			t.sim += c.Default
+			return 0, nil
+		case opBad:
+			return 0, &Trap{Thread: t.tid, Kind: TrapInternal, Msg: fn.bad[in.aux]}
 		}
 	}
 }
 
-// execBranch runs the fault hook, sends the monitor event for checked
-// branches, and resolves the target.
-func (t *Thread) execBranch(in *ir.Instr) (*ir.Block, *Trap) {
+// branch runs conditional branch in (IR instruction br): the fault hook,
+// the monitor event when the branch is checked and the trace line. It
+// reports whether the branch is taken.
+func (t *Thread) branch(br *ir.Instr, in *instr, regs []Value) bool {
 	t.branchSeq++
 	t.sim += t.m.cost.Default
 	flip := false
-	if t.m.opts.Fault != nil && t.tid >= 0 {
-		flip = t.m.opts.Fault.BeforeBranch(t, in)
+	if t.fault != nil {
+		flip = t.fault.BeforeBranch(t, br)
 	}
-	taken := AsBool(t.val(in.Args[0]))
+	taken := AsBool(regs[in.a])
 	if flip {
 		taken = !taken
 	}
+	id := int(in.dst)
 	if t.sender != nil {
-		if plan := t.m.checkedPlan(in.BranchID); plan != nil {
+		if plan := t.m.checkedPlan(id); plan != nil {
 			// Single-operand signatures are sent raw so the monitor can
 			// evaluate thread-ID relations exactly; multi-operand
 			// signatures are hashed.
@@ -262,8 +481,8 @@ func (t *Thread) execBranch(in *ir.Instr) (*ir.Block, *Trap) {
 				Kind:     monitor.EvBranch,
 				Taken:    taken,
 				Thread:   int32(t.tid),
-				BranchID: int32(in.BranchID),
-				Key1:     hashCombine(t.pathHash, uint64(in.BranchID)),
+				BranchID: int32(id),
+				Key1:     hashCombine(t.pathHash, uint64(id)),
 				Key2:     t.key2(),
 				Sig:      sig,
 			})
@@ -274,127 +493,10 @@ func (t *Thread) execBranch(in *ir.Instr) (*ir.Block, *Trap) {
 	if t.m.opts.Trace != nil {
 		t.m.traceMu.Lock()
 		fmt.Fprintf(t.m.opts.Trace, "t%d branch#%d seq=%d taken=%t\n",
-			t.tid, in.BranchID, t.branchSeq, taken)
+			t.tid, id, t.branchSeq, taken)
 		t.m.traceMu.Unlock()
 	}
-	if taken {
-		return in.Then, nil
-	}
-	return in.Else, nil
-}
-
-// execInstr executes one non-terminator instruction.
-func (t *Thread) execInstr(in *ir.Instr) *Trap {
-	c := t.m.cost
-	switch in.Op {
-	case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpRem:
-		t.sim += c.Default
-		return t.execArith(in)
-	case ir.OpNeg:
-		t.sim += c.Default
-		if in.Typ == ir.Float {
-			t.fr.regs[in.ID] = FloatVal(-AsFloat(t.val(in.Args[0])))
-		} else {
-			t.fr.regs[in.ID] = IntVal(-AsInt(t.val(in.Args[0])))
-		}
-	case ir.OpNot:
-		t.sim += c.Default
-		t.fr.regs[in.ID] = BoolVal(!AsBool(t.val(in.Args[0])))
-	case ir.OpEq, ir.OpNe, ir.OpLt, ir.OpLe, ir.OpGt, ir.OpGe:
-		t.sim += c.Default
-		return t.execCompare(in)
-	case ir.OpI2F:
-		t.sim += c.Default
-		t.fr.regs[in.ID] = FloatVal(float64(AsInt(t.val(in.Args[0]))))
-	case ir.OpF2I:
-		t.sim += c.Default
-		f := AsFloat(t.val(in.Args[0]))
-		if math.IsNaN(f) {
-			f = 0
-		}
-		f = math.Max(math.Min(f, math.MaxInt64), math.MinInt64)
-		t.fr.regs[in.ID] = IntVal(int64(f))
-	case ir.OpLoad:
-		t.sim += t.memCost
-		addr, trap := t.address(in, in.Args)
-		if trap != nil {
-			return trap
-		}
-		// Word-atomic: SPMD threads share globals without locks, and a
-		// faulty thread can race another on the same word.
-		t.fr.regs[in.ID] = atomic.LoadUint64(&t.m.mem[addr])
-	case ir.OpStore:
-		t.sim += t.memCost
-		var idxArgs []ir.Value
-		val := in.Args[len(in.Args)-1]
-		if in.Global.IsArray {
-			idxArgs = in.Args[:1]
-		}
-		addr, trap := t.address(in, idxArgs)
-		if trap != nil {
-			return trap
-		}
-		atomic.StoreUint64(&t.m.mem[addr], t.val(val))
-	case ir.OpPhi:
-		// Handled at block entry.
-		return t.trap(TrapInternal, "phi executed mid-block")
-	case ir.OpCall:
-		t.sim += c.Call
-		// The callee's params live in this frame's argument buffer, which
-		// no other call can reuse until the callee returns.
-		args := t.fr.args[:0]
-		for _, a := range in.Args {
-			args = append(args, t.val(a))
-		}
-		t.fr.args = args
-		callee := t.m.mod.Func(in.Callee)
-		if callee == nil {
-			return t.trap(TrapInternal, "unknown function %s", in.Callee)
-		}
-		savedPath := t.pathHash
-		t.pathHash = hashCombine(t.pathHash, uint64(in.CallSiteID))
-		ret, trap := t.call(callee, args)
-		t.pathHash = savedPath
-		if trap != nil {
-			return trap
-		}
-		if in.Typ != ir.Void {
-			t.fr.regs[in.ID] = ret
-		}
-	case ir.OpBuiltin:
-		return t.execBuiltin(in)
-	case ir.OpLock:
-		t.sim += c.Default
-		return t.m.acquire(t, AsInt(t.val(in.Args[0])))
-	case ir.OpUnlock:
-		t.sim += c.Default
-		return t.m.release(t, AsInt(t.val(in.Args[0])))
-	case ir.OpBarrier:
-		if t.tid < 0 {
-			return t.trap(TrapInternal, "barrier in setup()")
-		}
-		if t.sender != nil {
-			// Control events flush the Sender's buffer first, so the batch
-			// never crosses the barrier.
-			t.sender.Send(monitor.Event{Kind: monitor.EvFlush, Thread: int32(t.tid)})
-		}
-		return t.m.barrier.wait(t)
-	case ir.OpOutput:
-		t.sim += c.Output
-		t.output = append(t.output, t.val(in.Args[0]))
-	case ir.OpLoopPush:
-		t.sim += c.Default
-		t.loopPush()
-	case ir.OpLoopInc:
-		t.sim += c.Default
-		t.loopInc()
-	case ir.OpLoopPop:
-		t.sim += c.Default
-		t.loopPop()
-	default:
-		return t.trap(TrapInternal, "unhandled op %s", in.Op)
-	}
-	return nil
+	return taken
 }
 
 // The loop-iteration stack and its Key2 prefix hashes move together:
@@ -421,147 +523,11 @@ func (t *Thread) loopPop() {
 // key2 is the current loop-iteration key (the paper's second-level key).
 func (t *Thread) key2() uint64 { return t.loopKeys[len(t.loopKeys)-1] }
 
-func (t *Thread) execArith(in *ir.Instr) *Trap {
-	a, b := t.val(in.Args[0]), t.val(in.Args[1])
-	if in.Typ == ir.Float {
-		x, y := AsFloat(a), AsFloat(b)
-		var r float64
-		switch in.Op {
-		case ir.OpAdd:
-			r = x + y
-		case ir.OpSub:
-			r = x - y
-		case ir.OpMul:
-			r = x * y
-		case ir.OpDiv:
-			r = x / y // IEEE semantics: ±Inf/NaN, no trap
-		}
-		t.fr.regs[in.ID] = FloatVal(r)
-		return nil
+// index bounds-checks an array access and returns its memory slot.
+func (t *Thread) index(g *global, i Value) (int, *Trap) {
+	idx := AsInt(i)
+	if idx < 0 || idx >= g.n {
+		return 0, t.trap(TrapOOB, "%s[%d] out of bounds (len %d)", g.name, idx, g.n)
 	}
-	x, y := AsInt(a), AsInt(b)
-	var r int64
-	switch in.Op {
-	case ir.OpAdd:
-		r = x + y
-	case ir.OpSub:
-		r = x - y
-	case ir.OpMul:
-		r = x * y
-	case ir.OpDiv:
-		if y == 0 {
-			return t.trap(TrapDivZero, "integer division by zero")
-		}
-		r = x / y
-	case ir.OpRem:
-		if y == 0 {
-			return t.trap(TrapDivZero, "integer remainder by zero")
-		}
-		r = x % y
-	}
-	t.fr.regs[in.ID] = IntVal(r)
-	return nil
-}
-
-func (t *Thread) execCompare(in *ir.Instr) *Trap {
-	a, b := t.val(in.Args[0]), t.val(in.Args[1])
-	var res bool
-	if in.Args[0].Type() == ir.Float {
-		x, y := AsFloat(a), AsFloat(b)
-		switch in.Op {
-		case ir.OpEq:
-			res = x == y
-		case ir.OpNe:
-			res = x != y
-		case ir.OpLt:
-			res = x < y
-		case ir.OpLe:
-			res = x <= y
-		case ir.OpGt:
-			res = x > y
-		case ir.OpGe:
-			res = x >= y
-		}
-	} else {
-		x, y := AsInt(a), AsInt(b)
-		switch in.Op {
-		case ir.OpEq:
-			res = x == y
-		case ir.OpNe:
-			res = x != y
-		case ir.OpLt:
-			res = x < y
-		case ir.OpLe:
-			res = x <= y
-		case ir.OpGt:
-			res = x > y
-		case ir.OpGe:
-			res = x >= y
-		}
-	}
-	t.fr.regs[in.ID] = BoolVal(res)
-	return nil
-}
-
-func (t *Thread) execBuiltin(in *ir.Instr) *Trap {
-	c := t.m.cost
-	switch in.Builtin {
-	case "tid":
-		t.sim += c.Default
-		t.fr.regs[in.ID] = IntVal(int64(t.tid))
-	case "nthreads":
-		t.sim += c.Default
-		t.fr.regs[in.ID] = IntVal(int64(t.m.opts.Threads))
-	case "rnd":
-		t.sim += c.Default
-		t.rng = t.rng*6364136223846793005 + 1442695040888963407
-		t.fr.regs[in.ID] = IntVal(int64(t.rng >> 33))
-	case "abs":
-		t.sim += c.Default
-		v := AsInt(t.val(in.Args[0]))
-		if v < 0 {
-			v = -v
-		}
-		t.fr.regs[in.ID] = IntVal(v)
-	case "min":
-		t.sim += c.Default
-		a, b := AsInt(t.val(in.Args[0])), AsInt(t.val(in.Args[1]))
-		t.fr.regs[in.ID] = IntVal(min(a, b))
-	case "max":
-		t.sim += c.Default
-		a, b := AsInt(t.val(in.Args[0])), AsInt(t.val(in.Args[1]))
-		t.fr.regs[in.ID] = IntVal(max(a, b))
-	case "fabs":
-		t.sim += c.MathFn
-		t.fr.regs[in.ID] = FloatVal(math.Abs(AsFloat(t.val(in.Args[0]))))
-	case "sqrt":
-		t.sim += c.MathFn
-		t.fr.regs[in.ID] = FloatVal(math.Sqrt(AsFloat(t.val(in.Args[0]))))
-	case "sin":
-		t.sim += c.MathFn
-		t.fr.regs[in.ID] = FloatVal(math.Sin(AsFloat(t.val(in.Args[0]))))
-	case "cos":
-		t.sim += c.MathFn
-		t.fr.regs[in.ID] = FloatVal(math.Cos(AsFloat(t.val(in.Args[0]))))
-	case "exp":
-		t.sim += c.MathFn
-		t.fr.regs[in.ID] = FloatVal(math.Exp(AsFloat(t.val(in.Args[0]))))
-	default:
-		return t.trap(TrapInternal, "unknown builtin %s", in.Builtin)
-	}
-	return nil
-}
-
-// address computes and bounds-checks the memory slot for a load/store.
-func (t *Thread) address(in *ir.Instr, idxArgs []ir.Value) (int, *Trap) {
-	base := t.m.base[in.Global.Index]
-	if !in.Global.IsArray {
-		return base, nil
-	}
-	idx := AsInt(t.val(idxArgs[0]))
-	if idx < 0 || idx >= in.Global.ArrayLen {
-		return 0, t.trap(TrapOOB, "%s[%d] out of bounds (len %d)",
-			in.Global.GName, idx, in.Global.ArrayLen)
-	}
-	return base + int(idx), nil
+	return g.base + int(idx), nil
 }

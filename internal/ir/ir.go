@@ -10,7 +10,10 @@
 // branch's hash-table key (Section III-B).
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Type is an IR value type.
 type Type int
@@ -333,7 +336,34 @@ type Module struct {
 	NumLoops int
 	// NumCallSites is the number of call-site IDs assigned.
 	NumCallSites int
+
+	// decoded caches the module's executable form; see Decoded.
+	decoded atomic.Pointer[any]
 }
+
+// Decoded returns the executable form cached by StoreDecoded, or nil.
+// Package ir only holds it: the interpreter builds it on a module's first
+// run and reads it on every run.
+func (m *Module) Decoded() any {
+	if p := m.decoded.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// StoreDecoded caches d as the module's executable form unless one is
+// cached already, and returns the cached form: of concurrent first runs
+// that each decoded the module, all execute the first one stored.
+func (m *Module) StoreDecoded(d any) any {
+	if m.decoded.CompareAndSwap(nil, &d) {
+		return d
+	}
+	return *m.decoded.Load()
+}
+
+// DropDecoded discards the cached executable form. A pass that changes a
+// module after lowering calls it, so the next run decodes the new IR.
+func (m *Module) DropDecoded() { m.decoded.Store(nil) }
 
 // Func returns the function with the given name, or nil.
 func (m *Module) Func(name string) *Func {

@@ -9,12 +9,15 @@ import (
 	"blockwatch/internal/queue"
 )
 
-// dropRings empties the process's spare ring set, so a test starts from
+// dropRings empties the process's spare ring sets, so a test starts from
 // freshly allocated queues.
 func dropRings() {
-	select {
-	case <-spareRings:
-	default:
+	for {
+		select {
+		case <-spareRings:
+		default:
+			return
+		}
 	}
 }
 
@@ -190,6 +193,45 @@ func TestRingsKeptAfterUncleanClose(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestRingsTwoSpares: a relay and a monitor that run at once in one
+// process — a remote client and the daemon session it talks to — both
+// hand their queues on, and the next pair takes one set each; a third
+// set closed at the same time is left to the garbage collector.
+func TestRingsTwoSpares(t *testing.T) {
+	dropRings()
+	sinks := ringSinks()
+	sinks = append(sinks, sinks[0])
+	var live []Sink
+	var sets [][]*queue.SPSC[Event]
+	for _, k := range sinks {
+		s, f := k.build(t, false)
+		live = append(live, s)
+		sets = append(sets, slices.Clone(f.queues))
+		s.Start()
+	}
+	for _, s := range live {
+		sendRun(s, 0, 1)
+		s.Close()
+	}
+	if got := len(spareRings); got != 2 {
+		t.Fatalf("%d spare ring sets kept, want 2", got)
+	}
+	var taken [][]*queue.SPSC[Event]
+	for _, k := range sinks[:2] {
+		_, f := k.build(t, false)
+		taken = append(taken, f.queues)
+	}
+	if !slices.Equal(taken[0], sets[0]) || !slices.Equal(taken[1], sets[1]) {
+		t.Fatal("the next relay and monitor did not take the two spare sets")
+	}
+	_, f := sinks[2].build(t, false)
+	for _, set := range sets {
+		if slices.Equal(f.queues, set) {
+			t.Fatal("a third sink took a ring set the spares hold no more")
 		}
 	}
 }

@@ -95,31 +95,36 @@ func (f *frontEnd) initFrontEnd(threads, queueCap int, policy OverflowPolicy, ba
 // DefaultQueueCap it holds up to six threads' queues (640 KiB each).
 const spareRingBytes = 4 << 20
 
-// spareRings holds at most one idle ring set (one queue per thread) for
-// the next Monitor or Relay in the process: a one-slot channel, for the
-// same reasons as the spare table.
-var spareRings = make(chan []*queue.SPSC[Event], 1)
+// spareRings holds up to two idle ring sets (one queue per thread) for
+// the next Monitors or Relays in the process, in a two-slot channel for
+// the same reasons as the spare table: a process that is both a client
+// and a daemon — the remote client's Relay and the daemon session's
+// Monitor — keeps a set for each.
+var spareRings = make(chan []*queue.SPSC[Event], 2)
 
-// takeRings returns the spare ring set, reset, when it has exactly threads
-// queues of capacity capacity; otherwise nil. A spare that does not fit
-// is dropped, so the ring set of the latest configuration is the one
-// kept.
+// takeRings returns a spare ring set, reset, that has exactly threads
+// queues of capacity capacity, or nil. Spares that do not fit are
+// dropped on the way, so the ring sets of the latest configurations are
+// the ones kept.
 func takeRings(threads, capacity int) []*queue.SPSC[Event] {
-	select {
-	case rings := <-spareRings:
-		if len(rings) != threads || rings[0].Cap() != capacity {
+	for range cap(spareRings) {
+		select {
+		case rings := <-spareRings:
+			if len(rings) != threads || rings[0].Cap() != capacity {
+				continue
+			}
+			for _, q := range rings {
+				q.Reset()
+			}
+			return rings
+		default:
 			return nil
 		}
-		for _, q := range rings {
-			q.Reset()
-		}
-		return rings
-	default:
-		return nil
 	}
+	return nil
 }
 
-// recycleRings offers the front end's rings as the process's spare. It
+// recycleRings offers the front end's rings as a spare of the process. It
 // runs in the embedding sink's Close, after the consumer goroutine has
 // exited, never on that goroutine: a producer may still publish after
 // its thread's EvDone was consumed (a daemon session's read loop does,

@@ -23,7 +23,10 @@ type Stats struct {
 }
 
 // Optimize runs the pass pipeline to a fixpoint and returns its stats.
+// It drops the module's decoded form, so the next run executes the
+// optimized IR.
 func Optimize(m *ir.Module) Stats {
+	m.DropDecoded()
 	var st Stats
 	for {
 		st.Passes++
