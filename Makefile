@@ -71,6 +71,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzMonitorEvents -fuzztime=10s ./internal/monitor/
 	$(GO) test -fuzz=FuzzTableDifferential -fuzztime=10s ./internal/monitor/
 	$(GO) test -fuzz=FuzzWireDecode -fuzztime=10s ./internal/wire/
+	$(GO) test -fuzz=FuzzWireRoundTrip -fuzztime=10s ./internal/wire/
 
 # gofmt + vet + staticcheck (when installed; CI always runs it).
 lint:

@@ -52,7 +52,9 @@ func traceCommand() Command {
 			"monitored process exited. record runs the program under the in-process monitor " +
 			"while teeing every event to the trace file; replay feeds the recorded stream " +
 			"through a fresh monitor and reports whether its verdict matches the one sealed " +
-			"into the trace; stat summarizes a trace without checking it.",
+			"into the trace; stat summarizes a trace without checking it. Traces and spools " +
+			"written by builds of wire codec version 1 are refused with an unsupported-version " +
+			"error: record them again with this build.",
 		Sections: []Section{
 			{
 				Name:    "record",

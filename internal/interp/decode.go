@@ -137,6 +137,10 @@ type program struct {
 	setup, slave *function
 	globals      []global // by ir.Global.Index
 	memSize      int
+	// branchFns holds the function of each conditional branch, by
+	// BranchID (module-unique: lowering numbers the branches), so a run
+	// can resolve a checked branch's signature operands to slots.
+	branchFns []*function
 }
 
 // decoded returns mod's program, decoding it on the module's first run.
@@ -168,7 +172,7 @@ func decode(mod *ir.Module) *program {
 		fns[f] = &function{}
 	}
 	for _, f := range mod.Funcs {
-		d := decoder{mod: mod, fns: fns, fn: fns[f], f: f, consts: map[Value]int32{}}
+		d := decoder{p: p, mod: mod, fns: fns, fn: fns[f], f: f, consts: map[Value]int32{}}
 		d.decodeFunc()
 	}
 	p.setup, p.slave = fns[mod.Func("setup")], fns[mod.Func("slave")]
@@ -177,6 +181,7 @@ func decode(mod *ir.Module) *program {
 
 // decoder decodes one function.
 type decoder struct {
+	p         *program
 	mod       *ir.Module
 	fns       map[*ir.Func]*function
 	fn        *function
@@ -387,6 +392,12 @@ func (d *decoder) decodeInstr(b *ir.Block, in *ir.Instr) {
 		}
 	case ir.OpBr:
 		x.op, x.dst, x.a = opBr, int32(in.BranchID), d.slot(in.Args[0])
+		if id := in.BranchID; id >= 0 {
+			if id >= len(d.p.branchFns) {
+				d.p.branchFns = append(d.p.branchFns, make([]*function, id+1-len(d.p.branchFns))...)
+			}
+			d.p.branchFns[id] = d.fn
+		}
 		x.aux = d.edge(b, in.Then)
 		d.edge(b, in.Else)
 	case ir.OpJmp:

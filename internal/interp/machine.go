@@ -182,11 +182,12 @@ var (
 
 // machine is the shared run state.
 type machine struct {
-	prog  *program
-	opts  Options
-	cost  *CostModel
-	plans []*core.CheckPlan // checked plans by BranchID; nil elsewhere
-	mon   monitor.Sink
+	prog   *program
+	opts   Options
+	cost   *CostModel
+	sigs   []sigPlan // checked branches by BranchID; zero elsewhere
+	sigOps []sigOp   // the hashed operands of sigs
+	mon    monitor.Sink
 
 	mem     []Value // global memory image
 	locks   lockSched
@@ -202,31 +203,89 @@ type machine struct {
 
 const numLocks = 64
 
-// checkedPlans indexes the checked plans by BranchID, once per Run, so
-// every executed branch finds its plan with a bounds-checked slice load
-// instead of a map lookup.
-func checkedPlans(plans map[int]*core.CheckPlan) []*core.CheckPlan {
+// sigPlan is a checked branch compiled against its function's register
+// file, once per Run: Thread.branch builds the branch's event from it
+// and the frame's registers, without reading the IR or the plan.
+type sigPlan struct {
+	idMix  uint64 // mix64(BranchID), so Key1 is mix64(pathHash ^ idMix)
+	seed   uint64 // the signature before ops[lo:hi] are hashed into it
+	lo, hi int32  // the branch's hashed operands in machine.sigOps
+	raw    int32  // slot of a single-operand signature, sent raw; -1 when hashed
+	on     bool   // the branch is checked
+}
+
+// sigOp is a hashed signature operand: a register slot, or, when slot is
+// negative, a constant already passed through mix64.
+type sigOp struct {
+	slot  int32
+	mixed uint64
+}
+
+// sigSeed opens every hashed signature.
+const sigSeed = 0x9e3779b97f4a7c15
+
+// compileSigs indexes the checked plans by BranchID and resolves their
+// signature operands to the slots of each branch's function. Single-
+// operand signatures are sent raw so the monitor can evaluate thread-ID
+// relations exactly; the others hash their operands in order from
+// sigSeed, with a leading run of constants folded into the seed.
+func compileSigs(prog *program, plans map[int]*core.CheckPlan) ([]sigPlan, []sigOp) {
 	n := 0
 	for id, p := range plans {
 		if p != nil && p.Checked() && id >= n {
 			n = id + 1
 		}
 	}
-	dense := make([]*core.CheckPlan, n)
+	sigs := make([]sigPlan, n)
+	var ops []sigOp
 	for id, p := range plans {
-		if p != nil && p.Checked() && id >= 0 {
-			dense[id] = p
+		if p == nil || !p.Checked() || id < 0 || id >= len(prog.branchFns) || prog.branchFns[id] == nil {
+			continue // unchecked, or a branch the program does not have
 		}
+		fn := prog.branchFns[id]
+		sp := sigPlan{idMix: mix64(uint64(id)), raw: -1, on: true}
+		args := p.SigArgs
+		if len(args) == 1 {
+			if slot, c := fn.operand(args[0]); slot >= 0 {
+				sp.raw = slot
+			} else {
+				sp.seed = c
+			}
+		} else {
+			sp.seed = sigSeed
+			for len(args) > 0 {
+				slot, c := fn.operand(args[0])
+				if slot >= 0 {
+					break
+				}
+				sp.seed = hashCombine(sp.seed, c)
+				args = args[1:]
+			}
+			sp.lo = int32(len(ops))
+			for _, a := range args {
+				slot, c := fn.operand(a)
+				ops = append(ops, sigOp{slot: slot, mixed: mix64(c)})
+			}
+			sp.hi = int32(len(ops))
+		}
+		sigs[id] = sp
 	}
-	return dense
+	return sigs, ops
 }
 
-// checkedPlan returns branch id's plan when the branch is checked, or nil.
-func (m *machine) checkedPlan(id int) *core.CheckPlan {
-	if uint(id) < uint(len(m.plans)) {
-		return m.plans[id]
+// operand resolves an IR operand of fn to its register slot, or to a
+// negative slot and its constant value. Operands that are neither
+// values nor parameters read as constants, as the decoder's slots do.
+func (fn *function) operand(v ir.Value) (slot int32, c Value) {
+	switch x := v.(type) {
+	case *ir.Instr:
+		return int32(x.ID), 0
+	case *ir.Param:
+		return fn.params + int32(x.Idx), 0
+	case *ir.Const:
+		return -1, constBits(x)
 	}
-	return nil
+	return -1, 0
 }
 
 // Run executes the module's SPMD program: setup() once, then
@@ -257,10 +316,10 @@ func Run(mod *ir.Module, opts Options) (*Result, error) {
 		opts:    opts,
 		mem:     make([]Value, prog.memSize),
 		cost:    cost,
-		plans:   checkedPlans(opts.Plans),
 		active:  opts.Threads,
 		aborted: make(chan struct{}),
 	}
+	m.sigs, m.sigOps = compileSigs(prog, opts.Plans)
 	m.locks.init(opts.Threads, cost.LockAcquire)
 	m.barrier = newSimBarrier(m, opts.Threads, cost.barrierCost(opts.Threads))
 

@@ -118,9 +118,9 @@ func (t *Thread) CorruptBit(v ir.Value, bit uint) bool {
 	return false
 }
 
-// val reads an IR operand in the active frame. Decoded code reads slots;
-// only the fault hook and the signatures of checked branches, whose
-// plans name IR values, come through here.
+// val reads an IR operand in the active frame. Decoded code and checked
+// branches read slots; only the fault hook, which names IR values, comes
+// through here.
 func (t *Thread) val(v ir.Value) Value {
 	switch x := v.(type) {
 	case *ir.Instr:
@@ -463,18 +463,18 @@ func (t *Thread) branch(br *ir.Instr, in *instr, regs []Value) bool {
 		taken = !taken
 	}
 	id := int(in.dst)
-	if t.sender != nil {
-		if plan := t.m.checkedPlan(id); plan != nil {
-			// Single-operand signatures are sent raw so the monitor can
-			// evaluate thread-ID relations exactly; multi-operand
-			// signatures are hashed.
-			var sig uint64
-			if len(plan.SigArgs) == 1 {
-				sig = t.val(plan.SigArgs[0])
+	if t.sender != nil && uint(id) < uint(len(t.m.sigs)) {
+		if sp := &t.m.sigs[id]; sp.on {
+			sig := sp.seed
+			if sp.raw >= 0 {
+				sig = regs[sp.raw]
 			} else {
-				sig = 0x9e3779b97f4a7c15
-				for _, sv := range plan.SigArgs {
-					sig = hashCombine(sig, t.val(sv))
+				for _, op := range t.m.sigOps[sp.lo:sp.hi] {
+					v := op.mixed
+					if op.slot >= 0 {
+						v = mix64(regs[op.slot])
+					}
+					sig = mix64(sig ^ v)
 				}
 			}
 			t.sender.Send(monitor.Event{
@@ -482,7 +482,7 @@ func (t *Thread) branch(br *ir.Instr, in *instr, regs []Value) bool {
 				Taken:    taken,
 				Thread:   int32(t.tid),
 				BranchID: int32(id),
-				Key1:     hashCombine(t.pathHash, uint64(id)),
+				Key1:     mix64(t.pathHash ^ sp.idMix),
 				Key2:     t.key2(),
 				Sig:      sig,
 			})

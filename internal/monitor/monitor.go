@@ -128,6 +128,9 @@ type Monitor struct {
 	doneThreads  []bool   // per-thread EvDone processed
 	flushedGens  uint64
 	doneCount    int
+	// uncounted holds the branch events processed since the last add to
+	// events: the atomic is bumped once per drained batch, not per event.
+	uncounted uint64
 
 	// Consumer-side batching (monitor-goroutine-private): per-thread
 	// buffers of dequeued-but-unprocessed events. A PopBatch may land
@@ -241,6 +244,7 @@ func (m *Monitor) Close() {
 func (m *Monitor) closeUnstarted() {
 	defer func() {
 		if r := recover(); r != nil {
+			m.countEvents()
 			m.panics.Add(1)
 			m.health.Store(int32(Failed))
 			m.discardAll()
@@ -264,6 +268,7 @@ func (m *Monitor) loop() {
 	defer close(m.done)
 	defer func() {
 		if r := recover(); r != nil {
+			m.countEvents()
 			m.panics.Add(1)
 			m.health.Store(int32(Failed))
 			m.failsafe()
@@ -366,9 +371,19 @@ func (m *Monitor) drainSlot(tid int, q *queue.SPSC[Event]) bool {
 			// a local copy here would heap-allocate every event.
 			m.cfg.EventTap(&m.pending[tid][idx])
 		}
-		m.process(tid, m.pending[tid][idx])
+		m.process(tid, &m.pending[tid][idx])
 	}
+	m.countEvents()
 	return progress
+}
+
+// countEvents publishes the branch events processed since the last call
+// to Stats.
+func (m *Monitor) countEvents() {
+	if m.uncounted != 0 {
+		m.events.Add(m.uncounted)
+		m.uncounted = 0
+	}
 }
 
 // buffered returns the number of dequeued-but-unprocessed events parked in
@@ -546,7 +561,7 @@ func (m *Monitor) discardAll() bool {
 // (unknown kind, mismatched or out-of-range thread, post-done stragglers,
 // stale force-closed-generation leftovers) are quarantined: counted,
 // reported through Health, and skipped.
-func (m *Monitor) process(slot int, ev Event) {
+func (m *Monitor) process(slot int, ev *Event) {
 	switch ev.Kind {
 	case EvFlush:
 		if int(ev.Thread) != slot || m.doneThreads[slot] {
@@ -577,7 +592,7 @@ func (m *Monitor) process(slot int, ev Event) {
 			m.quarantine(1) // corrupted-in-queue thread ID
 			return
 		}
-		m.events.Add(1)
+		m.uncounted++
 		if m.cfg.CheckingDisabled {
 			return
 		}
@@ -619,7 +634,7 @@ func (m *Monitor) maybeFlushGeneration() {
 // binding persists across generations: Key1 identifies the static branch,
 // so its check plan never changes. An existing instance carries the
 // binding, so the common case is one level-2 probe.
-func (m *Monitor) insert(ev Event) {
+func (m *Monitor) insert(ev *Event) {
 	t := m.tab
 	i, slot := t.find(ev.Key1, ev.Key2)
 	var plan *core.CheckPlan

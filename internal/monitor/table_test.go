@@ -233,7 +233,7 @@ func runOps(threads, maxInst int, ops []diffOp) (map[string]int, error) {
 			continue
 		}
 		slots, live := len(m.tab.index), len(m.tab.entries)
-		m.process(op.slot, op.ev)
+		m.process(op.slot, &op.ev)
 		ref.process(op.slot, op.ev)
 		if len(m.tab.index) > slots && live > 0 {
 			ref.seen["growth"]++

@@ -11,6 +11,13 @@ var ErrBadCapacity = errors.New("queue capacity must be at least 1")
 // SPSC is a bounded lock-free single-producer/single-consumer FIFO.
 // Exactly one goroutine may call Push/PushBatch and exactly one may call
 // Pop/PopBatch; each endpoint may freely mix its scalar and batch forms.
+//
+// PopBatch does not clear the slots it pops: a popped element stays in
+// the ring, and keeps whatever it references reachable, until a later
+// push overwrites it (Reset clears only the elements still buffered).
+// The monitor's events hold no pointers, and skipping the store saves
+// the consumer a write to every slot it pops, on lines the producer
+// writes next. Pop clears its slot; use it for elements with pointers.
 type SPSC[T any] struct {
 	buf        []T
 	mask       uint64
@@ -43,7 +50,7 @@ func RoundCap(capacity int) int {
 	return n
 }
 
-// Reset empties the queue, releasing any elements still buffered, so it
+// Reset empties the queue, clearing the elements still buffered, so it
 // can be handed to a new producer/consumer pair. It may only be called
 // when neither endpoint is in use; the caller must also order it before
 // the new endpoints' first operations (a channel hand-off does).
@@ -122,7 +129,6 @@ func (q *SPSC[T]) PopBatch(dst []T) int {
 	if len(dst) == 0 {
 		return 0
 	}
-	var zero T
 	head := q.head.Load()
 	avail := q.cachedTail - head
 	if avail < uint64(len(dst)) {
@@ -134,9 +140,7 @@ func (q *SPSC[T]) PopBatch(dst []T) int {
 		n = avail
 	}
 	for i := uint64(0); i < n; i++ {
-		slot := (head + i) & q.mask
-		dst[i] = q.buf[slot]
-		q.buf[slot] = zero // release references for GC
+		dst[i] = q.buf[(head+i)&q.mask]
 	}
 	if n > 0 {
 		q.head.Store(head + n)

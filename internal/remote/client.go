@@ -34,6 +34,7 @@ import (
 	"math/rand"
 	"net"
 	"strings"
+	"sync"
 	"time"
 
 	"blockwatch/internal/core"
@@ -299,6 +300,7 @@ type Client struct {
 	sel       Selector // nil = reconnect disabled (NewClient over a given conn)
 	addr      string   // address of the live (or most recent) connection
 	conn      net.Conn
+	codec     *codec // c.wr and the finish reader, from codecPool
 	wr        *wire.Writer
 	connected bool
 	dirty     bool // frames buffered in wr, not yet flushed to the conn
@@ -491,6 +493,25 @@ func (c *Client) Close() {
 	if c.conn != nil {
 		c.conn.Close()
 	}
+	if c.codec != nil {
+		c.codec.wr.Reset(nil)
+		c.codec.rd.Reset(nil)
+		codecPool.Put(c.codec)
+		c.codec, c.wr = nil, nil
+	}
+}
+
+// codec is a connection's frame writer and result reader, each with a
+// 32 KiB buffer. A session is often only a few milliseconds long, so the
+// codecs of closed clients are pooled for the next connection instead of
+// being garbage every session.
+type codec struct {
+	wr *wire.Writer
+	rd *wire.Reader
+}
+
+var codecPool = sync.Pool{
+	New: func() any { return &codec{wr: wire.NewWriter(nil), rd: wire.NewReader(nil)} },
 }
 
 // SealedSpool returns the path of the sealed, `bwtrace replay`-able
@@ -505,7 +526,11 @@ func (c *Client) Reconnects() int { return c.reconnects }
 // adopt installs conn as the live connection.
 func (c *Client) adopt(conn net.Conn) {
 	c.conn = conn
-	c.wr = wire.NewWriter(conn)
+	if c.codec == nil {
+		c.codec = codecPool.Get().(*codec)
+	}
+	c.wr = c.codec.wr
+	c.wr.Reset(conn)
 	c.wr.InstrumentTx(c.cfg.Metrics)
 	c.connected = true
 	c.dirty = false
@@ -959,7 +984,8 @@ func (c *Client) finishOnce() (*wire.Result, error) {
 	}
 	c.dirty = false
 	_ = c.conn.SetReadDeadline(time.Now().Add(c.cfg.ResultTimeout))
-	rd := wire.NewReader(c.conn)
+	rd := c.codec.rd
+	rd.Reset(c.conn)
 	rd.InstrumentRx(c.cfg.Metrics)
 	for {
 		f, err := rd.ReadFrame()

@@ -1,11 +1,13 @@
 package remote
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,6 +18,7 @@ import (
 	"blockwatch/internal/ir"
 	"blockwatch/internal/monitor"
 	"blockwatch/internal/splash"
+	"blockwatch/internal/wire"
 )
 
 const testThreads = 4
@@ -376,6 +379,41 @@ func TestServerRejectsAbsurdThreadCount(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("rejection not logged; log lines: %q", lines)
+	}
+}
+
+// TestServerRefusesVersion1: a version-1 client's hello is answered with
+// a reject frame that names the codec version, and no session starts.
+func TestServerRefusesVersion1(t *testing.T) {
+	addr, srv := startServer(t, ServerConfig{})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// A version-1 hello: the hello layout is unchanged since version 1.
+	var hello []byte
+	hello = binary.LittleEndian.AppendUint32(hello, wire.Magic)
+	hello = binary.AppendUvarint(hello, 1) // version
+	hello = binary.AppendUvarint(hello, 3) // len("old")
+	hello = append(hello, "old"...)        // program
+	hello = binary.AppendUvarint(hello, 2) // threads
+	hello = binary.AppendUvarint(hello, 0) // plans
+	if _, err := conn.Write(rawFrame(wire.FrameHello, hello)); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	f, err := wire.NewReader(conn).ReadFrame()
+	if err != nil {
+		t.Fatalf("reading the server's answer: %v", err)
+	}
+	if f.Type != wire.FrameReject || !strings.Contains(f.Reject, "version") {
+		t.Fatalf("server answered frame type 0x%02x %q, want a reject naming the version", f.Type, f.Reject)
+	}
+	conn.Close()
+	srv.Close()
+	if n := srv.Sessions(); n != 1 {
+		t.Errorf("Sessions() = %d after the refused hello, want 1 (counted, never started)", n)
 	}
 }
 

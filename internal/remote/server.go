@@ -192,7 +192,9 @@ func (s *Server) Serve(ln net.Listener) error {
 			return err
 		}
 		s.mu.Lock()
-		if s.closed {
+		if s.closed || s.draining {
+			// A connection accepted as Drain closed the listener: Drain
+			// may already be waiting on wg, so it must not be added.
 			s.mu.Unlock()
 			conn.Close()
 			return ErrServerClosed
@@ -289,11 +291,16 @@ func (s *Server) Draining() bool {
 // connection.
 func (s *Server) reject(conn net.Conn, live int) {
 	defer conn.Close()
+	s.refuse(conn, fmt.Sprintf("daemon at capacity (%d sessions, -maxconns %d)", live, s.cfg.MaxConns))
+}
+
+// refuse writes a reject frame carrying reason, bounded by the write
+// timeout; the caller closes the connection.
+func (s *Server) refuse(conn net.Conn, reason string) {
 	if wt := s.writeTimeout(); wt > 0 {
 		_ = conn.SetWriteDeadline(time.Now().Add(wt))
 	}
 	wr := wire.NewWriter(conn)
-	reason := fmt.Sprintf("daemon at capacity (%d sessions, -maxconns %d)", live, s.cfg.MaxConns)
 	if err := wr.WriteReject(reason); err == nil {
 		err = wr.Sync()
 		if err != nil {
@@ -336,18 +343,20 @@ func (s *Server) logf(format string, args ...any) {
 // nothing.
 type sessionScratch struct {
 	rd      *wire.Reader
+	wr      *wire.Writer // the result frame's writer
 	frame   wire.Frame
 	senders []monitor.Sender
 }
 
 var scratchPool = sync.Pool{
-	New: func() any { return &sessionScratch{rd: wire.NewReader(nil)} },
+	New: func() any { return &sessionScratch{rd: wire.NewReader(nil), wr: wire.NewWriter(nil)} },
 }
 
 // release unpins session-lifetime objects (connection, monitor, hello)
 // and returns the scratch — buffers intact — to the pool.
 func (sc *sessionScratch) release() {
 	sc.rd.Reset(nil)
+	sc.wr.Reset(nil)
 	sc.frame = wire.Frame{Events: sc.frame.Events[:0]}
 	for i := range sc.senders {
 		sc.senders[i].Unbind()
@@ -400,6 +409,12 @@ func (s *Server) handle(conn net.Conn) {
 	}
 	armRead()
 	if err := rd.ReadFrameInto(&sc.frame); err != nil {
+		if errors.Is(err, wire.ErrVersion) {
+			// A peer of another codec version: tell it why instead of
+			// just hanging up.
+			s.refuse(conn, err.Error())
+			return
+		}
 		s.logf("session rejected: reading hello: %v", err)
 		return
 	}
@@ -490,7 +505,8 @@ func (s *Server) handle(conn net.Conn) {
 			if wt := s.writeTimeout(); wt > 0 {
 				_ = conn.SetWriteDeadline(time.Now().Add(wt))
 			}
-			wr := wire.NewWriter(conn)
+			wr := sc.wr
+			wr.Reset(conn)
 			if err := wr.WriteResult(res); err == nil {
 				err = wr.Sync()
 				if err != nil {

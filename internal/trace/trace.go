@@ -226,6 +226,9 @@ func readHeader(rd *wire.Reader) (*wire.Hello, error) {
 		case io.ErrUnexpectedEOF:
 			return nil, errors.New("trace: file truncated inside the header frame (recording died while writing the header)")
 		}
+		if errors.Is(err, wire.ErrVersion) {
+			return nil, fmt.Errorf("trace: recorded by an incompatible build (%w); record it again with this one", err)
+		}
 		return nil, fmt.Errorf("trace header: %w", err)
 	}
 	if f.Type != wire.FrameHello {

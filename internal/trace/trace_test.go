@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"reflect"
 	"strings"
 	"testing"
@@ -284,6 +286,40 @@ func TestReplayRejectsGarbage(t *testing.T) {
 	}
 	if _, err := Stat(bytes.NewReader(nil)); err == nil {
 		t.Error("empty input accepted as a trace")
+	}
+}
+
+// v1Hello returns a hello frame as a version-1 build wrote it: version 2
+// left the hello's layout as it was, so it is today's hello with the
+// version field set to 1 and the CRC recomputed.
+func v1Hello(t testing.TB) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := wire.NewWriter(&buf)
+	if err := w.WriteHello(&wire.Hello{Version: wire.Version, Program: "old", Threads: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	b := buf.Bytes()
+	b[5+4] = 1 // the version varint follows the 5-byte frame header and the magic
+	tab := crc32.MakeTable(crc32.Castagnoli)
+	crc := crc32.Update(crc32.Checksum(b[:1], tab), tab, b[5:len(b)-4])
+	binary.LittleEndian.PutUint32(b[len(b)-4:], crc)
+	return b
+}
+
+// TestReplayRefusesVersion1: a trace recorded by a version-1 build is
+// refused with ErrVersion and a message naming the cause, never decoded
+// with the wrong record layout.
+func TestReplayRefusesVersion1(t *testing.T) {
+	_, err := Replay(bytes.NewReader(v1Hello(t)), ReplayConfig{})
+	if !errors.Is(err, wire.ErrVersion) || !strings.Contains(err.Error(), "incompatible build") {
+		t.Fatalf("Replay(v1 trace) error = %v, want ErrVersion naming an incompatible build", err)
+	}
+	if _, err := Stat(bytes.NewReader(v1Hello(t))); !errors.Is(err, wire.ErrVersion) {
+		t.Fatalf("Stat(v1 trace) error = %v, want ErrVersion", err)
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -43,6 +45,9 @@ func TestDecodeZeroLengthPayload(t *testing.T) {
 		t.Fatalf("trailing read: %v, want io.EOF", err)
 	}
 }
+
+// uvarintLen returns the encoded size of v as an unsigned varint.
+func uvarintLen(v uint64) int { return len(binary.AppendUvarint(nil, v)) }
 
 // rejectFramePayloadLen returns the encoded payload size of a reject
 // frame whose reason has n bytes (uvarint length prefix + the bytes).
@@ -148,6 +153,85 @@ func TestEventsSizeMatchesEncoding(t *testing.T) {
 				t.Errorf("slot/count prefix %d exceeds EventsFrameOverhead %d", prefix, EventsFrameOverhead)
 			}
 		})
+	}
+}
+
+// randomEvents returns n branch events for slot with random keys and
+// signatures; about one in four carries a mislabeled thread.
+func randomEvents(rng *rand.Rand, slot, n int) []monitor.Event {
+	evs := make([]monitor.Event, n)
+	for i := range evs {
+		evs[i] = monitor.Event{
+			Kind:     monitor.EvBranch,
+			Thread:   int32(slot),
+			BranchID: int32(rng.Uint32()),
+			Key1:     rng.Uint64(),
+			Key2:     rng.Uint64() >> uint(rng.Intn(64)),
+			Sig:      rng.Uint64(),
+			Taken:    rng.Intn(2) == 0,
+		}
+		if rng.Intn(4) == 0 {
+			evs[i].Thread = int32(rng.Uint32())
+		}
+	}
+	return evs
+}
+
+// encodeEventsPayload returns the payload of the FrameEvents WriteEvents
+// encodes for slot and evs.
+func encodeEventsPayload(t testing.TB, slot int, evs []monitor.Event) []byte {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	if err := w.WriteEvents(slot, evs); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()[5 : buf.Len()-4]
+}
+
+// TestEventsSizeProperty: over random batches, mislabeled-thread events
+// included, EventsSize is exactly the encoded payload after the slot and
+// count prefix.
+func TestEventsSizeProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 500; i++ {
+		slot := rng.Intn(64)
+		evs := randomEvents(rng, slot, rng.Intn(100))
+		payload := encodeEventsPayload(t, slot, evs)
+		prefix := uvarintLen(uint64(slot)) + uvarintLen(uint64(len(evs)))
+		if got, want := EventsSize(slot, evs), len(payload)-prefix; got != want {
+			t.Fatalf("batch %d (slot %d, %d events): EventsSize = %d, encoded %d", i, slot, len(evs), got, want)
+		}
+	}
+}
+
+// TestEventsShortPayload: an events payload cut anywhere inside its
+// records, or one whose count claims more records than fit, is refused
+// with errShort, never a panic or a partial frame.
+func TestEventsShortPayload(t *testing.T) {
+	const slot = 3
+	evs := randomEvents(rand.New(rand.NewSource(2)), slot, 6)
+	evs[1].Thread, evs[4].Thread = slot+1, -1 // records with the thread field
+	payload := encodeEventsPayload(t, slot, evs)
+	prefix := uvarintLen(slot) + uvarintLen(uint64(len(evs)))
+	var r Reader
+	var f Frame
+	if err := r.decodeInto(&f, FrameEvents, payload); err != nil || !slices.Equal(f.Events, evs) {
+		t.Fatalf("whole payload: %v", err)
+	}
+	for n := prefix; n < len(payload); n++ {
+		if err := r.decodeInto(&f, FrameEvents, payload[:n]); err != errShort {
+			t.Fatalf("payload cut to %d of %d bytes: err %v, want errShort", n, len(payload), err)
+		}
+	}
+	for _, count := range []uint64{uint64(len(evs)) + 1, 1 << 40} {
+		over := binary.AppendUvarint(binary.AppendUvarint(nil, slot), count)
+		over = append(over, payload[prefix:]...)
+		if err := r.decodeInto(&f, FrameEvents, over); err != errShort {
+			t.Fatalf("count %d over %d records: err %v, want errShort", count, len(evs), err)
+		}
 	}
 }
 

@@ -5,10 +5,11 @@
 //
 //	frame := type(1) | payloadLen(u32 LE) | payload | crc32c(u32 LE)
 //
-// where the CRC covers the type byte and the payload. Payload interiors
-// use varints (unsigned for keys and counts, zigzag for the signed
-// thread/branch identifiers), so a typical branch event costs a handful
-// of bytes instead of Event's 40.
+// where the CRC covers the type byte and the payload. A branch event is
+// a fixed-width record of 29 bytes instead of Event's 40 (see
+// WriteEvents): its keys and signature are random 64-bit hashes, which
+// varints would not shrink. The other frames' fields are varints
+// (unsigned for counts, zigzag for signed identifiers).
 //
 // The frame vocabulary mirrors the monitor's event model: a stream opens
 // with a Hello frame (magic, version, thread count, and the check-plan

@@ -2,10 +2,13 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"reflect"
 	"slices"
 	"testing"
+
+	"blockwatch/internal/monitor"
 )
 
 // FuzzWireDecode pins the codec's totality: arbitrary bytes — including
@@ -72,6 +75,54 @@ func FuzzWireDecode(f *testing.F) {
 			default:
 				t.Fatalf("decoder accepted unknown frame type 0x%02x", fr.Type)
 			}
+		}
+	})
+}
+
+// FuzzWireRoundTrip pins the events codec's exactness: arbitrary branch
+// events, mislabeled threads included, encode and decode back to the same
+// events, and EventsSize predicts the encoded size. data is cut into
+// 33-byte chunks: a flags byte (bit 0 taken, bit 1 mislabeled), then the
+// thread, branch ID, Key1, Key2 and Sig.
+func FuzzWireRoundTrip(f *testing.F) {
+	f.Add(uint16(0), []byte{})
+	f.Add(uint16(2), bytes.Repeat([]byte{0xff}, 3*33))
+	f.Add(uint16(7), bytes.Repeat([]byte{0x02, 0x80, 0x00}, 33))
+	f.Fuzz(func(t *testing.T, slot uint16, data []byte) {
+		var evs []monitor.Event
+		for ; len(data) >= 33; data = data[33:] {
+			ev := monitor.Event{
+				Kind:     monitor.EvBranch,
+				Taken:    data[0]&1 != 0,
+				Thread:   int32(slot),
+				BranchID: int32(binary.LittleEndian.Uint32(data[5:])),
+				Key1:     binary.LittleEndian.Uint64(data[9:]),
+				Key2:     binary.LittleEndian.Uint64(data[17:]),
+				Sig:      binary.LittleEndian.Uint64(data[25:]),
+			}
+			if data[0]&2 != 0 {
+				ev.Thread = int32(binary.LittleEndian.Uint32(data[1:]))
+			}
+			evs = append(evs, ev)
+		}
+		var buf bytes.Buffer
+		w := NewWriter(&buf)
+		if err := w.WriteEvents(int(slot), evs); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		prefix := uvarintLen(uint64(slot)) + uvarintLen(uint64(len(evs)))
+		if got, want := EventsSize(int(slot), evs), buf.Len()-5-4-prefix; got != want {
+			t.Fatalf("EventsSize = %d, encoded %d", got, want)
+		}
+		var fr Frame
+		if err := NewReader(&buf).ReadFrameInto(&fr); err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		if fr.Type != FrameEvents || fr.Slot != int(slot) || !slices.Equal(fr.Events, evs) {
+			t.Fatalf("round trip changed the frame:\n got slot %d %+v\nwant slot %d %+v", fr.Slot, fr.Events, slot, evs)
 		}
 	})
 }

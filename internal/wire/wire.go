@@ -7,7 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math/bits"
+	"slices"
 	"sort"
 	"time"
 
@@ -21,8 +21,9 @@ import (
 const Magic uint32 = 0x42574d31
 
 // Version is the codec version emitted by this package. Decoders accept
-// exactly this version; bumping it is a wire break.
-const Version = 1
+// exactly this version; bumping it is a wire break. Version 2 replaced
+// version 1's varint branch-event fields with fixed-width records.
+const Version = 2
 
 // Frame types.
 const (
@@ -145,6 +146,12 @@ func (r *Result) Detected() bool { return len(r.Violations) > 0 }
 type Writer struct {
 	w   *bufio.Writer
 	buf []byte
+	// hdr and tail are per-frame header/CRC scratch, kept here for the
+	// reason Reader keeps its own: a frame larger than the bufio buffer
+	// passes them to the underlying writer's interface, so stack arrays
+	// would escape.
+	hdr  [5]byte
+	tail [4]byte
 	// Metric handles (nil when detached): frames/bytes encoded and
 	// per-frame encode time. frame() is the single encode choke point.
 	metFrames   *metrics.Counter
@@ -172,6 +179,9 @@ func (w *Writer) Instrument(frames, bytes *metrics.Counter, encodeNs *metrics.Hi
 // the trace recorder share these names — both encode the same stream.
 func (w *Writer) InstrumentTx(r *metrics.Registry) {
 	if r == nil {
+		// Detach explicitly: a pooled writer must not keep counting into
+		// a previous owner's registry.
+		w.Instrument(nil, nil, nil)
 		return
 	}
 	w.Instrument(
@@ -182,6 +192,11 @@ func (w *Writer) InstrumentTx(r *metrics.Registry) {
 	)
 }
 
+// Reset discards any unflushed output and switches the writer to dst,
+// keeping its buffers (and any attached metric handles). It is the
+// pooling hook, as Reader.Reset is.
+func (w *Writer) Reset(dst io.Writer) { w.w.Reset(dst) }
+
 // Sync flushes buffered frames to the underlying writer.
 func (w *Writer) Sync() error { return w.w.Flush() }
 
@@ -190,10 +205,10 @@ func (w *Writer) frame(typ byte) error {
 	if w.metEncodeNs != nil {
 		t0 = time.Now()
 	}
-	var hdr [5]byte
+	hdr, tail := w.hdr[:], w.tail[:]
 	hdr[0] = typ
 	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(w.buf)))
-	if _, err := w.w.Write(hdr[:]); err != nil {
+	if _, err := w.w.Write(hdr); err != nil {
 		return err
 	}
 	if _, err := w.w.Write(w.buf); err != nil {
@@ -201,9 +216,8 @@ func (w *Writer) frame(typ byte) error {
 	}
 	crc := crc32.Update(0, castagnoli, hdr[:1])
 	crc = crc32.Update(crc, castagnoli, w.buf)
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], crc)
-	if _, err := w.w.Write(tail[:]); err != nil {
+	binary.LittleEndian.PutUint32(tail, crc)
+	if _, err := w.w.Write(tail); err != nil {
 		return err
 	}
 	w.metFrames.Inc()
@@ -249,6 +263,18 @@ const (
 	evHasThread = 1 << 1 // payload thread differs from the frame's slot
 )
 
+// Branch events travel as fixed-width little-endian records:
+//
+//	flags(1) | [thread int32, only with evHasThread] | branchID int32 | Key1 u64 | Key2 u64 | Sig u64
+//
+// Keys and hashed signatures are uniformly random 64-bit values, which a
+// varint would spend 9-10 bytes and as many loop steps on; a fixed field
+// is both smaller and a single load or store.
+const (
+	eventRecord = 1 + 4 + 3*8 // bytes of a record without the thread field
+	eventThread = 4           // extra bytes of a record with it
+)
+
 // WriteEvents encodes one thread's batch of branch events. slot is the
 // producing thread's queue index; an event whose payload Thread field
 // differs from slot (possible only under corruption) is encoded
@@ -258,47 +284,42 @@ func (w *Writer) WriteEvents(slot int, evs []monitor.Event) error {
 	w.buf = w.buf[:0]
 	w.u64(uint64(slot))
 	w.u64(uint64(len(evs)))
+	off := len(w.buf)
+	n := EventsSize(slot, evs)
+	w.buf = slices.Grow(w.buf, n)[:off+n]
+	b := w.buf[off:]
 	for i := range evs {
 		ev := &evs[i]
 		var flags byte
 		if ev.Taken {
 			flags |= evTaken
 		}
+		b[0] = flags
 		if int(ev.Thread) != slot {
-			flags |= evHasThread
+			b[0] |= evHasThread
+			binary.LittleEndian.PutUint32(b[1:], uint32(ev.Thread))
+			b = b[eventThread:] // the record's fixed fields follow the thread
 		}
-		w.byte(flags)
-		if flags&evHasThread != 0 {
-			w.i64(int64(ev.Thread))
-		}
-		w.i64(int64(ev.BranchID))
-		w.u64(ev.Key1)
-		w.u64(ev.Key2)
-		w.u64(ev.Sig)
+		r := b[1:eventRecord]
+		binary.LittleEndian.PutUint32(r, uint32(ev.BranchID))
+		binary.LittleEndian.PutUint64(r[4:], ev.Key1)
+		binary.LittleEndian.PutUint64(r[12:], ev.Key2)
+		binary.LittleEndian.PutUint64(r[20:], ev.Sig)
+		b = b[eventRecord:]
 	}
 	return w.frame(FrameEvents)
 }
-
-// uvarintLen returns the encoded size of v as an unsigned varint.
-func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
-
-// varintLen returns the encoded size of v as a zigzag varint.
-func varintLen(v int64) int { return uvarintLen(uint64(v)<<1 ^ uint64(v>>63)) }
 
 // EventsSize returns the payload bytes the events would occupy inside a
 // FrameEvents for slot, excluding the frame's slot/count prefix. The
 // remote client's frame coalescer uses it to stay under its byte budget
 // (and under MaxPayload) without encoding speculatively.
 func EventsSize(slot int, evs []monitor.Event) int {
-	n := 0
+	n := eventRecord * len(evs)
 	for i := range evs {
-		ev := &evs[i]
-		n++ // flags
-		if int(ev.Thread) != slot {
-			n += varintLen(int64(ev.Thread))
+		if int(evs[i].Thread) != slot {
+			n += eventThread
 		}
-		n += varintLen(int64(ev.BranchID))
-		n += uvarintLen(ev.Key1) + uvarintLen(ev.Key2) + uvarintLen(ev.Sig)
 	}
 	return n
 }
@@ -531,28 +552,36 @@ func (r *Reader) decodeInto(f *Frame, typ byte, payload []byte) error {
 		if d.err != nil {
 			return d.err
 		}
-		// Each encoded event is at least 5 bytes, so count is bounded by
-		// the payload size; a corrupt count cannot force a huge allocation.
-		if count > uint64(len(payload)) {
-			return fmt.Errorf("wire: events count %d exceeds payload", count)
+		rest := payload[d.off:]
+		// A count whose records cannot fit is refused before anything is
+		// decoded, so a corrupt count cannot force a huge allocation.
+		if count > uint64(len(rest)/eventRecord) {
+			return errShort
 		}
 		f.Slot = int(slot)
-		for i := uint64(0); i < count; i++ {
-			flags := d.byte()
-			ev := monitor.Event{Kind: monitor.EvBranch, Thread: int32(slot)}
-			ev.Taken = flags&evTaken != 0
+		evs := slices.Grow(f.Events, int(count))[:count]
+		for i := range evs {
+			if len(rest) < eventRecord {
+				return errShort
+			}
+			flags := rest[0]
+			ev := monitor.Event{Kind: monitor.EvBranch, Thread: int32(slot), Taken: flags&evTaken != 0}
 			if flags&evHasThread != 0 {
-				ev.Thread = int32(d.i64())
+				if len(rest) < eventRecord+eventThread {
+					return errShort
+				}
+				ev.Thread = int32(binary.LittleEndian.Uint32(rest[1:]))
+				rest = rest[eventThread:]
 			}
-			ev.BranchID = int32(d.i64())
-			ev.Key1 = d.u64()
-			ev.Key2 = d.u64()
-			ev.Sig = d.u64()
-			if d.err != nil {
-				return d.err
-			}
-			f.Events = append(f.Events, ev)
+			r := rest[1:eventRecord]
+			ev.BranchID = int32(binary.LittleEndian.Uint32(r))
+			ev.Key1 = binary.LittleEndian.Uint64(r[4:])
+			ev.Key2 = binary.LittleEndian.Uint64(r[12:])
+			ev.Sig = binary.LittleEndian.Uint64(r[20:])
+			evs[i] = ev
+			rest = rest[eventRecord:]
 		}
+		f.Events = evs
 	case FrameFlush, FrameDone:
 		f.Slot = int(d.u64())
 		f.Thread = int32(d.i64())

@@ -9,6 +9,7 @@ import (
 
 	"blockwatch/internal/core"
 	"blockwatch/internal/ir"
+	"blockwatch/internal/metrics"
 	"blockwatch/internal/monitor"
 )
 
@@ -304,5 +305,43 @@ func TestEmptyEventsFrame(t *testing.T) {
 	f, err := NewReader(bytes.NewReader(buf.Bytes())).ReadFrame()
 	if err != nil || f.Slot != 3 || len(f.Events) != 0 {
 		t.Fatalf("empty events frame: %v %+v", err, f)
+	}
+}
+
+// TestWriterReset: a pooled writer switched to a new destination drops
+// the previous owner's unflushed output, and InstrumentTx(nil) stops it
+// counting into the previous owner's registry.
+func TestWriterReset(t *testing.T) {
+	reg := metrics.NewRegistry()
+	var first, second bytes.Buffer
+	w := NewWriter(&first)
+	w.InstrumentTx(reg)
+	if err := w.WriteEvents(1, testEvents(1)); err != nil { // left unflushed
+		t.Fatal(err)
+	}
+	frames := reg.Counter("bw_wire_frames_total", "")
+	if frames.Value() != 1 {
+		t.Fatalf("frames counted = %d, want 1", frames.Value())
+	}
+	w.Reset(&second)
+	w.InstrumentTx(nil)
+	if err := w.WriteFinish(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if first.Len() != 0 {
+		t.Errorf("the first destination got %d bytes after Reset", first.Len())
+	}
+	if frames.Value() != 1 {
+		t.Errorf("a detached writer still counts: frames = %d, want 1", frames.Value())
+	}
+	r := NewReader(&second)
+	if f, err := r.ReadFrame(); err != nil || f.Type != FrameFinish {
+		t.Fatalf("second destination: %v %+v, want just a finish frame", err, f)
+	}
+	if _, err := r.ReadFrame(); err != io.EOF {
+		t.Fatalf("second destination holds more than the finish frame: %v", err)
 	}
 }
