@@ -13,9 +13,13 @@ build:
 
 # bwperf/ is its own module (the repo benchmark), so the root ./... never
 # compiles it; vet and test it explicitly so an API change cannot break
-# the benchmark unseen.
+# the benchmark unseen. The pinned interpreter outputs are also checked at
+# GOMAXPROCS 1, 2 and 8 (the CI "Determinism across GOMAXPROCS" step):
+# barrier waiters spin only when every thread has a processor.
 test:
 	$(GO) test ./...
+	$(GO) test -count=1 -cpu 1,2,8 -run 'TestGoldenDigest|TestSimTimeDeterministic' \
+		./internal/interp/ ./internal/splash/
 	cd bwperf && $(GO) vet ./... && $(GO) test ./...
 
 # The concurrency-sensitive packages under the race detector — the same
@@ -26,7 +30,8 @@ race:
 		./internal/interp/ ./internal/remote/ ./internal/spool/ ./internal/trace/ \
 		./internal/metrics/ ./internal/adminhttp/ ./internal/wire/ ./internal/fleet/ \
 		./cmd/...
-	$(GO) test -race -count=10 -timeout 5m -run 'Park|Wake|RingsBackToBack' ./internal/monitor/ ./internal/remote/
+	$(GO) test -race -count=10 -timeout 5m -run 'Park|Wake|RingsBackToBack|WindowUnderRace' \
+		./internal/queue/ ./internal/monitor/ ./internal/remote/
 
 # The alloc gates (the CI "Alloc gates" step): zero-allocation hot paths
 # and the flat per-run allocations of warm protected and unprotected runs.

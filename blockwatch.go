@@ -363,6 +363,11 @@ type RunResult struct {
 	// `bwtrace replay <SealedTrace>` reproduces it offline. Empty when
 	// the verdict arrived normally.
 	SealedTrace string
+	// MonitorError says why a Remote run got no daemon verdict: the
+	// daemon's reason when it refused the session (at capacity, another
+	// codec version), else the transport error. Empty when the verdict
+	// arrived.
+	MonitorError string
 }
 
 // plans returns the check plans of rep, analyzing with defaults when rep
@@ -500,6 +505,9 @@ func (p *Program) Run(opts RunOptions) (*RunResult, error) {
 		// interp.Run closed the sink, so the session is settled.
 		out.RemoteReconnects = remoteClient.Reconnects()
 		out.SealedTrace = remoteClient.SealedSpool()
+		if err := remoteClient.Err(); err != nil {
+			out.MonitorError = err.Error()
+		}
 	}
 	for _, v := range res.Violations {
 		out.Violations = append(out.Violations, v.String())

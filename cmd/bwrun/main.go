@@ -161,6 +161,9 @@ func run(args []string, stdout, stderr io.Writer) (*blockwatch.RunResult, error)
 		fmt.Fprintf(stdout, "monitor health: %s (dropped=%d quarantined=%d watchdog-fires=%d)\n",
 			res.Health, res.DroppedEvents, res.QuarantinedEvents, res.WatchdogFires)
 	}
+	if res.MonitorError != "" {
+		fmt.Fprintf(stdout, "monitor error: %s\n", res.MonitorError)
+	}
 	if res.RemoteReconnects > 0 {
 		fmt.Fprintf(stdout, "remote monitor reconnected %d time(s)\n", res.RemoteReconnects)
 	}

@@ -111,6 +111,38 @@ func TestRunRemoteAgainstDaemon(t *testing.T) {
 	}
 }
 
+// TestRunRemoteRejectReason: a daemon at its session limit refuses the
+// run; bwrun's output names the daemon's reason, not just a degraded
+// health line.
+func TestRunRemoteRejectReason(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := remote.NewServer(remote.ServerConfig{MaxConns: 1})
+	go srv.Serve(ln)
+	defer srv.Close()
+	hog, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hog.Close()
+
+	spool := filepath.Join(t.TempDir(), "run.spool")
+	var out, errb bytes.Buffer
+	_, err = run([]string{"-bench", "fft", "-threads", "2",
+		"-remote", ln.Addr().String(), "-spool", spool, "-q"}, &out, &errb)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if !strings.Contains(out.String(), "monitor health: degraded") {
+		t.Errorf("refused run not degraded:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "monitor error: remote monitor: session rejected: daemon at capacity") {
+		t.Errorf("refused run does not name the daemon's reason:\n%s", out.String())
+	}
+}
+
 // TestRunRemoteRetryAndSpool: the self-healing flags against a healthy
 // daemon — run clean, spool consumed (removed after the verdict), no
 // sealed-trace hint printed.

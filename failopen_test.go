@@ -51,6 +51,31 @@ func TestKernelsCleanUnderOverflowPolicies(t *testing.T) {
 	}
 }
 
+// TestKernelsNeverHitProbeCap: the instance table caps its probes so that
+// keys crafted to collide cost a bounded amount each; honest keys must
+// never reach the cap. Every bundled kernel, fault-free and protected at
+// several thread counts: no probe-cap close, nothing quarantined.
+func TestKernelsNeverHitProbeCap(t *testing.T) {
+	for _, bench := range Benchmarks() {
+		prog, err := LoadBenchmark(bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, threads := range []int{2, 4, 32} {
+			reg := NewMetricsRegistry()
+			res, err := prog.Run(RunOptions{Threads: threads, Protect: true, Metrics: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			closes, _ := reg.Snapshot().Counter("bw_monitor_probe_closes_total")
+			if closes != 0 || res.QuarantinedEvents != 0 || res.Health != "healthy" {
+				t.Errorf("%s at %d threads: %d probe-cap closes, %d quarantined, health %s; want 0, 0, healthy",
+					bench, threads, closes, res.QuarantinedEvents, res.Health)
+			}
+		}
+	}
+}
+
 // TestRunWithWatchdogStaysHealthy checks the facade wiring of the stall
 // watchdog: an ordinary run with a generous deadline must complete with the
 // watchdog never firing.

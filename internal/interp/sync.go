@@ -1,6 +1,10 @@
 package interp
 
-import "sync"
+import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+)
 
 // simBarrier is a reusable N-thread barrier that also synchronizes the
 // simulated clocks: all participants leave at
@@ -9,9 +13,20 @@ import "sync"
 // complete; the barrier detects this and aborts the machine (the run is
 // then classified as a hang, as it would be on real hardware after a
 // watchdog timeout).
+//
+// A waiter first spins a bounded number of yielding rounds on released
+// before it parks on the condition variable, but only when every
+// participant can hold a processor of its own (need <= GOMAXPROCS):
+// waking a parked goroutine costs a scheduler hand-off that, on an idle
+// virtual CPU, takes far longer than a typical barrier wait. With more
+// threads than processors a spinner would only take a processor from the
+// thread it is waiting for.
 type simBarrier struct {
 	m    *machine
 	cost int64
+	spin bool
+
+	released atomic.Uint64 // gen, stored at each release: what spinners watch
 
 	mu         sync.Mutex
 	cond       *sync.Cond
@@ -22,8 +37,13 @@ type simBarrier struct {
 	releaseSim int64
 }
 
+// barrierSpins bounds a waiter's yielding rounds before it parks. A round
+// is one runtime.Gosched, a few hundred nanoseconds when the other
+// processors are busy running the peers.
+const barrierSpins = 100
+
 func newSimBarrier(m *machine, need int, cost int64) *simBarrier {
-	b := &simBarrier{m: m, need: need, cost: cost}
+	b := &simBarrier{m: m, need: need, cost: cost, spin: need <= runtime.GOMAXPROCS(0)}
 	b.cond = sync.NewCond(&b.mu)
 	return b
 }
@@ -46,7 +66,14 @@ func (b *simBarrier) wait(t *Thread) *Trap {
 		b.gen++
 		t.sim = b.releaseSim
 		b.m.locks.leaveBarrier(b.releaseSim)
+		b.released.Store(b.gen)
 		b.cond.Broadcast()
+		return nil
+	}
+	if b.spin && b.spinWait(gen) {
+		// releaseSim was written before released; it cannot change again
+		// until t itself arrives at the next barrier.
+		t.sim = b.releaseSim
 		return nil
 	}
 	for b.gen == gen {
@@ -62,6 +89,24 @@ func (b *simBarrier) wait(t *Thread) *Trap {
 	}
 	t.sim = b.releaseSim
 	return nil
+}
+
+// spinWait spins on released, without b.mu, until generation gen is
+// released or the round budget runs out; it returns with b.mu held again
+// and reports whether the release came. A peer that traps or exits is
+// noticed after the spin: the caller's wait loop runs the abort and
+// deadlock checks under b.mu before it parks, and threadGone broadcasts
+// under b.mu, so no wake-up is lost.
+func (b *simBarrier) spinWait(gen uint64) bool {
+	b.mu.Unlock()
+	defer b.mu.Lock()
+	for range barrierSpins {
+		if b.released.Load() != gen {
+			return true
+		}
+		runtime.Gosched()
+	}
+	return false
 }
 
 // deadlockedLocked reports whether the barrier is unfillable: fewer live

@@ -10,8 +10,7 @@ import (
 // timestamp guard on the handle so time.Now is never called detached.
 //
 // Counting is per-batch where it matters: events and batch sizes are
-// recorded at the PopBatch refill point (one update per drained batch,
-// not per event), which is what keeps the instrumented hot path within
+// recorded once per drained batch (not per event), which is what keeps the instrumented hot path within
 // the <3% throughput budget.
 
 // monMetrics is the monitor's handle set (zero value = detached). The
@@ -20,13 +19,14 @@ import (
 // bw_monitor_parks_total.
 type monMetrics struct {
 	frontEndMetrics
-	events     *metrics.Counter   // bw_monitor_events_total
-	batches    *metrics.Counter   // bw_monitor_batches_total
-	flushes    *metrics.Counter   // bw_monitor_flushes_total
-	batchSize  *metrics.Histogram // bw_monitor_batch_size
-	genCloseNs *metrics.Histogram // bw_monitor_gen_close_ns
-	mergeNs    *metrics.Histogram // bw_monitor_merge_ns
-	queueHWM   *metrics.Gauge     // bw_monitor_queue_depth_hwm
+	events      *metrics.Counter   // bw_monitor_events_total
+	batches     *metrics.Counter   // bw_monitor_batches_total
+	flushes     *metrics.Counter   // bw_monitor_flushes_total
+	batchSize   *metrics.Histogram // bw_monitor_batch_size
+	genCloseNs  *metrics.Histogram // bw_monitor_gen_close_ns
+	mergeNs     *metrics.Histogram // bw_monitor_merge_ns
+	queueHWM    *metrics.Gauge     // bw_monitor_queue_depth_hwm
+	probeCloses *metrics.Counter   // bw_monitor_probe_closes_total
 }
 
 // batchSizeBounds covers 1..drainBatch (256) in powers of two; flush
@@ -55,11 +55,11 @@ func newMonMetrics(r *metrics.Registry) monMetrics {
 		events: r.Counter("bw_monitor_events_total",
 			"events (branch and control) drained from the front-end queues"),
 		batches: r.Counter("bw_monitor_batches_total",
-			"PopBatch refills performed by the monitor drain loop"),
+			"in-place batches drained by the monitor loop"),
 		flushes: r.Counter("bw_monitor_flushes_total",
 			"barrier-generation flushes (including forced and overflow closes)"),
 		batchSize: r.Histogram("bw_monitor_batch_size",
-			"events per PopBatch refill", batchSizeBounds),
+			"events per drained batch", batchSizeBounds),
 		genCloseNs: r.Histogram("bw_monitor_gen_close_ns",
 			"latency of closing one barrier generation, ns",
 			metrics.ExpBuckets(1000, 4, 10)),
@@ -68,6 +68,8 @@ func newMonMetrics(r *metrics.Registry) monMetrics {
 			metrics.ExpBuckets(250, 4, 10)),
 		queueHWM: r.Gauge("bw_monitor_queue_depth_hwm",
 			"per-thread front-end queue depth high-water mark"),
+		probeCloses: r.Counter("bw_monitor_probe_closes_total",
+			"generations closed early because an instance-index probe passed its cap (colliding keys)"),
 	}
 }
 

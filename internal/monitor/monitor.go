@@ -19,8 +19,8 @@ import (
 // sets "a sufficiently large value to prevent it from being a bottleneck".
 const DefaultQueueCap = 1 << 14
 
-// drainBatch bounds both the consumer-side PopBatch size and the number of
-// events one queue may contribute per scheduling round (fairness).
+// drainBatch bounds the number of events one queue may contribute per
+// drain round (fairness), and so the length of one in-place Peek.
 const drainBatch = 256
 
 // Config configures a Monitor.
@@ -110,8 +110,8 @@ type ViolationSummary struct {
 // The steady-state ingest path is allocation-free: the two-level instance
 // table (table.go) is a flat index over dense entries plus a report arena,
 // reset at each generation close by bumping an epoch and truncating, and
-// the consumer drains each queue in batches into reusable per-thread
-// buffers. After its final close the monitor hands its table to the next
+// the consumer checks each event in place in its thread's ring. After its
+// final close the monitor hands its table to the next
 // monitor in the process (one spare, not a sync.Pool; see spare), and a
 // clean Close hands on its queues the same way (see recycleRings), so a
 // sequence of runs does not reallocate either.
@@ -131,13 +131,6 @@ type Monitor struct {
 	// uncounted holds the branch events processed since the last add to
 	// events: the atomic is bumped once per drained batch, not per event.
 	uncounted uint64
-
-	// Consumer-side batching (monitor-goroutine-private): per-thread
-	// buffers of dequeued-but-unprocessed events. A PopBatch may land
-	// events beyond a gating flush; the remainder waits here until the
-	// generation closes, preserving the per-queue gate semantics.
-	pending    [][]Event
-	pendingPos []int
 
 	// genViolations buffers the current generation's violations; they are
 	// sorted into canonical (Key1, Key2) order and published at every
@@ -193,17 +186,12 @@ func New(cfg Config) (*Monitor, error) {
 		maxInstances: maxInst,
 		flushCount:   make([]uint64, cfg.NumThreads),
 		doneThreads:  make([]bool, cfg.NumThreads),
-		pending:      make([][]Event, cfg.NumThreads),
-		pendingPos:   make([]int, cfg.NumThreads),
 		stop:         make(chan struct{}),
 		done:         make(chan struct{}),
 	}
 	err := m.initFrontEnd(cfg.NumThreads, cfg.QueueCap, cfg.Overflow, cfg.SenderBatch, m.met.frontEndMetrics)
 	if err != nil {
 		return nil, err
-	}
-	for i := range m.pending {
-		m.pending[i] = make([]Event, 0, drainBatch)
 	}
 	m.tab = takeTable(cfg.NumThreads)
 	return m, nil
@@ -256,9 +244,9 @@ func (m *Monitor) closeUnstarted() {
 
 // loop drains the per-thread queues round-robin without taking locks on
 // the hot path (paper design goal 3), checking instances as they complete.
-// When a round finds nothing to drain it spins briefly, then parks until a
-// Sender publishes (frontEnd.idleWait): the paper's monitor thread polls, this
-// one gives its core back to the program while the queues are quiet. An
+// When a round finds nothing to drain it parks until a Sender publishes
+// (frontEnd.idleWait): the paper's monitor thread polls, this one gives
+// its core back to the program while the queues are quiet. An
 // armed watchdog with work pending bounds the park by the remaining
 // StallDeadline, so it still fires on a parked monitor.
 // A panic anywhere in event processing is recovered into the Failed state:
@@ -291,7 +279,6 @@ func (m *Monitor) loop() {
 			return
 		}
 		if !idle {
-			m.busy()
 			if armed {
 				lastProgress = m.now()
 			}
@@ -323,58 +310,54 @@ func (m *Monitor) loop() {
 	}
 }
 
-// drainable reports whether an ungated thread has queued or buffered
-// events, i.e. whether a drain round could make progress now. It is the
-// monitor's recheck before it parks.
+// drainable reports whether an ungated thread has queued events, i.e.
+// whether a drain round could make progress now. It is the monitor's
+// recheck before it parks.
 func (m *Monitor) drainable() bool {
 	for tid, q := range m.queues {
-		if !m.gated(tid) && (!q.Empty() || m.buffered(tid) > 0) {
+		if !m.gated(tid) && !q.Empty() {
 			return true
 		}
 	}
 	return false
 }
 
-// drainSlot processes thread tid's buffered remainder and batch-refills
-// from its queue, until the thread gates, the queue runs dry, or the
-// per-round fairness cap is hit. Reports whether any event was processed.
-// A thread that has flushed past the current generation is gated: its
+// drainSlot checks up to drainBatch of thread tid's events in place in its
+// ring, until the thread gates or the peeked run ends, and releases only
+// the events it processed. Reports whether any event was processed. A
+// thread that has flushed past the current generation is gated: its
 // post-barrier events must not be mixed with other threads' pre-barrier
-// events (per-queue FIFO plus this gate give generation-consistent
-// processing).
+// events, so they stay in its ring until the generation closes
+// (per-queue FIFO plus this gate give generation-consistent processing).
 func (m *Monitor) drainSlot(tid int, q *queue.SPSC[Event]) bool {
-	progress := false
-	for n := 0; n < drainBatch && !m.gated(tid); n++ {
-		if m.pendingPos[tid] == len(m.pending[tid]) {
-			buf := m.pending[tid][:drainBatch]
-			popped := q.PopBatch(buf)
-			if popped == 0 {
-				break
-			}
-			m.pending[tid] = buf[:popped]
-			m.pendingPos[tid] = 0
-			// Per-batch (not per-event) metric updates keep the
-			// instrumented drain within the throughput budget; the depth
-			// high-water guard avoids q.Len()'s atomic loads when detached.
-			m.met.events.Add(uint64(popped))
-			m.met.batches.Inc()
-			m.met.batchSize.Observe(int64(popped))
-			if m.met.queueHWM != nil {
-				m.met.queueHWM.SetMax(int64(popped + q.Len()))
-			}
-		}
-		idx := m.pendingPos[tid]
-		m.pendingPos[tid]++
-		progress = true
-		if m.cfg.EventTap != nil {
-			// Tap in place inside the pending buffer: taking the address of
-			// a local copy here would heap-allocate every event.
-			m.cfg.EventTap(&m.pending[tid][idx])
-		}
-		m.process(tid, &m.pending[tid][idx])
+	if m.gated(tid) {
+		return false
 	}
+	evs := q.Peek(drainBatch)
+	if len(evs) == 0 {
+		return false
+	}
+	n := 0
+	for n < len(evs) && !m.gated(tid) {
+		ev := &evs[n]
+		n++
+		if m.cfg.EventTap != nil {
+			m.cfg.EventTap(ev)
+		}
+		m.process(tid, ev)
+	}
+	// Per-batch (not per-event) metric updates keep the instrumented
+	// drain within the throughput budget; the depth high-water guard
+	// avoids q.Len()'s atomic loads when detached.
+	m.met.events.Add(uint64(n))
+	m.met.batches.Inc()
+	m.met.batchSize.Observe(int64(n))
+	if m.met.queueHWM != nil {
+		m.met.queueHWM.SetMax(int64(q.Len()))
+	}
+	q.Release(n)
 	m.countEvents()
-	return progress
+	return true
 }
 
 // countEvents publishes the branch events processed since the last call
@@ -386,21 +369,15 @@ func (m *Monitor) countEvents() {
 	}
 }
 
-// buffered returns the number of dequeued-but-unprocessed events parked in
-// thread tid's pending buffer.
-func (m *Monitor) buffered(tid int) int {
-	return len(m.pending[tid]) - m.pendingPos[tid]
-}
-
 // stalled reports whether the monitor is idle with work it cannot finish
-// by itself: instances awaiting reports, or a gated thread's queue or
-// buffer backlog. Without pending work the watchdog has nothing to force.
+// by itself: instances awaiting reports, or a gated thread's queue
+// backlog. Without pending work the watchdog has nothing to force.
 // An ungated thread with events is never a stall: it published after the
 // last drain pass, and the next pass makes progress.
 func (m *Monitor) stalled() bool {
 	stuck := len(m.tab.entries) > 0
 	for tid, q := range m.queues {
-		if q.Empty() && m.buffered(tid) == 0 {
+		if q.Empty() {
 			continue
 		}
 		if !m.gated(tid) {
@@ -432,9 +409,10 @@ const (
 	// pre-barrier reports are never mixed into the new generation.
 	closeForced
 	// closeOverflow: the table hit MaxInstances inside one generation
-	// (runaway faulty loop); the table is checked and cleared for bounded
-	// memory, but the generation counter does NOT advance — producers'
-	// barrier positions are unaffected.
+	// (runaway faulty loop), or an index probe passed maxProbe (colliding
+	// keys); the table is checked and cleared for bounded memory and
+	// probe cost, but the generation counter does NOT advance —
+	// producers' barrier positions are unaffected.
 	closeOverflow
 	// closeFinal: end of the run; the final pending check, not counted as
 	// a flush.
@@ -476,6 +454,7 @@ func (m *Monitor) closeGeneration(reason closeReason) {
 // spare. A panic in the check skips the hand-off: a Failed monitor's table
 // may be corrupt.
 func (m *Monitor) finish() {
+	m.countEvents()
 	m.closeGeneration(closeFinal)
 	releaseTable(m.tab)
 	m.tab = nil
@@ -491,7 +470,7 @@ func (m *Monitor) drainAll() {
 			if m.drainSlot(tid, q) {
 				progress = true
 			}
-			if !q.Empty() || m.buffered(tid) > 0 {
+			if !q.Empty() {
 				backlog = true
 			}
 		}
@@ -513,9 +492,7 @@ func (m *Monitor) drainAll() {
 // gating no longer applies, and exits when Close signals stop.
 func (m *Monitor) failsafe() {
 	for {
-		if m.discardAll() {
-			m.busy()
-		}
+		m.discardAll()
 		select {
 		case <-m.stop:
 			m.discardAll()
@@ -526,31 +503,16 @@ func (m *Monitor) failsafe() {
 	}
 }
 
-// discardAll pops and quarantines every queued or buffered event without
-// touching the (possibly corrupt) table state. Reports whether it
-// discarded anything.
-func (m *Monitor) discardAll() bool {
-	discarded := false
-	for tid, q := range m.queues {
-		if n := m.buffered(tid); n > 0 {
-			m.quarantine(n)
-			discarded = true
-			m.pending[tid] = m.pending[tid][:0]
-			m.pendingPos[tid] = 0
+// discardAll releases and quarantines every queued event without
+// touching the (possibly corrupt) table state. A panic leaves the batch
+// it interrupted unreleased, so its events are quarantined here too.
+func (m *Monitor) discardAll() {
+	for _, q := range m.queues {
+		for evs := q.Peek(q.Cap()); len(evs) > 0; evs = q.Peek(q.Cap()) {
+			m.quarantine(len(evs))
+			q.Release(len(evs))
 		}
-		for {
-			buf := m.pending[tid][:drainBatch]
-			n := q.PopBatch(buf)
-			if n == 0 {
-				break
-			}
-			m.quarantine(n)
-			discarded = true
-		}
-		m.pending[tid] = m.pending[tid][:0]
-		m.pendingPos[tid] = 0
 	}
-	return discarded
 }
 
 // process handles one dequeued event. slot is the queue the event was
@@ -667,14 +629,21 @@ func (m *Monitor) insert(ev *Event) {
 		if !plan.Checked() {
 			return
 		}
-		t.bind(ev.Key1, plan)
+		if !t.bind(ev.Key1, plan) {
+			m.quarantine(1) // a Key1 crafted into a full binding cluster
+			return
+		}
 	}
 	if i < 0 {
-		if len(t.entries) >= m.maxInstances {
-			// Table flooded (runaway faulty loop): behave like a forced
-			// generation flush so memory stays bounded. The Key1 binding
-			// survives the reset — trusting the established Key1→plan
-			// binding, never the corruptible BranchID field.
+		if len(t.entries) >= m.maxInstances || slot == probeCapped {
+			// Table flooded (runaway faulty loop), or a probe passed
+			// maxProbe (keys crafted to collide): behave like a forced
+			// generation flush so memory and probe cost stay bounded. The
+			// Key1 binding survives the reset — trusting the established
+			// Key1→plan binding, never the corruptible BranchID field.
+			if slot == probeCapped {
+				m.met.probeCloses.Inc()
+			}
 			m.closeGeneration(closeOverflow)
 			slot = -1
 		}

@@ -33,8 +33,9 @@ type Relay struct {
 	cfg RelayConfig
 	met relayMetrics
 
-	mu      sync.Mutex
-	outcome RelayOutcome
+	mu        sync.Mutex
+	outcome   RelayOutcome
+	finishErr error
 
 	allDone bool // written by the drain loop before done closes
 
@@ -199,6 +200,15 @@ func (r *Relay) Violations() []Violation {
 	return out
 }
 
+// Err returns the finisher's error: why the downstream checker gave no
+// verdict (a remote daemon's reject reason, a lost connection), or nil
+// when it gave one. Meaningful after Close.
+func (r *Relay) Err() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.finishErr
+}
+
 // Stats returns the downstream checker's counters merged with the
 // relay's own drop and quarantine counts (meaningful after Close).
 func (r *Relay) Stats() Stats {
@@ -218,14 +228,13 @@ func (r *Relay) loop() {
 // run drains the queues until every thread's done marker has been
 // forwarded (or Close fires and a final drain empties the queues), then
 // runs the finisher. It is the body of both the relay goroutine and the
-// synchronous never-started Close path. Between bursts it spins briefly,
-// then parks like the monitor (frontEnd.idleWait), waking in time for the
-// stream's next timed duty.
+// synchronous never-started Close path. Between bursts it parks like the
+// monitor (frontEnd.idleWait), waking in time for the stream's next timed
+// duty.
 func (r *Relay) run() {
 	s := &relayState{
 		r:        r,
 		doneSeen: make([]bool, len(r.queues)),
-		buf:      make([]Event, drainBatch),
 	}
 	defer func() {
 		// A panicking stream must not wedge producers or leak the
@@ -235,7 +244,6 @@ func (r *Relay) run() {
 			s.broken = true
 			for s.doneCount < len(r.queues) {
 				if s.drainOnce() {
-					r.busy()
 					continue
 				}
 				select {
@@ -257,7 +265,6 @@ func (r *Relay) run() {
 			return
 		}
 		if progress {
-			r.busy()
 			continue
 		}
 		timeout := s.idle()
@@ -281,19 +288,21 @@ type relayState struct {
 	doneCount int
 	broken    bool
 	finished  bool
-	buf       []Event
 }
 
-// drainOnce pops one batch from every queue; reports progress.
+// drainOnce forwards one run of events from every queue, in place in the
+// ring, and releases it; reports progress. A stream panic leaves the run
+// unreleased, so the fail-open drain forwards it again, as drops.
 func (s *relayState) drainOnce() bool {
 	progress := false
 	for tid, q := range s.r.queues {
-		n := q.PopBatch(s.buf)
-		if n == 0 {
+		evs := q.Peek(drainBatch)
+		if len(evs) == 0 {
 			continue
 		}
 		progress = true
-		s.forward(tid, s.buf[:n])
+		s.forward(tid, evs)
+		q.Release(len(evs))
 	}
 	return progress
 }
@@ -304,11 +313,11 @@ func (s *relayState) drainDry() {
 	}
 }
 
-// forward streams one popped batch: contiguous runs of branch events go
-// out as one StreamEvents call; control markers are forwarded
-// individually and split the runs, so a streamed batch never spans a
-// barrier. Unknown event kinds are quarantined (the in-process monitor
-// does the same).
+// forward streams one run of a thread's events: contiguous runs of
+// branch events go out as one StreamEvents call; control markers are
+// forwarded individually and split the runs, so a streamed batch never
+// spans a barrier. Unknown event kinds are quarantined (the in-process
+// monitor does the same).
 func (s *relayState) forward(tid int, evs []Event) {
 	start := 0
 	flushRun := func(end int) {
@@ -394,6 +403,6 @@ func (s *relayState) finish() {
 		s.r.degrade()
 	}
 	s.r.mu.Lock()
-	s.r.outcome = outcome
+	s.r.outcome, s.r.finishErr = outcome, err
 	s.r.mu.Unlock()
 }

@@ -32,7 +32,9 @@ const (
 	// counts it in the per-thread drop counters.
 	OverflowDropNewest
 	// OverflowBlockTimeout spins a bounded number of times
-	// (DefaultSendSpins), then drops and counts the event.
+	// (DefaultSendSpins), then drops and counts the event. The budget is
+	// per stall: until the queue has room again, later events drop at
+	// once.
 	OverflowBlockTimeout
 )
 

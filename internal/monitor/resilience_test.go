@@ -94,6 +94,32 @@ func TestOverflowBlockTimeoutDrops(t *testing.T) {
 	}
 }
 
+// TestOverflowBlockTimeoutBudgetPerStall: on a queue nobody drains, the
+// block-timeout budget is spent once per stall, not once per event, so a
+// producer facing a wedged consumer drops at once after the first wait
+// instead of spinning DefaultSendSpins rounds for every event.
+func TestOverflowBlockTimeoutBudgetPerStall(t *testing.T) {
+	m, err := New(Config{NumThreads: 1, Plans: testPlans(), SenderBatch: 1, QueueCap: 4,
+		Overflow: OverflowBlockTimeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := m.Sender(0)
+	const n = 20_000
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		s.Send(branchEv(0, 1, uint64(i), 5, true))
+	}
+	took := time.Since(start)
+	if got := m.Drops(); got[0] != n-4 {
+		t.Errorf("Drops = %v, want [%d]", got, n-4)
+	}
+	if took > 2*time.Second {
+		t.Errorf("%d sends into a wedged queue took %v, want well under 2s", n, took)
+	}
+	m.Close()
+}
+
 func TestControlEventsNeverDropped(t *testing.T) {
 	// Even under a drop policy with a full, gated queue, EvFlush must block
 	// until there is room: dropping a flush could mix barrier generations.

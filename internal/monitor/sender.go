@@ -12,19 +12,13 @@ import (
 	"blockwatch/internal/queue"
 )
 
-// DefaultSenderBatch is the Sender's branch-event buffer size. 64 events
-// amortize the queue's atomic publish well past the point of diminishing
-// returns while keeping the monitor's view of a thread at most 64 branch
-// events stale — and never stale across a barrier, because control events
-// flush the buffer first.
+// DefaultSenderBatch is the Sender's window size: how many branch events
+// it writes into its ring before publishing them. 64 events amortize the
+// queue's atomic publish well past the point of diminishing returns while
+// keeping the monitor's view of a thread at most 64 branch events stale
+// — and never stale across a barrier, because control events publish the
+// window first.
 const DefaultSenderBatch = 64
-
-// idleSpins is how many consecutive idle drain rounds a consumer yields
-// the processor (runtime.Gosched) before it parks. A short spin keeps the
-// wake-up cost off bursts separated by brief gaps — a barrier, a lock
-// hand-off — while a longer quiet period gives the core back to the
-// program.
-const idleSpins = 64
 
 // frontEnd is the fail-open producer front end that Monitor and Relay
 // both embed: one lock-free SPSC queue per program thread, the overflow
@@ -35,7 +29,7 @@ type frontEnd struct {
 	queues      []*queue.SPSC[Event] // nil once handed on (recycleRings)
 	queuesMu    sync.Mutex           // orders QueueBacklog against the hand-off
 	policy      OverflowPolicy
-	batch       int
+	batch       int             // Sender window size
 	drops       []atomic.Uint64 // per producing thread
 	quarantined atomic.Uint64
 	health      atomic.Int32
@@ -43,14 +37,13 @@ type frontEnd struct {
 	park        parker
 }
 
-// parker is the consumer's spin-then-park state (see frontEnd.idleWait). The
-// padding keeps the consumer's per-round writes to spun off the cache
-// line that producers read on every publish.
+// parker is the consumer's park state (see frontEnd.idleWait). The
+// padding keeps the consumer-private timer off the cache line that
+// producers read on every publish.
 type parker struct {
 	parked atomic.Bool   // the consumer is blocked, or about to block, on wake
 	wake   chan struct{} // one slot: a pending wake-up
 	_      [64]byte
-	spun   int         // consumer-private: consecutive idle rounds spun
 	timer  *time.Timer // consumer-private: the park timer, reused
 }
 
@@ -172,32 +165,26 @@ func (f *frontEnd) Sender(tid int) *Sender {
 	return s
 }
 
-// BindSender (re)binds s as the batching producer handle for thread tid,
-// reusing s's existing event buffer when its capacity matches the
-// configured SenderBatch. This is the pooling hook for the daemon: one
-// sender table — and its per-thread batch buffers — is recycled across
-// sessions instead of reallocated per connection. The bound Sender obeys
-// exactly the Sender contract (including the quarantining behavior for
-// an out-of-range tid).
+// BindSender (re)binds s as the batching producer handle for thread tid.
+// This is the pooling hook for the daemon: one sender table is recycled
+// across sessions instead of reallocated per connection. The bound
+// Sender obeys exactly the Sender contract (including the quarantining
+// behavior for an out-of-range tid).
 func (f *frontEnd) BindSender(s *Sender, tid int) {
-	buf := s.buf
 	if tid < 0 || tid >= len(f.queues) {
-		*s = Sender{buf: buf[:0], fe: f}
+		*s = Sender{fe: f}
 		return
 	}
-	if cap(buf) != f.batch {
-		buf = make([]Event, 0, f.batch)
-	}
-	*s = Sender{q: f.queues[tid], buf: buf[:0], fe: f, tid: tid}
+	*s = Sender{q: f.queues[tid], fe: f, tid: tid}
 }
 
 // signal wakes the consumer if it is parked. Senders call it after every
-// push that stores a queue tail. The tail store followed by this load of
-// parked, against the consumer's store of parked followed by its recheck
-// of the queues in idleWait, is a Dekker pair under Go's sequentially
-// consistent atomics: either the producer sees parked and sends, or the
-// consumer's recheck sees the new tail. A wake-up is never lost, and the
-// publish path pays one atomic load per pushed batch.
+// push or commit that stores a queue tail. The tail store followed by
+// this load of parked, against the consumer's store of parked followed by
+// its recheck of the queues in idleWait, is a Dekker pair under Go's
+// sequentially consistent atomics: either the producer sees parked and
+// sends, or the consumer's recheck sees the new tail. A wake-up is never
+// lost, and the publish path pays one atomic load per published batch.
 func (f *frontEnd) signal() {
 	if f.park.parked.Load() {
 		select {
@@ -207,25 +194,20 @@ func (f *frontEnd) signal() {
 	}
 }
 
-// busy resets the consumer's spin budget after a drain round that made
-// progress.
-func (f *frontEnd) busy() { f.park.spun = 0 }
-
-// idleWait is the consumer's step after a drain round that made no progress.
-// The first idleSpins consecutive idle rounds yield the processor. After
-// that the consumer parks: it announces itself in parked, re-checks ready
-// (which reports whether any queue or buffer the consumer may drain now
-// holds events), and blocks until a producer signals, stop closes, or a
+// idleWait is the consumer's step after a drain round that made no
+// progress: it parks at once. It announces itself in parked, re-checks
+// ready (which reports whether any queue the consumer may drain now holds
+// events), and blocks until a producer signals, stop closes, or a
 // positive timeout passes. A timeout <= 0 parks with no timer, so only a
 // producer or stop ends the wait. The caller re-runs its drain round and
 // its stop check after idleWait returns.
+//
+// The consumer does not spin on runtime.Gosched first: a yielding
+// goroutine goes to the global run queue and is picked up again by its
+// own P, so that P never steals the program thread that is runnable on
+// another P's queue, and the yields only delay it.
 func (f *frontEnd) idleWait(stop <-chan struct{}, ready func() bool, timeout time.Duration) {
 	p := &f.park
-	if p.spun < idleSpins {
-		p.spun++
-		runtime.Gosched()
-		return
-	}
 	select { // drop a wake-up left over from an earlier park
 	case <-p.wake:
 	default:
@@ -315,53 +297,84 @@ func (f *frontEnd) dropped() uint64 {
 
 // Sender is a per-thread batching front end to a sink's queue (obtained
 // from Sender or BindSender on Monitor or Relay), and the only way to
-// publish events. Branch events accumulate in a thread-local buffer and
-// are published with a single PushBatch when the buffer fills, when a
-// control event (flush/done) must go out, or on an explicit Flush.
-// Control events therefore can never overtake buffered branch events,
-// and a batch never spans a barrier. A SenderBatch of 1 makes every
-// branch event visible as soon as it is sent.
+// publish events. Branch events are written straight into a window of
+// the thread's ring (queue.SPSC.Reserve) and published with a single
+// tail store when the window fills, when a control event (flush/done)
+// must go out, or on an explicit Flush. Control events therefore can
+// never overtake branch events, and a window never spans a barrier. A
+// SenderBatch of 1 makes every branch event visible as soon as it is
+// sent.
 //
 // A Sender is owned by exactly one goroutine (it is the thread's queue
 // producer endpoint), and must not be used after its sink's Close: Close
 // may hand the queues to the next sink in the process. The overflow
-// policy applies per buffered event: block spins, drop-newest counts the
-// unsent remainder as dropped, block-timeout spins a bounded budget
-// before dropping. Control events always block.
+// policy applies when a branch event finds the ring full: block spins,
+// drop-newest drops and counts the event, block-timeout spins a bounded
+// budget (DefaultSendSpins per stall) before dropping it. Control events
+// always block.
 type Sender struct {
 	q   *queue.SPSC[Event] // nil: quarantining handle (out-of-range thread)
-	buf []Event
+	win []Event            // reserved ring slots; win[:n] are written, unpublished
+	n   int
 	fe  *frontEnd
 	tid int
+	// waited counts the block-timeout spins since a window was last
+	// reserved: the budget is per stall, not per event, so once it ran
+	// out the events that find the ring still full drop at once.
+	waited int
 }
 
-// Send buffers a branch event (publishing the buffer when full) or
-// flushes and forwards a control event. A Sender built for an
-// out-of-range thread has no queue and quarantines everything.
+// Send writes a branch event into the ring window (publishing the window
+// when full) or publishes the window and forwards a control event. A
+// Sender built for an out-of-range thread has no queue and quarantines
+// everything.
 func (s *Sender) Send(ev Event) {
-	if s.q == nil {
-		s.fe.quarantine(1)
+	if (ev.Kind != EvBranch || s.n == len(s.win)) && !s.open(ev) {
 		return
 	}
+	s.win[s.n] = ev
+	s.n++
+	if s.n == len(s.win) {
+		s.Flush()
+	}
+}
+
+// open is Send's slow path. It forwards a control event, or reserves a
+// new window for a branch event under the overflow policy, and reports
+// whether the window now has room for ev.
+func (s *Sender) open(ev Event) bool {
+	if s.q == nil {
+		s.fe.quarantine(1)
+		return false
+	}
 	if ev.Kind != EvBranch {
+		// Publish the window and drop it: Push writes at the new tail,
+		// the slot the window would fill next.
 		s.Flush()
 		for !s.q.Push(ev) {
 			runtime.Gosched()
 		}
 		s.fe.signal()
-		return
+		return false
 	}
-	s.buf = append(s.buf, ev)
-	if len(s.buf) == cap(s.buf) {
-		s.Flush()
+	for {
+		if s.win = s.q.Reserve(s.fe.batch); len(s.win) > 0 {
+			s.waited = 0
+			return true
+		}
+		if s.fe.policy == OverflowDropNewest || (s.fe.policy == OverflowBlockTimeout && s.waited >= DefaultSendSpins) {
+			s.fe.drop(s.tid, 1)
+			return false
+		}
+		s.waited++
+		runtime.Gosched()
 	}
 }
 
 // SendBatch publishes evs — a batch of branch events for this sender's
 // thread, already assembled upstream (a decoded wire frame, a replayed
-// trace) — straight through the queue's PushBatch under the overflow
-// policy, without copying through the sender's own buffer. Buffered
-// events are flushed first so per-thread order holds; evs must contain
+// trace) — through the queue's PushBatch under the overflow policy. The
+// window is published first so per-thread order holds; evs must contain
 // only branch events (the wire format guarantees an events frame never
 // carries control markers). A quarantining (nil-queue) Sender counts and
 // discards the whole batch. evs is not retained.
@@ -378,25 +391,24 @@ func (s *Sender) SendBatch(evs []Event) {
 	s.publish(evs)
 }
 
-// Flush publishes the buffered branch events under the configured
-// overflow policy. Callers only need it to bound staleness during long
-// computation gaps — control events and Close-side drains flush
-// implicitly.
+// Flush publishes the branch events written into the window with one
+// tail store, and drops the window: the next branch event reserves a new
+// one. Callers only need it to bound staleness during long computation
+// gaps — control events publish implicitly.
 func (s *Sender) Flush() {
-	if s == nil || len(s.buf) == 0 {
-		return
+	if s.n > 0 {
+		s.fe.prodMet.flushSize.Observe(int64(s.n))
+		s.q.Commit(s.n)
+		s.fe.signal()
 	}
-	s.fe.prodMet.flushSize.Observe(int64(len(s.buf)))
-	s.publish(s.buf)
-	s.buf = s.buf[:0]
+	s.win, s.n = nil, 0
 }
 
-// publish pushes rest through the queue under the overflow policy. It is
-// the one PushBatch choke point shared by Flush (the sender's own
-// buffer) and SendBatch (a caller-owned batch). Every push that lands
-// events signals a parked consumer at once, including the partial pushes
-// inside the blocking waits: a producer waiting on a full queue must
-// never wait on a consumer that was not told the queue has events.
+// publish pushes rest (SendBatch's caller-owned batch) through the queue
+// under the overflow policy. Every push that lands events signals a
+// parked consumer at once, including the partial pushes inside the
+// blocking waits: a producer waiting on a full queue must never wait on
+// a consumer that was not told the queue has events.
 func (s *Sender) publish(rest []Event) {
 	switch s.fe.policy {
 	case OverflowDropNewest:
@@ -440,11 +452,8 @@ func (s *Sender) pushed(n int) {
 	}
 }
 
-// Unbind clears the sender's sink references while keeping its event
-// buffer, so a pooled sender table does not pin a finished session's
-// monitor. A following BindSender (or discarding the Sender) makes it
-// usable again; an unbound Sender must not be used.
-func (s *Sender) Unbind() {
-	buf := s.buf
-	*s = Sender{buf: buf[:0]}
-}
+// Unbind clears the sender's sink references, so a pooled sender table
+// does not pin a finished session's monitor. A following BindSender (or
+// discarding the Sender) makes it usable again; an unbound Sender must
+// not be used.
+func (s *Sender) Unbind() { *s = Sender{} }

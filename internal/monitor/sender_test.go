@@ -86,6 +86,42 @@ func TestSenderBatchFillPublishes(t *testing.T) {
 	m.Close()
 }
 
+// TestSenderControlMidWindow: a control event sent while the Sender's
+// ring window is part-filled publishes the window, lands right after it,
+// and the branch events after it go into a fresh window: the ring holds
+// exactly the order the thread sent, including across the ring's wrap
+// point. A Sender that kept writing into its old window after the
+// control event's Push would overwrite the control event.
+func TestSenderControlMidWindow(t *testing.T) {
+	m, err := New(Config{NumThreads: 1, Plans: testPlans(), QueueCap: 16, SenderBatch: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := m.Sender(0)
+	q := m.queues[0]
+	var want []Event
+	send := func(ev Event) {
+		s.Send(ev)
+		want = append(want, ev)
+	}
+	got := make([]Event, q.Cap())
+	for round := uint64(0); round < 5; round++ { // 7 events a round: the ring of 16 wraps
+		for k := uint64(0); k < 3; k++ {
+			send(branchEv(0, 1, 10*round+k, 5, true))
+		}
+		send(Event{Kind: EvFlush, Thread: 0})
+		for k := uint64(3); k < 6; k++ {
+			send(branchEv(0, 1, 10*round+k, 5, true))
+		}
+		s.Flush()
+		n := q.PopBatch(got)
+		if !reflect.DeepEqual(got[:n], want) {
+			t.Fatalf("round %d: ring holds\n %v\nwant\n %v", round, got[:n], want)
+		}
+		want = want[:0]
+	}
+}
+
 // frontEndCase is one sink built over the shared producer front end.
 type frontEndCase struct {
 	name string

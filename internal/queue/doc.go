@@ -5,7 +5,10 @@
 // head index, so no locks or read-modify-write operations are needed.
 //
 // On top of the scalar Push/Pop pair the queue offers PushBatch/PopBatch,
-// which move a slice of elements under a single publish. Each endpoint
+// which move a slice of elements under a single publish, and the
+// zero-copy Reserve/Commit (producer) and Peek/Release (consumer) pairs,
+// which hand out ring slots in place so an element is written once and
+// read where it was written. Each endpoint
 // additionally caches its last observed copy of the other endpoint's
 // index (the producer caches the consumer's head, the consumer caches the
 // producer's tail) and refreshes the cache only when the queue appears

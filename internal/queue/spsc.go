@@ -9,15 +9,22 @@ import (
 var ErrBadCapacity = errors.New("queue capacity must be at least 1")
 
 // SPSC is a bounded lock-free single-producer/single-consumer FIFO.
-// Exactly one goroutine may call Push/PushBatch and exactly one may call
-// Pop/PopBatch; each endpoint may freely mix its scalar and batch forms.
+// Exactly one goroutine may call the producer methods (Push, PushBatch,
+// Reserve, Commit) and exactly one the consumer methods (Pop, PopBatch,
+// Peek, Release); each endpoint may freely mix its forms.
 //
-// PopBatch does not clear the slots it pops: a popped element stays in
-// the ring, and keeps whatever it references reachable, until a later
-// push overwrites it (Reset clears only the elements still buffered).
-// The monitor's events hold no pointers, and skipping the store saves
-// the consumer a write to every slot it pops, on lines the producer
-// writes next. Pop clears its slot; use it for elements with pointers.
+// Reserve/Commit and Peek/Release are the zero-copy forms: the producer
+// writes elements straight into ring slots and publishes them with one
+// tail store, and the consumer reads (and may modify) them in place
+// before releasing them with one head store.
+//
+// PopBatch and Release do not clear the slots they consume: a consumed
+// element stays in the ring, and keeps whatever it references reachable,
+// until a later push overwrites it (Reset clears only the elements still
+// buffered). The monitor's events hold no pointers, and skipping the
+// store saves the consumer a write to every slot it consumes, on lines
+// the producer writes next. Pop clears its slot; use it for elements
+// with pointers.
 type SPSC[T any] struct {
 	buf        []T
 	mask       uint64
@@ -103,6 +110,57 @@ func (q *SPSC[T]) PushBatch(vs []T) int {
 		q.tail.Store(tail + n)
 	}
 	return int(n)
+}
+
+// Reserve returns the producer's window: up to n free slots starting at
+// the tail, contiguous in the ring (a window ends at the ring's wrap
+// point, so it may be shorter than the free space). The producer fills
+// the window in place; nothing in it is visible to the consumer until
+// Commit. An empty window means the queue is full. Push, PushBatch and
+// the next Reserve all start again at the tail, so the uncommitted rest
+// of a window must not be written after any of them.
+func (q *SPSC[T]) Reserve(n int) []T {
+	tail := q.tail.Load()
+	free := q.mask + 1 - (tail - q.cachedHead)
+	if free < uint64(n) {
+		q.cachedHead = q.head.Load()
+		free = q.mask + 1 - (tail - q.cachedHead)
+	}
+	i := tail & q.mask
+	k := min(uint64(n), free, q.mask+1-i)
+	return q.buf[i : i+k : i+k]
+}
+
+// Commit publishes the first n elements of the current window with one
+// tail store. n must not exceed the window Reserve returned.
+func (q *SPSC[T]) Commit(n int) {
+	if n > 0 {
+		q.tail.Store(q.tail.Load() + uint64(n))
+	}
+}
+
+// Peek returns up to n of the oldest elements in place, contiguous in the
+// ring, without consuming them: the consumer may read and modify them
+// until it releases them. An empty slice means the queue is empty.
+func (q *SPSC[T]) Peek(n int) []T {
+	head := q.head.Load()
+	avail := q.cachedTail - head
+	if avail < uint64(n) {
+		q.cachedTail = q.tail.Load()
+		avail = q.cachedTail - head
+	}
+	i := head & q.mask
+	k := min(uint64(n), avail, q.mask+1-i)
+	return q.buf[i : i+k : i+k]
+}
+
+// Release consumes the n oldest elements with one head store, handing
+// their slots back to the producer. n must not exceed the length of the
+// last Peek.
+func (q *SPSC[T]) Release(n int) {
+	if n > 0 {
+		q.head.Store(q.head.Load() + uint64(n))
+	}
 }
 
 // Pop removes and returns the oldest element (Lamport's consumer: read

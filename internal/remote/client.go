@@ -314,6 +314,12 @@ type Client struct {
 	sealedPath string
 	reconnects int
 
+	// Why the session may end without a live verdict: the first
+	// transport error, and the daemon's reject reason once one is read,
+	// which explains the transport errors that follow it.
+	failure  error
+	rejected error
+
 	// Frame coalescer (relay goroutine only): each thread slot's branch
 	// events accumulate toward a single merged wire frame. coBudget is
 	// the encoded-payload byte budget (0 = coalescing disabled);
@@ -380,13 +386,16 @@ func DialSelector(sel Selector, cfg ClientConfig) (*Client, error) {
 			return nil, fmt.Errorf("remote monitor: %w", dialErr)
 		}
 		// Self-healing start: run disconnected, spool, retry mid-run.
-		c.Degrade()
 		c.attempt = 0
 		c.nextDial = time.Now().Add(c.cfg.Retry.backoff(c.rng, 1))
 	}
 	if err := c.buildRelay(); err != nil {
 		c.teardown()
 		return nil, err
+	}
+	if dialErr != nil {
+		c.failure = dialErr
+		c.Degrade()
 	}
 	c.met.dials.Inc()
 	if cfg.Metrics != nil {
@@ -589,6 +598,9 @@ func (c *Client) dialOnce() error {
 	}
 	if c.sp != nil {
 		if _, err := c.sp.ReplayTo(&deadlineWriter{conn: conn, timeout: c.cfg.writeTimeout()}); err != nil {
+			if rej := c.readReject(conn); rej != nil {
+				c.rejected, err = rej, rej
+			}
 			conn.Close()
 			c.sel.Observe(addr, err)
 			return fmt.Errorf("spool replay: %w", err)
@@ -600,6 +612,9 @@ func (c *Client) dialOnce() error {
 	c.adopt(conn)
 	if c.sp == nil {
 		if err := c.writeHello(); err != nil {
+			if rej := c.readReject(conn); rej != nil {
+				c.rejected, err = rej, rej
+			}
 			c.dropConn()
 			c.sel.Observe(addr, err)
 			return err
@@ -648,10 +663,61 @@ func (c *Client) onStreamError(err error) {
 	if c.sel != nil {
 		c.sel.Observe(c.addr, err)
 	}
+	if c.failure == nil {
+		c.failure = err
+	}
+	if c.rejected == nil {
+		if errors.Is(err, errRejected) {
+			c.rejected = err
+		} else {
+			c.rejected = c.readReject(c.conn)
+		}
+	}
 	c.Degrade()
 	c.dropConn()
 	c.attempt = 0
 	c.nextDial = time.Now()
+}
+
+// errRejected marks the error of a reject frame: the daemon refused the
+// session and said why.
+var errRejected = errors.New("session rejected")
+
+// rejectWait bounds the look for a reject frame after a transport error.
+// A daemon writes the frame before it closes the connection, so a frame
+// that was sent is already buffered when the close surfaces as an error.
+const rejectWait = time.Millisecond
+
+// readReject reads the reject frame a daemon sent before closing conn,
+// and returns its reason as an error (nil when none came).
+func (c *Client) readReject(conn net.Conn) error {
+	if conn == nil {
+		return nil
+	}
+	if c.codec == nil {
+		c.codec = codecPool.Get().(*codec)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(rejectWait))
+	rd := c.codec.rd
+	rd.Reset(conn)
+	f, err := rd.ReadFrame()
+	if err != nil || f.Type != wire.FrameReject {
+		return nil
+	}
+	return fmt.Errorf("%w: %s", errRejected, f.Reject)
+}
+
+// cause is the error finish reports when no verdict arrived: the
+// daemon's reject reason when it gave one, else fallback.
+func (c *Client) cause(fallback error) error {
+	err := fallback
+	if c.rejected != nil {
+		err = c.rejected
+	}
+	if err == nil {
+		return nil
+	}
+	return fmt.Errorf("remote monitor: %w", err)
 }
 
 // canReconnect reports whether a mid-run reconnect is possible: it
@@ -916,7 +982,7 @@ func (c *Client) finish(broken bool) (monitor.RelayOutcome, error) {
 		c.met.degraded.Inc()
 		c.dropConn()
 		c.seal()
-		return monitor.RelayOutcome{Health: monitor.Degraded}, nil
+		return monitor.RelayOutcome{Health: monitor.Degraded}, c.cause(c.failure)
 	}
 	var t0 time.Time
 	if c.met.finishNs != nil {
@@ -969,7 +1035,7 @@ func (c *Client) finish(broken bool) (monitor.RelayOutcome, error) {
 	// offline, and fail open.
 	c.met.degraded.Inc()
 	c.seal()
-	return monitor.RelayOutcome{Health: monitor.Degraded}, lastErr
+	return monitor.RelayOutcome{Health: monitor.Degraded}, c.cause(lastErr)
 }
 
 // finishOnce runs one attempt of the finish protocol on the live
@@ -996,7 +1062,7 @@ func (c *Client) finishOnce() (*wire.Result, error) {
 		case wire.FrameResult:
 			return f.Result, nil
 		case wire.FrameReject:
-			return nil, fmt.Errorf("remote monitor: session rejected: %s", f.Reject)
+			return nil, fmt.Errorf("%w: %s", errRejected, f.Reject)
 		default:
 			// tolerate future frame types before the result
 		}

@@ -2,6 +2,8 @@ package remote
 
 import (
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"hash/crc32"
 	"math/rand"
 	"net"
@@ -9,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -324,6 +327,108 @@ func TestServerMaxConnsReject(t *testing.T) {
 			t.Fatal("slot never freed after the hogging connection closed")
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestClientReportsRejectReason: a session the daemon refuses at its
+// MaxConns limit ends degraded, and the client names the daemon's reason
+// instead of failing open silently; a refusal that already fails Dial
+// names it in Dial's error. Over tcp and a unix socket, with
+// and without a spool (the spool path retries the finish and then
+// seals, and must still keep the reason).
+func TestClientReportsRejectReason(t *testing.T) {
+	mod, plans := kernelPlans(t, "fft")
+	for _, network := range []string{"tcp", "unix"} {
+		for _, spooled := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/spool=%t", network, spooled), func(t *testing.T) {
+				addr := "127.0.0.1:0"
+				if network == "unix" {
+					addr = filepath.Join(t.TempDir(), "d.sock")
+				}
+				ln, err := net.Listen(network, addr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				srv := NewServer(ServerConfig{MaxConns: 1, IdleTimeout: 30 * time.Second})
+				go srv.Serve(ln)
+				defer srv.Close()
+				hog, err := net.Dial(network, ln.Addr().String())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer hog.Close()
+				// The accept loop registers the hog before it accepts the
+				// next connection, so the client below is the one refused.
+
+				target := ln.Addr().String()
+				if network == "unix" {
+					target = "unix:" + target
+				}
+				cfg := ClientConfig{Program: "fft", NumThreads: testThreads, Plans: plans}
+				if spooled {
+					cfg.SpoolPath = filepath.Join(t.TempDir(), "s.spool")
+				}
+				wantReason := func(what string, err error) {
+					t.Helper()
+					if !errors.Is(err, errRejected) || !strings.Contains(err.Error(), "daemon at capacity") {
+						t.Errorf("%s = %v, want the daemon's at-capacity reject reason", what, err)
+					}
+				}
+				client, err := Dial(target, cfg)
+				if err != nil {
+					// Refused before the hello was written: a startup
+					// error, which must name the reason too.
+					wantReason("Dial error", err)
+					return
+				}
+				res, err := interp.Run(mod, interp.Options{
+					Threads: testThreads, Mode: interp.MonitorActive, Plans: plans, Sink: client,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				client.Close()
+				if res.MonitorHealth != monitor.Degraded {
+					t.Errorf("health = %s, want degraded", res.MonitorHealth)
+				}
+				wantReason("Err()", client.Err())
+			})
+		}
+	}
+}
+
+// TestDialUnreachableWithSpool: with a spool, a daemon that cannot be
+// reached at Dial starts the session disconnected instead of failing it:
+// the run completes degraded, the spool is sealed, and Err names the
+// dial error.
+func TestDialUnreachableWithSpool(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close() // nothing listens there now
+	mod, plans := kernelPlans(t, "fft")
+	client, err := Dial(addr, ClientConfig{Program: "fft", NumThreads: testThreads, Plans: plans,
+		SpoolPath: filepath.Join(t.TempDir(), "s.spool")})
+	if err != nil {
+		t.Fatalf("Dial with a spool failed instead of starting disconnected: %v", err)
+	}
+	res, err := interp.Run(mod, interp.Options{
+		Threads: testThreads, Mode: interp.MonitorActive, Plans: plans, Sink: client,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client.Close()
+	if res.MonitorHealth != monitor.Degraded {
+		t.Errorf("health = %s, want degraded", res.MonitorHealth)
+	}
+	if client.SealedSpool() == "" {
+		t.Error("spool not sealed after the daemon never answered")
+	}
+	if err := client.Err(); err == nil || !strings.Contains(err.Error(), "refused") {
+		t.Errorf("Err() = %v, want the dial error", err)
 	}
 }
 
