@@ -30,8 +30,8 @@ race:
 		./internal/interp/ ./internal/remote/ ./internal/spool/ ./internal/trace/ \
 		./internal/metrics/ ./internal/adminhttp/ ./internal/wire/ ./internal/fleet/ \
 		./cmd/...
-	$(GO) test -race -count=10 -timeout 5m -run 'Park|Wake|RingsBackToBack|WindowUnderRace' \
-		./internal/queue/ ./internal/monitor/ ./internal/remote/
+	$(GO) test -race -count=10 -timeout 5m -run 'Park|Wake|RingsBackToBack|WindowUnderRace|Stop' \
+		./internal/queue/ ./internal/monitor/ ./internal/remote/ ./internal/interp/ ./internal/inject/
 
 # The alloc gates (the CI "Alloc gates" step): zero-allocation hot paths
 # and the flat per-run allocations of warm protected and unprotected runs.

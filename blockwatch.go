@@ -625,6 +625,8 @@ type CampaignResult struct {
 	Elapsed time.Duration
 	// Latency aggregates per-outcome run durations, keyed by outcome name
 	// ("benign", "detected", "crash", "hang", "sdc", "not-activated").
+	// A protected branch-flip or condition-bit run ends at its first
+	// detected violation, so its "detected" duration is its time to stop.
 	Latency map[string]LatencyStats
 	// Detector classifies detector-under-fault behavior; non-nil only for
 	// EventPath campaigns.

@@ -71,15 +71,15 @@ type Fault struct {
 // runs).
 type Single struct {
 	fault     Fault
-	activated bool
-	corrupted bool // a value bit actually changed (CondBit)
+	activated atomic.Bool // read by every thread's Stop poll
+	corrupted bool        // a value bit actually changed (CondBit)
 }
 
 // NewSingle returns an injector for one fault.
 func NewSingle(f Fault) *Single { return &Single{fault: f} }
 
 // Activated reports whether the targeted dynamic branch was reached.
-func (ij *Single) Activated() bool { return ij.activated }
+func (ij *Single) Activated() bool { return ij.activated.Load() }
 
 var _ interp.FaultInjector = (*Single)(nil)
 
@@ -88,7 +88,7 @@ func (ij *Single) BeforeBranch(t *interp.Thread, br *ir.Instr) bool {
 	if t.Tid() != ij.fault.Thread || t.BranchSeq() != ij.fault.Seq {
 		return false
 	}
-	ij.activated = true
+	ij.activated.Store(true)
 	switch ij.fault.Type {
 	case BranchFlip:
 		return true
@@ -295,7 +295,10 @@ type CampaignResult struct {
 	// only; machine-dependent).
 	Elapsed time.Duration
 	// Latency aggregates per-outcome wall-clock run durations
-	// (observability only; machine-dependent).
+	// (observability only; machine-dependent). Run stops a protected
+	// branch-flip or branch-condition run at its first detected
+	// violation, so a Detected run's duration is its time to stop;
+	// event-path runs and RunWith runners always run to the end.
 	Latency map[Outcome]LatencyStats
 }
 
@@ -378,7 +381,7 @@ func (c Campaign) runAll(run runnerFull) (*CampaignResult, error) {
 		goldenOpts.Mode = interp.MonitorDrainOnly
 		goldenOpts.Plans = c.Plans
 	}
-	golden, err := c.run(goldenOpts, nil)
+	golden, err := c.run(goldenOpts, nil, nil)
 	if err != nil {
 		return nil, fmt.Errorf("golden run: %w", err)
 	}
@@ -646,12 +649,12 @@ func (c Campaign) runOneFull(f Fault, golden []interp.Value, stepLimit uint64) (
 		Fault:     ij,
 		Seed:      c.Seed0,
 		StepLimit: stepLimit,
-	}, nil)
+	}, nil, ij)
 	if err != nil {
 		return Crash, runExtras{}
 	}
 	ex := extrasFrom(res, golden)
-	if !ij.activated {
+	if !ij.Activated() {
 		return NotActivated, ex
 	}
 	return classify(res, golden, ex), ex
@@ -674,7 +677,7 @@ func (c Campaign) runOneEvent(f Fault, golden []interp.Value, stepLimit uint64) 
 		Plans:     c.Plans,
 		Seed:      c.Seed0,
 		StepLimit: stepLimit,
-	}, tap.Corrupt)
+	}, tap.Corrupt, nil)
 	if err != nil {
 		return Crash, runExtras{}
 	}
@@ -687,8 +690,13 @@ func (c Campaign) runOneEvent(f Fault, golden []interp.Value, stepLimit uint64) 
 
 // run executes one campaign run. A monitoring opts.Mode gets a monitor
 // built here with the campaign's Metrics and the event tap (nil = none);
-// a monitor whose run failed is closed.
-func (c Campaign) run(opts interp.Options, tap func(*monitor.Event)) (*interp.Result, error) {
+// a monitor whose run failed is closed. When stopAt is not nil the
+// monitored run stops as soon as its fault has activated and the monitor
+// has flagged a violation: both only ever turn true, so such a run would
+// have been classified Detected had it run to the end (classify gives
+// Detected precedence over every other outcome), and stopping it changes
+// no tally.
+func (c Campaign) run(opts interp.Options, tap func(*monitor.Event), stopAt *Single) (*interp.Result, error) {
 	if opts.Mode == interp.MonitorActive || opts.Mode == interp.MonitorDrainOnly {
 		mon, err := monitor.New(monitor.Config{
 			NumThreads:       opts.Threads,
@@ -701,6 +709,9 @@ func (c Campaign) run(opts interp.Options, tap func(*monitor.Event)) (*interp.Re
 			return nil, fmt.Errorf("monitor: %w", err)
 		}
 		opts.Sink = mon
+		if stopAt != nil {
+			opts.Stop = func() bool { return stopAt.Activated() && mon.Detected() }
+		}
 	}
 	res, err := interp.Run(c.Module, opts)
 	if err != nil && opts.Sink != nil {

@@ -56,6 +56,13 @@ type Options struct {
 	// branch: "t<tid> branch#<id> seq=<k> taken=<bool>". Writes are
 	// serialized; tracing is for debugging and slows execution.
 	Trace io.Writer
+	// Stop, when non-nil, is polled by the parallel section's threads
+	// every 1024 steps; once it returns true the machine aborts as on a
+	// deadlock: every thread traps TrapAborted, and barrier and lock
+	// waiters are released. It is called from the threads' goroutines
+	// concurrently and must be cheap. A fault campaign uses it to end a
+	// run whose outcome is already decided.
+	Stop func() bool
 }
 
 // DefaultStepLimit is the per-thread instruction budget.
@@ -196,9 +203,9 @@ type machine struct {
 	traceMu  sync.Mutex
 	mu       sync.Mutex
 	active   int // threads still running
-	abortErr *Trap
 	aborted  chan struct{}
 	abortSet bool
+	stop     func() bool // opts.Stop, armed once setup() has run
 }
 
 const numLocks = 64
@@ -362,6 +369,7 @@ func Run(mod *ir.Module, opts Options) (*Result, error) {
 	}
 
 	// Phase 2: the parallel section.
+	m.stop = opts.Stop
 	outs := make([][]Value, opts.Threads)
 	var wg sync.WaitGroup
 	for tid := 0; tid < opts.Threads; tid++ {
@@ -420,21 +428,32 @@ func (m *machine) threadExited(tid int) {
 	m.barrier.threadGone()
 }
 
-// abort stops all threads (deadlock or fatal trap elsewhere).
-func (m *machine) abort(reason *Trap) {
+// abort stops all threads (a deadlock, or the Stop hook fired).
+func (m *machine) abort() {
 	m.mu.Lock()
 	if m.abortSet {
 		m.mu.Unlock()
 		return
 	}
 	m.abortSet = true
-	m.abortErr = reason
 	close(m.aborted)
 	m.mu.Unlock()
 	m.locks.wake()
 }
 
+// isAborted reports whether the machine has aborted, aborting it first
+// when the Stop hook fires. Only a running thread polls the hook: the
+// barrier and lock wait loops hold their locks, and check abortedNow.
 func (m *machine) isAborted() bool {
+	if m.stop != nil && !m.abortedNow() && m.stop() {
+		m.abort()
+	}
+	return m.abortedNow()
+}
+
+// abortedNow reports whether the machine has aborted, without polling
+// the Stop hook.
+func (m *machine) abortedNow() bool {
 	select {
 	case <-m.aborted:
 		return true

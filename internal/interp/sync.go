@@ -77,11 +77,11 @@ func (b *simBarrier) wait(t *Thread) *Trap {
 		return nil
 	}
 	for b.gen == gen {
-		if b.m.isAborted() {
+		if b.m.abortedNow() {
 			return &Trap{Thread: t.tid, Kind: TrapAborted, Msg: "machine aborted while in barrier"}
 		}
 		if b.deadlockedLocked() {
-			b.m.abort(&Trap{Thread: t.tid, Kind: TrapDeadlock, Msg: "barrier can never complete"})
+			b.m.abort()
 			b.cond.Broadcast()
 			return &Trap{Thread: t.tid, Kind: TrapDeadlock, Msg: "barrier participant missing"}
 		}
@@ -297,14 +297,14 @@ func (m *machine) acquire(t *Thread, id int64) *Trap {
 	st.want = slot
 	s.setState(t.tid, schedPending, t.sim)
 	for st.state == schedPending {
-		if m.isAborted() {
+		if m.abortedNow() {
 			s.mu.Unlock()
 			return &Trap{Thread: t.tid, Kind: TrapAborted, Msg: "machine aborted while locking"}
 		}
 		if s.deadlock {
 			s.mu.Unlock()
 			trap := &Trap{Thread: t.tid, Kind: TrapDeadlock, Msg: "lock can never be granted"}
-			m.abort(trap)
+			m.abort()
 			m.barrier.threadGone()
 			return trap
 		}

@@ -21,6 +21,7 @@ var goldenInv = func() uint64 {
 
 // floodEvents returns n single-report branch events of one key family:
 //   - "plain": ordinary distinct key pairs;
+//   - "key1": ordinary distinct Key1s, one instance each;
 //   - "index": Key1 = c ^ rot32(Key2), so every pair has the same index
 //     hash and lands in one level-2 probe cluster;
 //   - "binding": Key1 = j·golden⁻¹, so every Key1 has the binding hash j
@@ -33,6 +34,8 @@ func floodEvents(n int, family string) []Event {
 		k2 := uint64(i) * golden
 		k1 := uint64(1000)
 		switch family {
+		case "key1":
+			k1 = uint64(i+1) * golden
 		case "index":
 			k1 = 0xdeadbeef ^ bits.RotateLeft64(k2, 32)
 		case "binding":
@@ -97,5 +100,30 @@ func TestTableFloodBounded(t *testing.T) {
 	}
 	if took > bound {
 		t.Errorf("binding flood: %d events took %v, want under %v", n, took, bound)
+	}
+}
+
+// TestBindingsBounded: the Key1 bindings last for the run, so a client
+// that streams distinct Key1s would grow them without limit; they count
+// against MaxInstances instead, and the reports of a Key1 past the cap
+// are quarantined, never checked, so they raise no violation.
+func TestBindingsBounded(t *testing.T) {
+	const limit = 64
+	evs := floodEvents(3*limit, "key1")
+	m, err := New(Config{NumThreads: 2, Plans: testPlans(), MaxInstances: limit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range evs {
+		m.process(0, &evs[i])
+		if m.tab.bound > limit {
+			t.Fatalf("after %d distinct Key1s: %d bindings, want at most %d", i+1, m.tab.bound, limit)
+		}
+	}
+	m.Close()
+	st := m.Stats()
+	if st.Quarantined != 2*limit || m.Detected() || m.Health() != Degraded {
+		t.Errorf("%d distinct Key1s at MaxInstances %d: quarantined %d, detected %t, health %s; want %d, false, degraded",
+			len(evs), limit, st.Quarantined, m.Detected(), m.Health(), 2*limit)
 	}
 }

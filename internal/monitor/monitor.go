@@ -42,6 +42,8 @@ type Config struct {
 	// and the table is cleared, exactly like a forced generation flush.
 	// The paper similarly fixes its queue lengths; an unbounded table
 	// would let a faulty thread exhaust memory before hang detection.
+	// It also caps the Key1 bindings, which last for the run: the
+	// reports of a Key1 bound past the cap are quarantined.
 	MaxInstances int
 	// Overflow selects the Sender overflow policy for branch events
 	// (zero value = OverflowBlock, the paper's lossless behavior).
@@ -629,8 +631,10 @@ func (m *Monitor) insert(ev *Event) {
 		if !plan.Checked() {
 			return
 		}
-		if !t.bind(ev.Key1, plan) {
-			m.quarantine(1) // a Key1 crafted into a full binding cluster
+		if !t.bind(ev.Key1, plan, m.maxInstances) {
+			// Past the binding cap, or a Key1 crafted into a full binding
+			// cluster.
+			m.quarantine(1)
 			return
 		}
 	}

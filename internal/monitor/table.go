@@ -14,9 +14,9 @@ import (
 //   - Level 1 binds each Key1 (call-site path + static branch) to its check
 //     plan. The binding is made by the first checked report of a Key1 and
 //     lasts for the run; it survives generation closes and is cleared only
-//     when the table is handed to the next monitor. Its probes stop after
-//     maxProbe slots too: a Key1 that cannot be bound within them is
-//     refused (see bind).
+//     when the table is handed to the next monitor. The bindings count
+//     against the monitor's MaxInstances, and their probes stop after
+//     maxProbe slots too: a Key1 past either bound is refused (see bind).
 //   - Level 2 holds the generation's branch instances as dense entries in
 //     insertion order, found through an open-addressed index keyed by
 //     (Key1, Key2). An index slot holds epoch<<32 | entry+1; a slot written
@@ -168,11 +168,14 @@ func (t *table) binding(k1 uint64) *core.CheckPlan {
 }
 
 // bind records Key1's plan; k1 must be unbound. It reports false, and
-// binds nothing, when no slot within maxProbe of k1's home is free: the
-// bindings last for the run, so unlike an index probe, a long binding
-// cluster is not emptied by a generation close, and a Key1 crafted into
-// one is refused instead.
-func (t *table) bind(k1 uint64, plan *core.CheckPlan) bool {
+// binds nothing, when limit Key1s are bound already or no slot within
+// maxProbe of k1's home is free: the bindings last for the run, so unlike
+// the instances and their index, they are not emptied by a generation
+// close, and a Key1 past either bound is refused instead.
+func (t *table) bind(k1 uint64, plan *core.CheckPlan, limit int) bool {
+	if t.bound >= limit {
+		return false
+	}
 	if 2*(t.bound+1) > len(t.bindKeys) {
 		keys, plans := t.bindKeys, t.bindPlans
 		n := max(2*len(keys), initialBinds)
