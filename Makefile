@@ -23,13 +23,11 @@ test:
 	cd bwperf && $(GO) vet ./... && $(GO) test ./...
 
 # The concurrency-sensitive packages under the race detector — the same
-# list as the CI race job, including the fleet pool whose probe loop,
-# sessions, and failover paths race by construction, and the CLIs.
+# list as the CI race job, and the CLIs.
 race:
 	$(GO) test -race . ./internal/queue/ ./internal/monitor/ ./internal/inject/ \
 		./internal/interp/ ./internal/remote/ ./internal/spool/ ./internal/trace/ \
-		./internal/metrics/ ./internal/adminhttp/ ./internal/wire/ ./internal/fleet/ \
-		./cmd/...
+		./internal/metrics/ ./internal/adminhttp/ ./internal/wire/ ./cmd/...
 	$(GO) test -race -count=10 -timeout 5m -run 'Park|Wake|RingsBackToBack|WindowUnderRace|Stop' \
 		./internal/queue/ ./internal/monitor/ ./internal/remote/ ./internal/interp/ ./internal/inject/
 

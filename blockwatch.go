@@ -27,11 +27,9 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"time"
 
 	"blockwatch/internal/core"
-	"blockwatch/internal/fleet"
 	"blockwatch/internal/inject"
 	"blockwatch/internal/interp"
 	"blockwatch/internal/ir"
@@ -294,13 +292,6 @@ type RunOptions struct {
 	// the verdict comes back in the result exchange. Implies Protect. The
 	// client fails open: a dead or slow daemon degrades Health, never the
 	// program. Mutually exclusive with Record.
-	//
-	// A comma-separated list ("addr1,addr2[=adminhost:port],...") names a
-	// daemon fleet instead of a single daemon: the session is placed on
-	// one member by health-weighted rendezvous hashing (internal/fleet),
-	// and with RemoteSpool set a member that dies mid-run fails the
-	// session over to the next-ranked member by replaying the spool —
-	// the verdict stays byte-identical to a single-daemon run.
 	Remote string
 	// RemoteRetry is the dial budget per outage for Remote runs: the
 	// client retries failed dials with exponential backoff, and with a
@@ -422,25 +413,7 @@ func (p *Program) Run(opts RunOptions) (*RunResult, error) {
 				Retry:       remote.RetryConfig{Attempts: opts.RemoteRetry},
 				SpoolPath:   opts.RemoteSpool,
 			}
-			var client *remote.Client
-			var err error
-			if strings.Contains(opts.Remote, ",") {
-				// Fleet mode: place the session by health-weighted
-				// rendezvous hashing over the member list; transport faults
-				// fail it over to the next-ranked member.
-				members, perr := fleet.ParseMembers(opts.Remote)
-				if perr != nil {
-					return nil, perr
-				}
-				pool, perr := fleet.NewPool(fleet.Config{Members: members, Metrics: opts.Metrics})
-				if perr != nil {
-					return nil, perr
-				}
-				defer pool.Close()
-				client, err = remote.DialSelector(pool.Session(p.name), ccfg)
-			} else {
-				client, err = remote.Dial(opts.Remote, ccfg)
-			}
+			client, err := remote.Dial(opts.Remote, ccfg)
 			if err != nil {
 				return nil, err
 			}
@@ -737,12 +710,6 @@ type NetFaultOptions struct {
 	Seed   int64
 	// Transport is "tcp" (default) or "unix".
 	Transport string
-	// Members is the campaign fleet size (0 or 1 = a single daemon).
-	// With ≥ 2 members sessions are placed by health-weighted rendezvous
-	// hashing and the fault mix gains daemon-kill: the member serving a
-	// session is hard-killed mid-run and the session must fail over to
-	// the next-ranked member with an identical verdict.
-	Members int
 	// DisableSpool turns the disk spillover off: the client is merely
 	// fail-open and verdicts may be lost (classified "coverage-lost").
 	DisableSpool bool
@@ -790,7 +757,6 @@ func (p *Program) NetFaultCampaign(opts NetFaultOptions) (*NetFaultResult, error
 		Faults:       opts.Faults,
 		Seed:         opts.Seed,
 		Transport:    opts.Transport,
-		Members:      opts.Members,
 		DisableSpool: opts.DisableSpool,
 		Workers:      opts.Workers,
 	}

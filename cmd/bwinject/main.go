@@ -22,9 +22,6 @@
 //	              monitoring sessions and verifies the self-healing
 //	              contract: no hangs, no crashes, no lost verdicts)
 //	-transport T  with -type net-fault: tcp (default) or unix
-//	-members N    with -type net-fault: campaign fleet size (default 1;
-//	              with ≥ 2 the fault mix gains daemon-kill, which must
-//	              fail the session over to a surviving member)
 //	-no-spool     with -type net-fault: disable the disk spillover, so the
 //	              client is merely fail-open (verdicts may be lost)
 //	-seed N       campaign seed
@@ -104,7 +101,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			Faults:       opt.Faults,
 			Seed:         opt.Seed,
 			Transport:    opt.Transport,
-			Members:      opt.Members,
 			DisableSpool: opt.NoSpool,
 			Workers:      opt.Workers,
 		})
@@ -189,12 +185,8 @@ func dumpMetrics(w io.Writer, reg *metrics.Registry, format string) error {
 // self-healing contract. A nonzero violation count is a hard error, so
 // scripts and CI fail when a verdict is lost.
 func netFaultCampaign(w io.Writer, prog *blockwatch.Program, opts blockwatch.NetFaultOptions) error {
-	members := opts.Members
-	if members < 1 {
-		members = 1
-	}
-	fmt.Fprintf(w, "net-fault campaign: %s, %d threads, %d faults over %s, %d member(s) (spool %s)\n",
-		prog.Name(), opts.Threads, opts.Faults, transportName(opts.Transport), members, onOff(!opts.DisableSpool))
+	fmt.Fprintf(w, "net-fault campaign: %s, %d threads, %d faults over %s (spool %s)\n",
+		prog.Name(), opts.Threads, opts.Faults, transportName(opts.Transport), onOff(!opts.DisableSpool))
 	res, err := prog.NetFaultCampaign(opts)
 	if err != nil {
 		return err

@@ -24,10 +24,7 @@
 //	-watchdog D   stall-watchdog deadline (e.g. 500ms; 0 = disabled)
 //	-remote A     stream events to a bwmonitord daemon at A instead of
 //	              checking in-process (implies -protect; fails open if the
-//	              daemon dies). A comma-separated list addr1,addr2 names a
-//	              daemon fleet: the session is placed on one member by
-//	              health-weighted rendezvous hashing and, with -spool,
-//	              fails over to the next member if its daemon dies mid-run
+//	              daemon dies)
 //	-retry N      with -remote, retry each failed dial up to N times with
 //	              exponential backoff, reconnecting mid-run after drops
 //	              (0 = single attempt, no reconnect)

@@ -317,35 +317,3 @@ func TestRunMetricsAddr(t *testing.T) {
 		t.Errorf("missing -metrics-addr announce line:\n%s", errb.String())
 	}
 }
-
-// TestRunRemoteFleet: a comma-separated -remote places the session on
-// one of two live daemons and stays byte-for-byte a normal clean run.
-func TestRunRemoteFleet(t *testing.T) {
-	var addrs []string
-	for i := 0; i < 2; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := remote.NewServer(remote.ServerConfig{})
-		go srv.Serve(ln)
-		defer srv.Close()
-		addrs = append(addrs, ln.Addr().String())
-	}
-
-	var out, errb bytes.Buffer
-	res, err := run([]string{"-bench", "fft", "-threads", "2",
-		"-remote", strings.Join(addrs, ","), "-q"}, &out, &errb)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if res.Detected {
-		t.Error("clean fleet run reported detections")
-	}
-	if !strings.Contains(out.String(), "protected=true") {
-		t.Errorf("fleet -remote did not imply protection:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "monitor health: healthy") {
-		t.Errorf("fleet run not healthy:\n%s", out.String())
-	}
-}

@@ -12,7 +12,6 @@ type InjectOpts struct {
 	Faults        int
 	Type          string
 	Transport     string
-	Members       int
 	NoSpool       bool
 	Seed          int64
 	Workers       int
@@ -30,7 +29,6 @@ func InjectFlags(stderr io.Writer) (*flag.FlagSet, *InjectOpts) {
 	fs.IntVar(&o.Faults, "faults", 1000, "faults per campaign")
 	fs.StringVar(&o.Type, "type", "branch-flip", "branch-flip | branch-condition | event-path | net-fault")
 	fs.StringVar(&o.Transport, "transport", "tcp", "net-fault transport: tcp | unix")
-	fs.IntVar(&o.Members, "members", 1, "net-fault fleet size (≥2 adds daemon-kill faults)")
 	fs.BoolVar(&o.NoSpool, "no-spool", false, "net-fault: disable the disk spillover (fail-open only)")
 	fs.Int64Var(&o.Seed, "seed", 1, "campaign seed")
 	fs.IntVar(&o.Workers, "workers", 0, "concurrent faulty runs (0 = all cores)")

@@ -42,7 +42,7 @@ func RunFlags(stderr io.Writer) (*flag.FlagSet, *RunOpts) {
 	fs.StringVar(&o.Overflow, "overflow", "block", "queue-overflow policy: block | drop-newest | block-timeout")
 	fs.IntVar(&o.Batch, "batch", 0, "per-thread event batch size (0 = default, 1 = unbatched)")
 	fs.DurationVar(&o.Watchdog, "watchdog", 0, "monitor stall-watchdog deadline (0 = disabled)")
-	fs.StringVar(&o.Remote, "remote", "", "bwmonitord address (host:port or unix:/path), or a comma-separated fleet of them; implies -protect")
+	fs.StringVar(&o.Remote, "remote", "", "bwmonitord address (host:port or unix:/path); implies -protect")
 	fs.IntVar(&o.Retry, "retry", 0, "with -remote, dial attempts per outage with backoff (0 = single attempt)")
 	fs.StringVar(&o.Spool, "spool", "", "with -remote, disk spillover file replayed on reconnect")
 	fs.StringVar(&o.Record, "record", "", "trace file to record the event stream to; implies -protect")
@@ -58,7 +58,7 @@ func runCommand() Command {
 		Description: "bwrun executes a MiniC SPMD program (or a bundled benchmark) under the " +
 			"interpreter, optionally protected by the BLOCKWATCH monitor, and prints the " +
 			"program output, simulated-cycle span, and any detections. The monitor can check " +
-			"in-process, stream to a bwmonitord daemon or fleet (-remote), or record the " +
+			"in-process, stream to a bwmonitord daemon (-remote), or record the " +
 			"event stream to a bwtrace-replayable trace file (-record).",
 		Sections: []Section{{
 			Usage: "bwrun [flags] <file.mc>  |  bwrun [flags] -bench <name>",

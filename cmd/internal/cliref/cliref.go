@@ -16,7 +16,7 @@ import (
 type FlagSetFunc func(stderr io.Writer) *flag.FlagSet
 
 // Section is one flag-bearing entry point of a command: the root flag
-// set for single-mode tools, or one subcommand for bwtrace/bwfleet/
+// set for single-mode tools, or one subcommand for bwtrace/
 // bwmonitord/bwbench-compare style tools.
 type Section struct {
 	// Name is the subcommand name, or "" for the tool's root flag set.
@@ -56,7 +56,6 @@ func Commands() []Command {
 		injectCommand(),
 		monitordCommand(),
 		traceCommand(),
-		fleetCommand(),
 		ccCommand(),
 		genCommand(),
 	}

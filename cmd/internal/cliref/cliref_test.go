@@ -7,11 +7,11 @@ import (
 	"testing"
 )
 
-// TestCommands pins the reference's structural invariants: all eight
+// TestCommands pins the reference's structural invariants: all seven
 // tools present in display order, unique names, every section buildable
 // with a usable flag set.
 func TestCommands(t *testing.T) {
-	want := []string{"bwrun", "bwbench", "bwinject", "bwmonitord", "bwtrace", "bwfleet", "bwc", "bwgen"}
+	want := []string{"bwrun", "bwbench", "bwinject", "bwmonitord", "bwtrace", "bwc", "bwgen"}
 	cmds := Commands()
 	if len(cmds) != len(want) {
 		t.Fatalf("%d commands, want %d", len(cmds), len(want))
@@ -45,10 +45,10 @@ func TestCommands(t *testing.T) {
 // flag changes the struct the binary reads.
 func TestFlagSetsParse(t *testing.T) {
 	fs, o := RunFlags(io.Discard)
-	if err := fs.Parse([]string{"-threads", "8", "-protect", "-remote", "a:1,b:2"}); err != nil {
+	if err := fs.Parse([]string{"-threads", "8", "-protect", "-remote", "a:1"}); err != nil {
 		t.Fatal(err)
 	}
-	if o.Threads != 8 || !o.Protect || o.Remote != "a:1,b:2" {
+	if o.Threads != 8 || !o.Protect || o.Remote != "a:1" {
 		t.Errorf("RunOpts = %+v", o)
 	}
 
@@ -62,7 +62,7 @@ func TestFlagSetsParse(t *testing.T) {
 	// The -exp help text is registry-derived: nestsweep regressed out of
 	// it once, so pin a few ids.
 	expUsage := bfs.Lookup("exp").Usage
-	for _, id := range []string{"nestsweep", "fleet", "all"} {
+	for _, id := range []string{"nestsweep", "netfault", "all"} {
 		if !strings.Contains(expUsage, id) {
 			t.Errorf("-exp usage %q missing %q", expUsage, id)
 		}

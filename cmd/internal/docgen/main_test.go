@@ -12,7 +12,7 @@ import (
 // gets a heading, the index links resolve, and flag rows survive.
 func TestCLIMarkdown(t *testing.T) {
 	md := cliMarkdown()
-	for _, tool := range []string{"bwrun", "bwbench", "bwinject", "bwmonitord", "bwtrace", "bwfleet", "bwc", "bwgen"} {
+	for _, tool := range []string{"bwrun", "bwbench", "bwinject", "bwmonitord", "bwtrace", "bwc", "bwgen"} {
 		if !strings.Contains(md, "## "+tool+"\n") {
 			t.Errorf("missing section for %s", tool)
 		}
@@ -20,7 +20,7 @@ func TestCLIMarkdown(t *testing.T) {
 			t.Errorf("missing index link for %s", tool)
 		}
 	}
-	for _, flag := range []string{"`-exp`", "`-no-time`", "`-watchdog`", "`-fleet`"} {
+	for _, flag := range []string{"`-exp`", "`-no-time`", "`-watchdog`", "`-transport`"} {
 		if !strings.Contains(md, "| "+flag+" |") {
 			t.Errorf("missing flag row %s", flag)
 		}
@@ -35,7 +35,7 @@ func TestCLIMarkdown(t *testing.T) {
 // are marked as record emitters.
 func TestExperimentTable(t *testing.T) {
 	tbl := experimentTable()
-	for _, id := range []string{"nestsweep", "tables", "ingest", "fleet"} {
+	for _, id := range []string{"nestsweep", "tables", "ingest", "netfault"} {
 		if !strings.Contains(tbl, "| `"+id+"` |") {
 			t.Errorf("experiment table missing %q:\n%s", id, tbl)
 		}

@@ -40,9 +40,9 @@ func HandlerWithHealth(reg *metrics.Registry, health func() string) http.Handler
 			reg.WritePrometheus(w)
 		}
 	})
-	// The machine-readable snapshot: what `bwfleet metrics` scrapes from
-	// every member before merging (metrics.MergeSnapshots). A nil
-	// registry serves an empty snapshot, like /metrics.
+	// The machine-readable snapshot (metrics.Snapshot as JSON), for
+	// scrapers that want typed values instead of the text exposition. A
+	// nil registry serves an empty snapshot, like /metrics.
 	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		if err := reg.WriteJSON(w); err != nil {

@@ -103,8 +103,8 @@ func TestNilRegistryServesEmptyExposition(t *testing.T) {
 	}
 }
 
-// TestMetricsJSONEndpoint: the machine-readable snapshot bwfleet
-// scrapes before merging.
+// TestMetricsJSONEndpoint: /metrics.json serves the registry as a
+// machine-readable snapshot.
 func TestMetricsJSONEndpoint(t *testing.T) {
 	reg := metrics.NewRegistry()
 	reg.Counter("bw_json_hits_total", "test counter").Add(3)
@@ -137,7 +137,7 @@ func TestMetricsJSONEndpoint(t *testing.T) {
 }
 
 // TestHealthzUnderConcurrentDrain hammers /healthz from many goroutines
-// while the daemon behind the health hook drains, the way a real fleet
+// while the daemon behind the health hook drains, the way a real health
 // prober races a real shutdown. The race detector guards the handler
 // path; each hammer additionally asserts the responses it saw are
 // monotonic — once the probe reports 503 draining, it never reports

@@ -185,14 +185,6 @@ func Experiments() []Experiment {
 				}
 				return ExperimentResult{Text: RenderIngest(points), Records: append(recs, dec)}, nil
 			}},
-		{ID: "fleet", Desc: "fleet scaling: members × sessions with rendezvous placement", Perf: true,
-			Run: func(cfg Config) (ExperimentResult, error) {
-				points, err := Fleet(cfg)
-				if err != nil {
-					return ExperimentResult{}, err
-				}
-				return ExperimentResult{Text: RenderFleet(points), Records: FleetRecords(points)}, nil
-			}},
 	}
 }
 

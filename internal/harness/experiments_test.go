@@ -12,7 +12,7 @@ func TestExperimentRegistry(t *testing.T) {
 	want := []string{
 		"tables", "table3", "table4", "table5", "fig6", "fig7", "fig8", "fig9",
 		"falsepos", "duplication", "ablation", "nestsweep",
-		"detectorfault", "throughput", "remote", "netfault", "ingest", "fleet",
+		"detectorfault", "throughput", "remote", "netfault", "ingest",
 	}
 	got := ExperimentIDs()
 	if strings.Join(got, " ") != strings.Join(want, " ") {

@@ -118,27 +118,6 @@ func NetFaultRecords(points []NetFaultPoint) []benchstore.Record {
 	return recs
 }
 
-// FleetRecords converts the members × sessions grid. Placement spread
-// is an outcome, not an axis, so it stays out of the record key.
-func FleetRecords(points []FleetPoint) []benchstore.Record {
-	recs := make([]benchstore.Record, 0, len(points))
-	for _, p := range points {
-		recs = append(recs, benchstore.Record{
-			Experiment: "fleet",
-			Config: map[string]string{
-				"members":  strconv.Itoa(p.Members),
-				"sessions": strconv.Itoa(p.Sessions),
-			},
-			Values: map[string]float64{
-				"ns/op":      perEventNS(p.Elapsed.Nanoseconds(), p.Events),
-				"events/sec": p.EventsPerSec(),
-			},
-			Counters: map[string]uint64{"events": p.Events},
-		})
-	}
-	return recs
-}
-
 // DetectorFaultRecords converts the per-kernel campaign rows: outcome
 // counters only, since the campaign measures resilience, not speed.
 func DetectorFaultRecords(rows []DetectorFaultRow) []benchstore.Record {

@@ -72,7 +72,6 @@ type Fault struct {
 type Single struct {
 	fault     Fault
 	activated atomic.Bool // read by every thread's Stop poll
-	corrupted bool        // a value bit actually changed (CondBit)
 }
 
 // NewSingle returns an injector for one fault.
@@ -99,7 +98,6 @@ func (ij *Single) BeforeBranch(t *interp.Thread, br *ir.Instr) bool {
 		// flip so the injection is never silently dropped).
 		for _, op := range t.CondOperands(br) {
 			if t.CorruptBit(op, ij.fault.Bit) {
-				ij.corrupted = true
 				return false
 			}
 		}

@@ -37,12 +37,6 @@ const (
 	// NetFlip flips one bit of the target frame in flight; the daemon's
 	// CRC-32C (or frame parser) must reject it — never check it.
 	NetFlip
-	// NetKill hard-kills the daemon serving the session just before the
-	// target frame (the injector invokes OnKill; the campaign points it
-	// at the member the session is connected to). The process-death
-	// analogue of NetDrop: with a fleet of ≥2 members the session must
-	// fail over to the next-ranked member and lose nothing.
-	NetKill
 )
 
 // String names the fault kind.
@@ -56,8 +50,6 @@ func (k NetFaultKind) String() string {
 		return "stall"
 	case NetFlip:
 		return "bit-flip"
-	case NetKill:
-		return "daemon-kill"
 	}
 	return fmt.Sprintf("NetFaultKind(%d)", int(k))
 }
@@ -89,12 +81,6 @@ var (
 // byte stream's framing (type, u32 length, payload, CRC) incrementally,
 // so the target is a deterministic frame index, not a byte offset.
 type NetInjector struct {
-	// OnKill is the NetKill hook: called once, just before the target
-	// frame is written, so the campaign can kill the daemon the session
-	// is currently talking to. Must be set before the injector wraps its
-	// first connection; nil turns NetKill into a no-op (counting only).
-	OnKill func()
-
 	mu     sync.Mutex
 	plan   NetFaultPlan
 	frames uint64
@@ -198,13 +184,6 @@ func (fc *faultConn) Write(p []byte) (int, error) {
 		// Sleep through the write deadline; the underlying write then
 		// reports the timeout (or, with deadlines off, merely delays).
 		time.Sleep(plan.Stall)
-	case NetKill:
-		// The daemon dies out from under the session; this write may
-		// still land in a kernel buffer, and the fault surfaces as a
-		// reset on a following write or at the finish exchange.
-		if ij.OnKill != nil {
-			ij.OnKill()
-		}
 	}
 	return fc.Conn.Write(p)
 }

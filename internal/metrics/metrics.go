@@ -421,81 +421,6 @@ func (r *Registry) Snapshot() *Snapshot {
 	return s
 }
 
-// MergeSnapshots combines snapshots taken from several registries of
-// the same binary — e.g. the scraped /metrics.json of every fleet
-// member — into one aggregate: counters, gauges, and histogram
-// counts/sums/buckets are summed by name. Gauges are summed too (the
-// fleet-level reading of bw_server_sessions_active is the total across
-// members); histograms whose bucket bounds disagree (mixed binary
-// versions) merge count and sum only, keeping the first snapshot's
-// buckets. Input snapshots are not modified.
-func MergeSnapshots(snaps ...*Snapshot) *Snapshot {
-	out := &Snapshot{}
-	counters := make(map[string]*CounterValue)
-	gauges := make(map[string]*GaugeValue)
-	histograms := make(map[string]*HistogramValue)
-	for _, s := range snaps {
-		if s == nil {
-			continue
-		}
-		for _, c := range s.Counters {
-			if prev, ok := counters[c.Name]; ok {
-				prev.Value += c.Value
-				continue
-			}
-			cc := c
-			counters[c.Name] = &cc
-		}
-		for _, g := range s.Gauges {
-			if prev, ok := gauges[g.Name]; ok {
-				prev.Value += g.Value
-				continue
-			}
-			gg := g
-			gauges[g.Name] = &gg
-		}
-		for _, h := range s.Histograms {
-			prev, ok := histograms[h.Name]
-			if !ok {
-				hh := h
-				hh.Bounds = append([]int64(nil), h.Bounds...)
-				hh.Buckets = append([]uint64(nil), h.Buckets...)
-				histograms[h.Name] = &hh
-				continue
-			}
-			prev.Count += h.Count
-			prev.Sum += h.Sum
-			if len(prev.Bounds) == len(h.Bounds) && len(prev.Buckets) == len(h.Buckets) {
-				same := true
-				for i := range prev.Bounds {
-					if prev.Bounds[i] != h.Bounds[i] {
-						same = false
-						break
-					}
-				}
-				if same {
-					for i := range prev.Buckets {
-						prev.Buckets[i] += h.Buckets[i]
-					}
-				}
-			}
-		}
-	}
-	for _, c := range counters {
-		out.Counters = append(out.Counters, *c)
-	}
-	for _, g := range gauges {
-		out.Gauges = append(out.Gauges, *g)
-	}
-	for _, h := range histograms {
-		out.Histograms = append(out.Histograms, *h)
-	}
-	sort.Slice(out.Counters, func(i, j int) bool { return out.Counters[i].Name < out.Counters[j].Name })
-	sort.Slice(out.Gauges, func(i, j int) bool { return out.Gauges[i].Name < out.Gauges[j].Name })
-	sort.Slice(out.Histograms, func(i, j int) bool { return out.Histograms[i].Name < out.Histograms[j].Name })
-	return out
-}
-
 // WritePrometheus writes the snapshot in the Prometheus text exposition
 // format (v0.0.4): HELP/TYPE headers, counter/gauge samples, and
 // cumulative histogram buckets with _sum and _count series.

@@ -14,13 +14,6 @@
 // reproduced by offline replay. The contract-violating outcomes
 // (VerdictLost, Hang, Crash) must count zero at any worker count.
 //
-// With Members ≥ 2 the campaign runs against a fleet (internal/fleet):
-// sessions are placed by health-weighted rendezvous hashing, and the
-// sampled kinds gain inject.NetKill — the daemon serving a session is
-// hard-killed mid-run, and the contract tightens from "sealed or
-// recovered" to "recovered": the session must fail over to the
-// next-ranked member and land the identical verdict.
-//
 // It lives outside internal/inject so that internal/remote's own tests
 // can use the injector without an import cycle.
 package netfault

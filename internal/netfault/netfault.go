@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"blockwatch/internal/core"
-	"blockwatch/internal/fleet"
 	"blockwatch/internal/inject"
 	"blockwatch/internal/interp"
 	"blockwatch/internal/ir"
@@ -110,10 +109,6 @@ type Campaign struct {
 	Seed0 uint64
 	// Transport is "tcp" (default) or "unix".
 	Transport string
-	// Members is the campaign fleet size (0 or 1 = a single daemon, the
-	// classic campaign). With ≥ 2 members the default kind set gains
-	// inject.NetKill, whose runs must fail over to a surviving member.
-	Members int
 	// DisableSpool turns self-healing off: runs fall back to the plain
 	// fail-open client (verdicts may be lost, classified CoverageLost).
 	DisableSpool bool
@@ -172,18 +167,9 @@ func (c Campaign) Run() (*Result, error) {
 	if c.Plans == nil {
 		return nil, ErrNeedsPlans
 	}
-	members := c.Members
-	if members < 1 {
-		members = 1
-	}
 	kinds := c.Kinds
 	if len(kinds) == 0 {
 		kinds = []inject.NetFaultKind{inject.NetDrop, inject.NetPartial, inject.NetStall, inject.NetFlip}
-		if members >= 2 {
-			// Killing the only daemon can at best seal; with a fleet the
-			// kill becomes a failover drill, so it joins the default mix.
-			kinds = append(kinds, inject.NetKill)
-		}
 	}
 	writeTimeout := c.WriteTimeout
 	if writeTimeout <= 0 {
@@ -204,18 +190,29 @@ func (c Campaign) Run() (*Result, error) {
 	}
 	defer os.RemoveAll(tmpDir)
 
-	// Campaign-owned fleet. Sessions are isolated, so every injected
+	// Campaign-owned daemon. Sessions are isolated, so every injected
 	// run (and its reconnects) shares it. The idle timeout reaps
 	// sessions wedged by a corrupted length prefix.
-	daemons, addrs, err := c.startDaemons(tmpDir, "fleet", members)
+	srv := remote.NewServer(remote.ServerConfig{IdleTimeout: 5 * time.Second})
+	var ln net.Listener
+	switch c.Transport {
+	case "", "tcp":
+		ln, err = net.Listen("tcp", "127.0.0.1:0")
+	case "unix":
+		ln, err = net.Listen("unix", filepath.Join(tmpDir, "bw.sock"))
+	default:
+		return nil, fmt.Errorf("%w: %q", ErrBadTransport, c.Transport)
+	}
 	if err != nil {
 		return nil, err
 	}
-	defer func() {
-		for _, d := range daemons {
-			d.srv.Close()
-		}
-	}()
+	addr := c.Transport
+	if addr == "" {
+		addr = "tcp"
+	}
+	addr += ":" + ln.Addr().String()
+	go srv.Serve(ln)
+	defer srv.Close()
 
 	// Reference run: the ordinary in-process monitor, same program
 	// fault if any.
@@ -227,13 +224,8 @@ func (c Campaign) Run() (*Result, error) {
 
 	// Profiling run: one clean remote session counts the frames a
 	// typical session writes, sizing the AfterFrames sampling space.
-	profPool, err := poolOver(addrs)
-	if err != nil {
-		return nil, err
-	}
-	defer profPool.Close()
 	profiler := inject.NewNetInjector(inject.NetFaultPlan{})
-	profRes, _, err := c.runRemote(profPool.Session("netfault-profile"), stepLimit, writeTimeout, profiler, filepath.Join(tmpDir, "profile.bwspool"))
+	profRes, _, err := c.runRemote(addr, stepLimit, writeTimeout, profiler, filepath.Join(tmpDir, "profile.bwspool"))
 	if err != nil {
 		return nil, fmt.Errorf("profiling run: %w", err)
 	}
@@ -281,7 +273,8 @@ func (c Campaign) Run() (*Result, error) {
 				if i >= len(plans) {
 					return
 				}
-				out, rc := c.runInjected(tmpDir, addrs, members, stepLimit, writeTimeout, plans[i], ref, i)
+				out, rc := c.runInjected(addr, stepLimit, writeTimeout, plans[i], ref,
+					filepath.Join(tmpDir, fmt.Sprintf("run-%04d.bwspool", i)))
 				outcomes[i] = out
 				reconnects[i] = rc
 			}
@@ -322,10 +315,9 @@ func (c Campaign) runInProcess() (*interp.Result, error) {
 	return interp.Run(c.Module, opts)
 }
 
-// runRemote executes one monitored run through the campaign fleet with
-// the given injector wrapping every connection, placed (and failed
-// over) by the selector.
-func (c Campaign) runRemote(sel remote.Selector, stepLimit uint64, writeTimeout time.Duration, ij *inject.NetInjector, spoolPath string) (*interp.Result, *remote.Client, error) {
+// runRemote executes one monitored run through the campaign daemon with
+// the given injector wrapping every connection.
+func (c Campaign) runRemote(addr string, stepLimit uint64, writeTimeout time.Duration, ij *inject.NetInjector, spoolPath string) (*interp.Result, *remote.Client, error) {
 	cfg := remote.ClientConfig{
 		Program:       "netfault",
 		NumThreads:    c.Threads,
@@ -344,7 +336,7 @@ func (c Campaign) runRemote(sel remote.Selector, stepLimit uint64, writeTimeout 
 	if !c.DisableSpool {
 		cfg.SpoolPath = spoolPath
 	}
-	client, err := remote.DialSelector(sel, cfg)
+	client, err := remote.Dial(addr, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -363,45 +355,9 @@ func (c Campaign) runRemote(sel remote.Selector, stepLimit uint64, writeTimeout 
 }
 
 // runInjected executes and classifies one injected run.
-func (c Campaign) runInjected(tmpDir string, addrs []string, members int, stepLimit uint64, writeTimeout time.Duration, plan inject.NetFaultPlan, ref *interp.Result, run int) (Outcome, int) {
-	spoolPath := filepath.Join(tmpDir, fmt.Sprintf("run-%04d.bwspool", run))
+func (c Campaign) runInjected(addr string, stepLimit uint64, writeTimeout time.Duration, plan inject.NetFaultPlan, ref *interp.Result, spoolPath string) (Outcome, int) {
 	ij := inject.NewNetInjector(plan)
-	runAddrs := addrs
-	var kill []daemon
-	if plan.Kind == inject.NetKill {
-		// A kill must not disturb the runs sharing the campaign fleet, so
-		// kill plans get a private fleet of the same size and shape.
-		var derr error
-		kill, runAddrs, derr = c.startDaemons(tmpDir, fmt.Sprintf("kill-%04d", run), members)
-		if derr != nil {
-			return Crash, 0
-		}
-		defer func() {
-			for _, d := range kill {
-				d.srv.Close()
-			}
-		}()
-	}
-	pool, err := poolOver(runAddrs)
-	if err != nil {
-		return Crash, 0
-	}
-	defer pool.Close()
-	sess := pool.Session(fmt.Sprintf("netfault-run-%04d", run))
-	if plan.Kind == inject.NetKill {
-		ij.OnKill = func() {
-			// Aim at the member actually serving the session. Close
-			// hard-stops its listener and every live connection — the
-			// in-test equivalent of the daemon process dying.
-			cur := sess.Current()
-			for _, d := range kill {
-				if d.addr == cur {
-					d.srv.Close()
-				}
-			}
-		}
-	}
-	res, client, err := c.runRemote(sess, stepLimit, writeTimeout, ij, spoolPath)
+	res, client, err := c.runRemote(addr, stepLimit, writeTimeout, ij, spoolPath)
 	rc := 0
 	if client != nil {
 		rc = client.Reconnects()
@@ -447,58 +403,6 @@ func (c Campaign) runInjected(tmpDir string, addrs []string, members int, stepLi
 		return Recovered, rc
 	}
 	return Absorbed, rc
-}
-
-// daemon is one campaign-owned fleet member.
-type daemon struct {
-	srv  *remote.Server
-	addr string
-}
-
-// startDaemons starts n daemons on the campaign transport, returning
-// them with their prefixed wire addresses.
-func (c Campaign) startDaemons(tmpDir, tag string, n int) ([]daemon, []string, error) {
-	network := c.Transport
-	if network == "" {
-		network = "tcp"
-	}
-	ds := make([]daemon, 0, n)
-	addrs := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		srv := remote.NewServer(remote.ServerConfig{IdleTimeout: 5 * time.Second})
-		var ln net.Listener
-		var err error
-		switch network {
-		case "tcp":
-			ln, err = net.Listen("tcp", "127.0.0.1:0")
-		case "unix":
-			ln, err = net.Listen("unix", filepath.Join(tmpDir, fmt.Sprintf("bw-%s-%d.sock", tag, i)))
-		default:
-			err = fmt.Errorf("%w: %q", ErrBadTransport, c.Transport)
-		}
-		if err != nil {
-			for _, d := range ds {
-				d.srv.Close()
-			}
-			return nil, nil, err
-		}
-		go srv.Serve(ln)
-		ds = append(ds, daemon{srv: srv, addr: network + ":" + ln.Addr().String()})
-		addrs = append(addrs, network+":"+ln.Addr().String())
-	}
-	return ds, addrs, nil
-}
-
-// poolOver builds a probe-less pool over the given addresses. Each run
-// gets its own: health state then comes only from that run's dial and
-// stream feedback, so concurrent runs never mistake each other's
-// injected faults for member failures.
-func poolOver(addrs []string) (*fleet.Pool, error) {
-	ms := make([]fleet.Member, len(addrs))
-	for i, a := range addrs {
-		ms[i] = fleet.Member{Addr: a}
-	}
-	return fleet.NewPool(fleet.Config{Members: ms, ProbeInterval: -1})
 }
 
 // sameStream reports whether two runs executed identically (the guard

@@ -190,75 +190,3 @@ func TestOutcomeStrings(t *testing.T) {
 		seen[s] = true
 	}
 }
-
-// TestCampaignFleetDaemonKill: the fleet acceptance gate. A campaign of
-// pure daemon-kill faults against a two-member fleet must recover every
-// fired kill by failing over to the surviving member — zero contract
-// violations, zero sealed spools (with a survivor standing, the verdict
-// must arrive live, not from an offline replay).
-func TestCampaignFleetDaemonKill(t *testing.T) {
-	m, plans := compileTest(t)
-	faults := 12
-	if testing.Short() {
-		faults = 6
-	}
-	c := Campaign{
-		Module:  m,
-		Plans:   plans,
-		Threads: 4,
-		Faults:  faults,
-		Seed:    11,
-		Members: 2,
-		Kinds:   []inject.NetFaultKind{inject.NetKill},
-	}
-	res, err := c.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := res.ContractViolations(); v != 0 {
-		t.Fatalf("contract violations = %d (counts %v)", v, res.Counts)
-	}
-	if res.Fired == 0 {
-		t.Fatal("no daemon-kill ever fired")
-	}
-	if n := res.Counts[Sealed]; n != 0 {
-		t.Errorf("%d run(s) sealed to disk despite a surviving member (counts %v)", n, res.Counts)
-	}
-	if res.Counts[Recovered] == 0 {
-		t.Errorf("no run recovered via failover (counts %v)", res.Counts)
-	}
-	if res.Reconnects < res.Counts[Recovered] {
-		t.Errorf("reconnects = %d < recovered runs %d", res.Reconnects, res.Counts[Recovered])
-	}
-	t.Logf("daemon-kill campaign: fired %d/%d, reconnects %d, counts %v (%.1fs)",
-		res.Fired, res.Injected, res.Reconnects, res.Counts, res.Elapsed.Seconds())
-}
-
-// TestCampaignFleetDefaultKindsIncludeKill: with Members >= 2 the
-// default kind mix gains daemon-kill; the whole mixed campaign must
-// still hold the contract.
-func TestCampaignFleetDefaultKindsIncludeKill(t *testing.T) {
-	if testing.Short() {
-		t.Skip("mixed fleet campaign is slow in -short")
-	}
-	m, plans := compileTest(t)
-	c := Campaign{
-		Module:  m,
-		Plans:   plans,
-		Threads: 4,
-		Faults:  25,
-		Seed:    3,
-		Members: 2,
-	}
-	res, err := c.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := res.ContractViolations(); v != 0 {
-		t.Fatalf("contract violations = %d (counts %v)", v, res.Counts)
-	}
-	if _, ok := res.PerKind[inject.NetKill]; !ok {
-		t.Errorf("daemon-kill absent from the default fleet mix: %v", res.PerKind)
-	}
-	t.Logf("mixed fleet campaign: per-kind %v", res.PerKind)
-}

@@ -100,7 +100,7 @@ func sharedBranch(b *testing.B, plans map[int]*core.CheckPlan) int {
 // BenchmarkServerSessions is the daemon scaling grid: concurrent
 // sessions × threads per session, over loopback TCP and a unix socket.
 // One op is one branch event on every thread of every session, so
-// ns/op is the whole-daemon cost per event round across the fleet;
+// ns/op is the whole-daemon cost per event round across all sessions;
 // events/op reports the fan-out. Every session must finish Healthy and
 // violation-free.
 func BenchmarkServerSessions(b *testing.B) {

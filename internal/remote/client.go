@@ -256,35 +256,6 @@ func newClientMetrics(r *metrics.Registry) clientMetrics {
 	}
 }
 
-// Selector chooses the daemon address for each connection attempt of a
-// session. A single-daemon session uses the static selector behind Dial;
-// a fleet session plugs in a placement policy (internal/fleet ranks
-// members by health-weighted rendezvous hashing), so a mid-run failover
-// — redial, spool replay, fresh hello — lands on the next-ranked member
-// instead of hammering a dead one.
-//
-// Calls arrive from the constructor and then only from the relay
-// goroutine, so implementations need no locking against the client
-// (they may still need it internally if a shared pool feeds many
-// sessions).
-type Selector interface {
-	// Next returns the address (Dial syntax) for the session's next
-	// connection attempt, or "" when no member is currently available
-	// (the attempt fails and the retry budget decides what happens).
-	Next() string
-	// Observe reports the outcome of the most recent attempt at addr: a
-	// nil err after a successful dial+hello, a non-nil err after a failed
-	// dial or a transport fault on the established connection.
-	Observe(addr string, err error)
-}
-
-// staticAddr is the single-daemon Selector: always the same address,
-// feedback discarded.
-type staticAddr string
-
-func (s staticAddr) Next() string        { return string(s) }
-func (staticAddr) Observe(string, error) {}
-
 // Client is a monitor.Sink whose checking back end lives in a bwmonitord
 // daemon. Create with Dial or NewClient, then use exactly like a
 // monitor.Monitor: Start, per-thread Senders, Close, then
@@ -297,8 +268,7 @@ type Client struct {
 	// Connection and spool state. Written by the constructor before the
 	// relay exists and by the relay goroutine afterwards; read elsewhere
 	// only after Relay.Close has joined the relay goroutine.
-	sel       Selector // nil = reconnect disabled (NewClient over a given conn)
-	addr      string   // address of the live (or most recent) connection
+	addr      string // "" = reconnect disabled (NewClient over a given conn)
 	conn      net.Conn
 	codec     *codec // c.wr and the finish reader, from codecPool
 	wr        *wire.Writer
@@ -360,17 +330,6 @@ func SplitAddr(addr string) (network, address string) {
 // daemon is unreachable the session starts disconnected, events spool to
 // disk, and the client keeps re-dialing mid-run and at finish.
 func Dial(addr string, cfg ClientConfig) (*Client, error) {
-	return DialSelector(staticAddr(addr), cfg)
-}
-
-// DialSelector is Dial with a pluggable address policy: every connection
-// attempt of the session — the initial dial, mid-run reconnects, and the
-// finish-phase last chance — asks sel for the address and reports the
-// outcome back. With a spool configured, a transport fault mid-run
-// therefore fails the session over to whatever member sel ranks next,
-// replaying the spooled stream through a fresh hello, so the verdict is
-// byte-identical to an uninterrupted single-daemon run.
-func DialSelector(sel Selector, cfg ClientConfig) (*Client, error) {
 	var t0 time.Time
 	if cfg.Metrics != nil {
 		t0 = time.Now()
@@ -379,7 +338,7 @@ func DialSelector(sel Selector, cfg ClientConfig) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.sel = sel
+	c.addr = addr
 	dialErr := c.connectBlocking(c.cfg.Retry.Attempts)
 	if dialErr != nil {
 		if c.sp == nil {
@@ -570,27 +529,15 @@ func (d *deadlineWriter) Write(p []byte) (int, error) {
 	return d.conn.Write(p)
 }
 
-// errNoMember is the dial error when the selector has no address to
-// offer (every fleet member down or draining).
-var errNoMember = errors.New("remote monitor: no fleet member available")
-
-// dialOnce makes one connection attempt at the selector's next address
-// and, on success, makes the new connection current: with a spool the
-// whole session history (hello first) is replayed onto it, so the daemon
-// sees a complete fresh session; without one the hello is written
-// directly. The attempt's outcome is reported back to the selector, so a
-// placement pool learns about dead members immediately instead of at its
-// next probe tick.
+// dialOnce makes one connection attempt and, on success, makes the new
+// connection current: with a spool the whole session history (hello
+// first) is replayed onto it, so the daemon sees a complete fresh
+// session; without one the hello is written directly.
 func (c *Client) dialOnce() error {
-	addr := c.sel.Next()
-	if addr == "" {
-		return errNoMember
-	}
-	network, address := SplitAddr(addr)
+	network, address := SplitAddr(c.addr)
 	d := net.Dialer{Timeout: c.cfg.Retry.DialTimeout}
 	conn, err := d.Dial(network, address)
 	if err != nil {
-		c.sel.Observe(addr, err)
 		return err
 	}
 	if c.cfg.WrapConn != nil {
@@ -602,13 +549,11 @@ func (c *Client) dialOnce() error {
 				c.rejected, err = rej, rej
 			}
 			conn.Close()
-			c.sel.Observe(addr, err)
 			return fmt.Errorf("spool replay: %w", err)
 		}
 		c.met.spoolReplay.Inc()
 	}
 	wasLive := c.conn != nil
-	c.addr = addr
 	c.adopt(conn)
 	if c.sp == nil {
 		if err := c.writeHello(); err != nil {
@@ -616,14 +561,12 @@ func (c *Client) dialOnce() error {
 				c.rejected, err = rej, rej
 			}
 			c.dropConn()
-			c.sel.Observe(addr, err)
 			return err
 		}
 	} else if wasLive {
 		c.reconnects++
 		c.met.reconnects.Inc()
 	}
-	c.sel.Observe(addr, nil)
 	return nil
 }
 
@@ -654,15 +597,10 @@ func (c *Client) dropConn() {
 }
 
 // onStreamError handles a transport fault on the live connection:
-// degrade (a detector fault happened, even if we recover), tell the
-// selector the member misbehaved (a fleet pool deranks it so the next
-// dial fails over), drop the connection, and schedule an immediate
-// reconnect attempt.
+// degrade (a detector fault happened, even if we recover), drop the
+// connection, and schedule an immediate reconnect attempt.
 func (c *Client) onStreamError(err error) {
 	c.met.streamErrs.Inc()
-	if c.sel != nil {
-		c.sel.Observe(c.addr, err)
-	}
 	if c.failure == nil {
 		c.failure = err
 	}
@@ -721,9 +659,9 @@ func (c *Client) cause(fallback error) error {
 }
 
 // canReconnect reports whether a mid-run reconnect is possible: it
-// needs a selector to pick an address and an intact spool to replay.
+// needs an address to re-dial and an intact spool to replay.
 func (c *Client) canReconnect() bool {
-	return c.sel != nil && c.sp != nil && !c.spoolDead && !c.terminal
+	return c.addr != "" && c.sp != nil && !c.spoolDead && !c.terminal
 }
 
 // maybeReconnect makes at most one non-blocking reconnect attempt,
@@ -996,7 +934,7 @@ func (c *Client) finish(broken bool) (monitor.RelayOutcome, error) {
 	var lastErr error
 	for {
 		if !c.connected {
-			if c.sel == nil || c.sp == nil || c.spoolDead || budget <= 0 {
+			if c.addr == "" || c.sp == nil || c.spoolDead || budget <= 0 {
 				break
 			}
 			used := c.cfg.Retry.Attempts - budget

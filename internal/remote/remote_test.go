@@ -44,13 +44,28 @@ func kernelPlans(t testing.TB, name string) (*ir.Module, map[int]*core.CheckPlan
 // startServer serves on an ephemeral loopback TCP listener.
 func startServer(t testing.TB, cfg ServerConfig) (string, *Server) {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	return startServerOn(t, "tcp", cfg)
+}
+
+// startServerOn serves on an ephemeral loopback TCP listener or, for
+// network "unix", on a socket in the test's temp dir. The address it
+// returns is in Dial syntax.
+func startServerOn(t testing.TB, network string, cfg ServerConfig) (string, *Server) {
+	t.Helper()
+	addr := "127.0.0.1:0"
+	if network == "unix" {
+		addr = "unix:" + filepath.Join(t.TempDir(), "bwmonitord.sock")
+	}
+	ln, err := Listen(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := NewServer(cfg)
 	go srv.Serve(ln)
 	t.Cleanup(srv.Close)
+	if network == "unix" {
+		return addr, srv
+	}
 	return ln.Addr().String(), srv
 }
 
@@ -122,39 +137,44 @@ func compareRuns(t *testing.T, label string, local, remote *interp.Result) bool 
 }
 
 // TestLoopbackMatchesInProcessAllKernels runs every SPLASH kernel twice
-// — in-process monitor and loopback remote monitor — clean and with a
-// deterministic injected fault, and requires identical violations. At
-// least one faulty run across the suite must actually detect, so the
-// equality is not vacuously about empty sets.
+// — in-process monitor and loopback remote monitor, over tcp and over a
+// unix socket — clean and with a deterministic injected fault, and
+// requires identical violations. At least one faulty run across the
+// suite must actually detect on each transport, so the equality is not
+// vacuously about empty sets.
 func TestLoopbackMatchesInProcessAllKernels(t *testing.T) {
-	addr, _ := startServer(t, ServerConfig{})
-	anyDetected := false
-	for _, name := range splash.Names() {
-		mod, plans := kernelPlans(t, name)
+	for _, network := range []string{"tcp", "unix"} {
+		t.Run(network, func(t *testing.T) {
+			addr, _ := startServerOn(t, network, ServerConfig{})
+			anyDetected := false
+			for _, name := range splash.Names() {
+				mod, plans := kernelPlans(t, name)
 
-		clean := runInProcess(t, mod, plans, nil)
-		if clean.Detected {
-			t.Fatalf("%s: clean run detected a violation (false positive)", name)
-		}
-		compareRuns(t, name+"/clean", clean, runRemote(t, addr, name, mod, plans, nil))
+				clean := runInProcess(t, mod, plans, nil)
+				if clean.Detected {
+					t.Fatalf("%s: clean run detected a violation (false positive)", name)
+				}
+				compareRuns(t, name+"/clean", clean, runRemote(t, addr, name, mod, plans, nil))
 
-		// Sweep a few deterministic fault positions; compare every one and
-		// note whether any produced a compared detection.
-		for _, frac := range []uint64{2, 3, 5} {
-			seq := clean.BranchCounts[1] / frac
-			if seq == 0 {
-				continue
+				// Sweep a few deterministic fault positions; compare every
+				// one and note whether any produced a compared detection.
+				for _, frac := range []uint64{2, 3, 5} {
+					seq := clean.BranchCounts[1] / frac
+					if seq == 0 {
+						continue
+					}
+					fault := &inject.Fault{Type: inject.BranchFlip, Thread: 1, Seq: seq}
+					local := runInProcess(t, mod, plans, fault)
+					remote := runRemote(t, addr, name, mod, plans, fault)
+					if compareRuns(t, fmt.Sprintf("%s/fault@%d", name, seq), local, remote) && local.Detected {
+						anyDetected = true
+					}
+				}
 			}
-			fault := &inject.Fault{Type: inject.BranchFlip, Thread: 1, Seq: seq}
-			local := runInProcess(t, mod, plans, fault)
-			remote := runRemote(t, addr, name, mod, plans, fault)
-			if compareRuns(t, fmt.Sprintf("%s/fault@%d", name, seq), local, remote) && local.Detected {
-				anyDetected = true
+			if !anyDetected {
+				t.Error("no injected fault was detected by any kernel — equality checks were vacuous")
 			}
-		}
-	}
-	if !anyDetected {
-		t.Error("no injected fault was detected by any kernel — equality checks were vacuous")
+		})
 	}
 }
 
@@ -239,23 +259,6 @@ func TestConcurrentFaultySessionsMatchSequential(t *testing.T) {
 	if compared == 0 {
 		t.Error("every faulty execution diverged between runs: nothing was compared")
 	}
-}
-
-// TestUnixSocketLoopback exercises the unix-socket transport end to end.
-func TestUnixSocketLoopback(t *testing.T) {
-	sock := filepath.Join(t.TempDir(), "bwmonitord.sock")
-	ln, err := Listen("unix:" + sock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(ServerConfig{})
-	go srv.Serve(ln)
-	defer srv.Close()
-
-	mod, plans := kernelPlans(t, "fft")
-	local := runInProcess(t, mod, plans, nil)
-	remote := runRemote(t, sock, "fft", mod, plans, nil)
-	compareRuns(t, "fft/unix", local, remote)
 }
 
 // TestClientFailOpenOnServerKill is the kill-the-daemon acceptance test:

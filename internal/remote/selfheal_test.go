@@ -5,13 +5,17 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math/rand"
 	"net"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -201,6 +205,155 @@ func TestSpoolReplayAfterDaemonKill(t *testing.T) {
 		}
 	}
 	checkNoGoroutineLeak(t, before)
+}
+
+// TestHelperDaemon is not a test: it is the body of the child process
+// TestRealSIGKILLSealsSpool spawns. It serves a daemon on the unix
+// socket named by the environment and blocks until killed.
+func TestHelperDaemon(t *testing.T) {
+	sock := os.Getenv("BW_REMOTE_HELPER_SOCK")
+	if sock == "" {
+		t.Skip("helper-process body; only runs when spawned by TestRealSIGKILLSealsSpool")
+	}
+	ln, err := net.Listen("unix", sock)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "helper:", err)
+		os.Exit(1)
+	}
+	_ = NewServer(ServerConfig{}).Serve(ln)
+}
+
+// hookConn runs before ahead of every write on the connection.
+type hookConn struct {
+	net.Conn
+	before func()
+}
+
+func (h *hookConn) Write(p []byte) (int, error) {
+	h.before()
+	return h.Conn.Write(p)
+}
+
+// TestRealSIGKILLSealsSpool is the daemon-death drill against a real
+// operating-system process: a second test binary serves the session on a
+// unix socket and is SIGKILLed after a few frames. The program must run
+// to completion degraded, the client must seal its spool (every redial
+// meets a dead socket), and the offline replay of the sealed spool must
+// reproduce the in-process verdict. Clean and faulty.
+func TestRealSIGKILLSealsSpool(t *testing.T) {
+	mod, plans := kernelPlans(t, "fft")
+	cleanRef := runInProcess(t, mod, plans, nil)
+	fault := &inject.Fault{Type: inject.BranchFlip, Thread: 1, Seq: cleanRef.BranchCounts[1] / 2}
+	for _, tc := range []struct {
+		label string
+		fault *inject.Fault
+	}{{"clean", nil}, {"faulty", fault}} {
+		t.Run(tc.label, func(t *testing.T) {
+			local := runInProcess(t, mod, plans, tc.fault)
+
+			dir := t.TempDir()
+			sock := filepath.Join(dir, "helper.sock")
+			helper := exec.Command(os.Args[0], "-test.run=^TestHelperDaemon$")
+			helper.Env = append(os.Environ(), "BW_REMOTE_HELPER_SOCK="+sock)
+			helper.Stdout, helper.Stderr = io.Discard, io.Discard
+			if err := helper.Start(); err != nil {
+				t.Fatal(err)
+			}
+			var once sync.Once
+			var killed atomic.Bool
+			kill := func() {
+				once.Do(func() {
+					// SIGKILL, then reap: the daemon is gone before the
+					// write that triggered the kill goes out.
+					helper.Process.Kill()
+					helper.Wait()
+				})
+			}
+			defer kill()
+			addr := "unix:" + sock
+			deadline := time.Now().Add(10 * time.Second)
+			for {
+				conn, err := net.DialTimeout("unix", sock, 200*time.Millisecond)
+				if err == nil {
+					conn.Close()
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("helper daemon never came up")
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+
+			const killAt = 4 // the hello is write 1
+			var writes atomic.Int64
+			client, err := Dial(addr, ClientConfig{
+				Program: "fft", NumThreads: testThreads, Plans: plans,
+				SpoolPath:     filepath.Join(dir, "run.bwspool"),
+				ResultTimeout: 2 * time.Second,
+				WrapConn: func(c net.Conn) net.Conn {
+					return &hookConn{Conn: c, before: func() {
+						if writes.Add(1) == killAt {
+							killed.Store(true)
+							kill()
+						}
+					}}
+				},
+				Retry: RetryConfig{
+					Attempts: 2, BaseDelay: time.Millisecond,
+					MaxDelay: 10 * time.Millisecond, DialTimeout: time.Second,
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := interp.Options{Threads: testThreads, Mode: interp.MonitorActive, Plans: plans, Sink: client}
+			if tc.fault != nil {
+				opts.Fault = inject.NewSingle(*tc.fault)
+			}
+			res, err := interp.Run(mod, opts)
+			if err != nil {
+				t.Fatalf("program did not complete after daemon death: %v", err)
+			}
+			client.Close()
+
+			if !killed.Load() {
+				t.Fatalf("the kill never fired: the session made %d writes, want >= %d", writes.Load(), killAt)
+			}
+			if res.MonitorHealth != monitor.Degraded {
+				t.Errorf("health = %v, want Degraded", res.MonitorHealth)
+			}
+			sealed := client.SealedSpool()
+			if sealed == "" {
+				t.Fatal("no sealed spool after the daemon process was killed")
+			}
+			f, err := os.Open(sealed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			out, err := trace.Replay(f, trace.ReplayConfig{})
+			if err != nil {
+				t.Fatalf("sealed spool does not replay: %v", err)
+			}
+			if !out.Clean {
+				t.Error("sealed spool replays as truncated, want clean (finish marker present)")
+			}
+			if !reflect.DeepEqual(local.EventCounts, res.EventCounts) ||
+				!reflect.DeepEqual(local.BranchCounts, res.BranchCounts) {
+				t.Log("faulty execution diverged under different sink timing — verdict comparison skipped")
+				return
+			}
+			if out.Detected != local.Detected {
+				t.Errorf("replayed Detected = %t, in-process %t", out.Detected, local.Detected)
+			}
+			if !reflect.DeepEqual(out.Violations, local.Violations) {
+				t.Errorf("replayed violations differ\n in-process: %v\n replay:     %v", local.Violations, out.Violations)
+			}
+			if out.Stats.Events != local.MonitorStats.Events {
+				t.Errorf("replayed %d events, in-process saw %d", out.Stats.Events, local.MonitorStats.Events)
+			}
+		})
+	}
 }
 
 // rawFrame encodes one wire frame by hand (type, length, payload, CRC).
