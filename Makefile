@@ -73,6 +73,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzNoFalsePositive -fuzztime=10s ./internal/lang/langtest/
 	$(GO) test -fuzz=FuzzMonitorEvents -fuzztime=10s ./internal/monitor/
 	$(GO) test -fuzz=FuzzTableDifferential -fuzztime=10s ./internal/monitor/
+	$(GO) test -fuzz=FuzzCheckerDifferential -fuzztime=10s ./internal/monitor/
 	$(GO) test -fuzz=FuzzWireDecode -fuzztime=10s ./internal/wire/
 	$(GO) test -fuzz=FuzzWireRoundTrip -fuzztime=10s ./internal/wire/
 

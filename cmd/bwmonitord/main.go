@@ -1,7 +1,8 @@
 // Command bwmonitord is the out-of-process BLOCKWATCH monitoring daemon:
 // it accepts wire-protocol connections from monitored programs (bwrun
-// -remote, or any remote.Client), runs one checking monitor per session,
-// and returns each session's verdict in the result frame. Many programs
+// -remote, or any remote.Client), checks each session's frames on the
+// goroutine that reads them, and returns each session's verdict in the
+// result frame. Many programs
 // can stream concurrently; a session that misbehaves only loses its own
 // coverage.
 //
@@ -13,8 +14,11 @@
 //
 //	-addr A       listen address: host:port for TCP, unix:/path or any
 //	              path containing "/" for a unix socket (default 127.0.0.1:4777)
-//	-queuecap N   per-thread monitor queue capacity per session (0 = default)
-//	-watchdog D   per-session stall-watchdog deadline (0 = disabled)
+//	-queuecap N   events a session buffers for one thread gated at a
+//	              barrier; past N the generation is force-closed
+//	              (0 = default 16384)
+//	-watchdog D   per-session stall-watchdog deadline, checked as each
+//	              frame arrives (0 = disabled)
 //	-maxthreads N largest thread count a session may claim (default 1024)
 //	-maxconns N   reject new sessions beyond N live ones with a polite
 //	              wire-level reject frame (0 = unlimited)
@@ -27,7 +31,7 @@
 //	-quiet        log only errors, not per-session lines
 //	-admin A      also serve an HTTP observability listener at A with
 //	              /metrics (Prometheus text), /healthz, and /debug/pprof;
-//	              one registry aggregates every session's monitor metrics
+//	              one registry aggregates every session's checker metrics
 //	-version      print the build version and exit
 //
 // The daemon runs until interrupted (SIGINT/SIGTERM), then drains (or

@@ -25,8 +25,8 @@ func ServeFlags(stderr io.Writer) (*flag.FlagSet, *ServeOpts) {
 	fs := newFlagSet("bwmonitord serve", stderr)
 	o := &ServeOpts{}
 	fs.StringVar(&o.Addr, "addr", "127.0.0.1:4777", "listen address (host:port, unix:/path, or a socket path)")
-	fs.IntVar(&o.QueueCap, "queuecap", 0, "per-thread monitor queue capacity per session (0 = default)")
-	fs.DurationVar(&o.Watchdog, "watchdog", 0, "per-session stall-watchdog deadline (0 = disabled)")
+	fs.IntVar(&o.QueueCap, "queuecap", 0, "events a session buffers for one thread gated at a barrier; past it the generation is force-closed (0 = default 16384)")
+	fs.DurationVar(&o.Watchdog, "watchdog", 0, "per-session stall-watchdog deadline, checked as each frame arrives (0 = disabled)")
 	fs.IntVar(&o.MaxThreads, "maxthreads", 0, "largest thread count a session may claim (0 = default 1024)")
 	fs.IntVar(&o.MaxConns, "maxconns", 0, "reject new sessions beyond N live ones (0 = unlimited)")
 	fs.DurationVar(&o.ReadTimeout, "readtimeout", 0, "per-frame read deadline on session connections (0 = none)")
@@ -40,10 +40,10 @@ func ServeFlags(stderr io.Writer) (*flag.FlagSet, *ServeOpts) {
 func monitordCommand() Command {
 	return Command{
 		Name:    "bwmonitord",
-		Summary: "out-of-process monitoring daemon: one checking monitor per wire session",
+		Summary: "out-of-process monitoring daemon: one checker per wire session",
 		Description: "bwmonitord accepts wire-protocol connections from monitored programs (bwrun " +
-			"-remote, or any remote.Client), runs one checking monitor per session, and " +
-			"returns each session's verdict in the result frame. Many programs can stream " +
+			"-remote, or any remote.Client), checks each session's frames on the goroutine " +
+			"that reads them, and returns each session's verdict in the result frame. Many programs can stream " +
 			"concurrently; a session that misbehaves only loses its own coverage. The daemon " +
 			"runs until interrupted (SIGINT/SIGTERM), then drains (or closes) live sessions " +
 			"and exits. A stale unix socket left by a crashed daemon is removed on startup " +

@@ -33,7 +33,7 @@ func TraceRecordFlags(stderr io.Writer) (*flag.FlagSet, *TraceRecordOpts) {
 func TraceReplayFlags(stderr io.Writer) (*flag.FlagSet, *TraceReplayOpts) {
 	fs := newFlagSet("bwtrace replay", stderr)
 	o := &TraceReplayOpts{}
-	fs.IntVar(&o.QueueCap, "queuecap", 0, "per-thread monitor queue capacity (0 = default)")
+	fs.IntVar(&o.QueueCap, "queuecap", 0, "events the replay buffers for one thread gated at a barrier; past it the generation is force-closed (0 = default 16384)")
 	return fs, o
 }
 

@@ -40,16 +40,6 @@ func HandlerWithHealth(reg *metrics.Registry, health func() string) http.Handler
 			reg.WritePrometheus(w)
 		}
 	})
-	// The machine-readable snapshot (metrics.Snapshot as JSON), for
-	// scrapers that want typed values instead of the text exposition. A
-	// nil registry serves an empty snapshot, like /metrics.
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		if err := reg.WriteJSON(w); err != nil {
-			// Connection-level failure; nothing more to do.
-			return
-		}
-	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		if health != nil {

@@ -1,7 +1,6 @@
 package adminhttp
 
 import (
-	"encoding/json"
 	"io"
 	"net"
 	"net/http"
@@ -100,39 +99,6 @@ func TestNilRegistryServesEmptyExposition(t *testing.T) {
 	code, body := get(t, "http://"+srv.Addr()+"/metrics")
 	if code != http.StatusOK || body != "" {
 		t.Fatalf("nil-registry /metrics = %d %q, want 200 and empty", code, body)
-	}
-}
-
-// TestMetricsJSONEndpoint: /metrics.json serves the registry as a
-// machine-readable snapshot.
-func TestMetricsJSONEndpoint(t *testing.T) {
-	reg := metrics.NewRegistry()
-	reg.Counter("bw_json_hits_total", "test counter").Add(3)
-	srv, err := Start("127.0.0.1:0", reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	code, body := get(t, "http://"+srv.Addr()+"/metrics.json")
-	if code != http.StatusOK {
-		t.Fatalf("/metrics.json status = %d, want 200", code)
-	}
-	var snap metrics.Snapshot
-	if err := json.Unmarshal([]byte(body), &snap); err != nil {
-		t.Fatalf("/metrics.json is not a snapshot: %v\n%s", err, body)
-	}
-	if v, ok := snap.Counter("bw_json_hits_total"); !ok || v != 3 {
-		t.Fatalf("snapshot counter = %d (present %t), want 3", v, ok)
-	}
-
-	// A nil registry serves an empty snapshot, mirroring /metrics.
-	empty, err := Start("127.0.0.1:0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer empty.Close()
-	if code, _ := get(t, "http://"+empty.Addr()+"/metrics.json"); code != http.StatusOK {
-		t.Fatalf("nil-registry /metrics.json status = %d, want 200", code)
 	}
 }
 

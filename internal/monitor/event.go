@@ -2,9 +2,11 @@
 // III-B): per-thread lock-free front-end queues feeding an asynchronous
 // monitor goroutine that correlates branch events across threads in a
 // two-level hash table and checks them against the statically inferred
-// similarity categories. A deviation is recorded as a Violation; the
-// design goal (and tested property) is zero false positives on fault-free
-// runs.
+// similarity categories. The same checker is also driven synchronously
+// (Checker) by a goroutine that already holds every thread's events in
+// order: a daemon session or a trace replay. A deviation is recorded as
+// a Violation; the design goal (and tested property) is zero false
+// positives on fault-free runs.
 //
 // The table (table.go) is flat: level 1 binds Key1 to its check plan for
 // the run, level 2 is an open-addressed index over dense per-generation

@@ -25,10 +25,9 @@ import (
 //     from the input. The zero-violation guarantee must hold identically:
 //     batching is a pure performance feature.
 func FuzzMonitorEvents(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{1, 0, 1, 0, 5, 1, 2, 1})
-	f.Add([]byte{2, 0, 0, 0, 0, 0, 0, 0, 3, 1, 0, 0, 0, 0, 0, 0})
-	f.Add([]byte{1, 200, 9, 9, 9, 9, 9, 9, 7, 3, 0, 0, 0, 0, 0, 0})
+	for _, seed := range monitorEventSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzArbitraryStream(t, data)
 		fuzzLockstep(t, data, 1)
@@ -38,6 +37,15 @@ func FuzzMonitorEvents(f *testing.F) {
 		}
 		fuzzLockstep(t, data, batch)
 	})
+}
+
+// monitorEventSeeds is FuzzMonitorEvents' seed corpus, shared with
+// FuzzCheckerDifferential.
+var monitorEventSeeds = [][]byte{
+	{},
+	{1, 0, 1, 0, 5, 1, 2, 1},
+	{2, 0, 0, 0, 0, 0, 0, 0, 3, 1, 0, 0, 0, 0, 0, 0},
+	{1, 200, 9, 9, 9, 9, 9, 9, 7, 3, 0, 0, 0, 0, 0, 0},
 }
 
 const fuzzThreads = 4

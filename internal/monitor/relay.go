@@ -121,7 +121,8 @@ func NewRelay(cfg RelayConfig) (*Relay, error) {
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
-	err := r.initFrontEnd(cfg.NumThreads, cfg.QueueCap, cfg.Overflow, cfg.SenderBatch, r.met.frontEndMetrics)
+	st := &status{met: r.met.quarantined}
+	err := r.initFrontEnd(st, cfg.NumThreads, cfg.QueueCap, cfg.Overflow, cfg.SenderBatch, r.met.frontEndMetrics)
 	if err != nil {
 		return nil, err
 	}

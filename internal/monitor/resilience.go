@@ -1,5 +1,11 @@
 package monitor
 
+import (
+	"sync/atomic"
+
+	"blockwatch/internal/metrics"
+)
+
 // Fail-open resilience: the paper assumes the monitor itself is fault-free
 // and sizes its queues "sufficiently large". This file holds the knobs and
 // state machine that drop those assumptions — overflow policies for the
@@ -81,3 +87,28 @@ func (h HealthState) String() string {
 	}
 	return "HealthState(?)"
 }
+
+// status is the fail-open ledger of one sink: the quarantine count and
+// the health word. A Monitor's front end and checker share one, so a
+// Sender's quarantines and the checker's land in the same counters; a
+// Relay and a bare Checker each own theirs. Safe from any goroutine.
+type status struct {
+	quarantined atomic.Uint64
+	health      atomic.Int32
+	met         *metrics.Counter // the owner's *_quarantined_total (nil = detached)
+}
+
+// quarantine counts n malformed, stale, or straggler events skipped.
+func (s *status) quarantine(n int) {
+	s.quarantined.Add(uint64(n))
+	s.met.Add(uint64(n))
+	s.degrade()
+}
+
+// degrade lowers Healthy to Degraded (never overwrites Failed).
+func (s *status) degrade() {
+	s.health.CompareAndSwap(int32(Healthy), int32(Degraded))
+}
+
+// Health reports the degradation state. Safe to call from any goroutine.
+func (s *status) Health() HealthState { return HealthState(s.health.Load()) }

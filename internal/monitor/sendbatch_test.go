@@ -92,52 +92,6 @@ func TestSendBatchDropNewestCountsDrops(t *testing.T) {
 	m.Close()
 }
 
-// TestBindSenderRebinds: a sender rebound to a new monitor (the daemon's
-// session-pool path) is a fully functional sender of its new thread, and
-// Unbind leaves no reference to the old one.
-func TestBindSenderRebinds(t *testing.T) {
-	mk := func() *Monitor {
-		m, err := New(Config{NumThreads: 2, Plans: testPlans()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	m1 := mk()
-	var s Sender
-	m1.BindSender(&s, 0)
-	s.Send(branchEv(0, 1, 1, 5, true))
-	s.Flush()
-	s.Send(Event{Kind: EvDone, Thread: 0})
-	m1.Sender(1).Send(Event{Kind: EvDone, Thread: 1})
-	m1.Close()
-
-	s.Unbind()
-	if s.q != nil || s.fe != nil || s.win != nil {
-		t.Fatal("Unbind left monitor references behind")
-	}
-	m2 := mk()
-	m2.BindSender(&s, 1)
-	s.Send(branchEv(1, 1, 2, 5, true))
-	s.Send(Event{Kind: EvDone, Thread: 1})
-	m2.Sender(0).Send(Event{Kind: EvDone, Thread: 0})
-	m2.Close()
-	if got := m2.Stats().Events; got != 1 {
-		t.Errorf("rebound sender delivered %d events, want 1", got)
-	}
-
-	// An out-of-range rebind must flip the same sender to quarantining.
-	m3 := mk()
-	m3.BindSender(&s, 7)
-	s.SendBatch([]Event{branchEv(0, 1, 1, 5, true)})
-	if got := m3.Stats().Quarantined; got != 1 {
-		t.Errorf("Quarantined = %d after out-of-range rebind, want 1", got)
-	}
-	m3.Sender(0).Send(Event{Kind: EvDone, Thread: 0})
-	m3.Sender(1).Send(Event{Kind: EvDone, Thread: 1})
-	m3.Close()
-}
-
 // TestMonitorDrainZeroAlloc is the CI alloc ceiling for the monitor's
 // consumer side: once the instance table, report arena, and pending
 // buffers are warm, a full generation — SendBatch publish, drain,

@@ -22,19 +22,18 @@ const DefaultSenderBatch = 64
 
 // frontEnd is the fail-open producer front end that Monitor and Relay
 // both embed: one lock-free SPSC queue per program thread, the overflow
-// policy, the per-thread drop counters, the quarantine counter, and the
-// health word. Producers reach it only through Senders; the embedding
-// sink's back end drains the queues.
+// policy, the per-thread drop counters, and the sink's status ledger
+// (quarantine counter and health word). Producers reach it only through
+// Senders; the embedding sink's back end drains the queues.
 type frontEnd struct {
-	queues      []*queue.SPSC[Event] // nil once handed on (recycleRings)
-	queuesMu    sync.Mutex           // orders QueueBacklog against the hand-off
-	policy      OverflowPolicy
-	batch       int             // Sender window size
-	drops       []atomic.Uint64 // per producing thread
-	quarantined atomic.Uint64
-	health      atomic.Int32
-	prodMet     frontEndMetrics
-	park        parker
+	*status
+	queues   []*queue.SPSC[Event] // nil once handed on (recycleRings)
+	queuesMu sync.Mutex           // orders QueueBacklog against the hand-off
+	policy   OverflowPolicy
+	batch    int             // Sender window size
+	drops    []atomic.Uint64 // per producing thread
+	prodMet  frontEndMetrics
+	park     parker
 }
 
 // parker is the consumer's park state (see frontEnd.idleWait). The
@@ -51,23 +50,22 @@ type parker struct {
 // front end updates (zero value = detached; updates are then single
 // nil-check branches).
 type frontEndMetrics struct {
-	drops       *metrics.Counter
-	quarantined *metrics.Counter
-	flushSize   *metrics.Histogram
-	parks       *metrics.Counter
+	drops     *metrics.Counter
+	flushSize *metrics.Histogram
+	parks     *metrics.Counter
 }
 
-// initFrontEnd builds the per-thread queues and counters, applying the
-// QueueCap (DefaultQueueCap) and SenderBatch (DefaultSenderBatch)
-// defaults for non-positive values.
-func (f *frontEnd) initFrontEnd(threads, queueCap int, policy OverflowPolicy, batch int, met frontEndMetrics) error {
+// initFrontEnd builds the per-thread queues and counters over the sink's
+// status ledger st, applying the QueueCap (DefaultQueueCap) and
+// SenderBatch (DefaultSenderBatch) defaults for non-positive values.
+func (f *frontEnd) initFrontEnd(st *status, threads, queueCap int, policy OverflowPolicy, batch int, met frontEndMetrics) error {
 	if queueCap <= 0 {
 		queueCap = DefaultQueueCap
 	}
 	if batch <= 0 {
 		batch = DefaultSenderBatch
 	}
-	f.policy, f.batch, f.prodMet = policy, batch, met
+	f.status, f.policy, f.batch, f.prodMet = st, policy, batch, met
 	f.park.wake = make(chan struct{}, 1)
 	f.drops = make([]atomic.Uint64, threads)
 	if f.queues = takeRings(threads, queue.RoundCap(queueCap)); f.queues != nil {
@@ -90,9 +88,8 @@ const spareRingBytes = 4 << 20
 
 // spareRings holds up to two idle ring sets (one queue per thread) for
 // the next Monitors or Relays in the process, in a two-slot channel for
-// the same reasons as the spare table: a process that is both a client
-// and a daemon — the remote client's Relay and the daemon session's
-// Monitor — keeps a set for each.
+// the same reasons as the spare table: a sink made of two — a trace
+// recorder's Relay and its inner Monitor — keeps a set for each.
 var spareRings = make(chan []*queue.SPSC[Event], 2)
 
 // takeRings returns a spare ring set, reset, that has exactly threads
@@ -120,9 +117,9 @@ func takeRings(threads, capacity int) []*queue.SPSC[Event] {
 // recycleRings offers the front end's rings as a spare of the process. It
 // runs in the embedding sink's Close, after the consumer goroutine has
 // exited, never on that goroutine: a producer may still publish after
-// its thread's EvDone was consumed (a daemon session's read loop does,
-// up to its finish frame), and only Close is ordered after the last
-// publish. allDone reports that the consumer saw every thread's EvDone.
+// its thread's EvDone was consumed (a relay forwarding a stream's
+// stragglers does, up to its finish), and only Close is ordered after
+// the last publish. allDone reports that the consumer saw every thread's EvDone.
 // The rings are kept only when that holds, every queue is empty and the
 // consumer did not fail; otherwise they are left to the garbage
 // collector, so no event of this run can reach another sink.
@@ -160,22 +157,10 @@ func (f *frontEnd) backlog() int {
 // out-of-range tid yields a quarantining Sender that counts and discards
 // every event.
 func (f *frontEnd) Sender(tid int) *Sender {
-	s := &Sender{}
-	f.BindSender(s, tid)
-	return s
-}
-
-// BindSender (re)binds s as the batching producer handle for thread tid.
-// This is the pooling hook for the daemon: one sender table is recycled
-// across sessions instead of reallocated per connection. The bound
-// Sender obeys exactly the Sender contract (including the quarantining
-// behavior for an out-of-range tid).
-func (f *frontEnd) BindSender(s *Sender, tid int) {
 	if tid < 0 || tid >= len(f.queues) {
-		*s = Sender{fe: f}
-		return
+		return &Sender{fe: f}
 	}
-	*s = Sender{q: f.queues[tid], fe: f, tid: tid}
+	return &Sender{q: f.queues[tid], fe: f, tid: tid}
 }
 
 // signal wakes the consumer if it is parked. Senders call it after every
@@ -261,21 +246,6 @@ func (f *frontEnd) drop(tid, n int) {
 	f.degrade()
 }
 
-// quarantine counts n malformed, stale, or straggler events skipped.
-func (f *frontEnd) quarantine(n int) {
-	f.quarantined.Add(uint64(n))
-	f.prodMet.quarantined.Add(uint64(n))
-	f.degrade()
-}
-
-// degrade lowers Healthy to Degraded (never overwrites Failed).
-func (f *frontEnd) degrade() {
-	f.health.CompareAndSwap(int32(Healthy), int32(Degraded))
-}
-
-// Health reports the degradation state. Safe to call from any goroutine.
-func (f *frontEnd) Health() HealthState { return HealthState(f.health.Load()) }
-
 // Drops returns the per-thread counts of branch events dropped by the
 // overflow policy. Safe to call from any goroutine.
 func (f *frontEnd) Drops() []uint64 {
@@ -296,7 +266,7 @@ func (f *frontEnd) dropped() uint64 {
 }
 
 // Sender is a per-thread batching front end to a sink's queue (obtained
-// from Sender or BindSender on Monitor or Relay), and the only way to
+// from Sender on Monitor or Relay), and the only way to
 // publish events. Branch events are written straight into a window of
 // the thread's ring (queue.SPSC.Reserve) and published with a single
 // tail store when the window fills, when a control event (flush/done)
@@ -372,8 +342,9 @@ func (s *Sender) open(ev Event) bool {
 }
 
 // SendBatch publishes evs — a batch of branch events for this sender's
-// thread, already assembled upstream (a decoded wire frame, a replayed
-// trace) — through the queue's PushBatch under the overflow policy. The
+// thread, already assembled upstream (a relayed batch the trace recorder
+// forwards to its inner monitor) — through the queue's PushBatch under
+// the overflow policy. The
 // window is published first so per-thread order holds; evs must contain
 // only branch events (the wire format guarantees an events frame never
 // carries control markers). A quarantining (nil-queue) Sender counts and
@@ -451,9 +422,3 @@ func (s *Sender) pushed(n int) {
 		s.fe.signal()
 	}
 }
-
-// Unbind clears the sender's sink references, so a pooled sender table
-// does not pin a finished session's monitor. A following BindSender (or
-// discarding the Sender) makes it usable again; an unbound Sender must
-// not be used.
-func (s *Sender) Unbind() { *s = Sender{} }

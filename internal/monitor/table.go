@@ -92,7 +92,7 @@ const (
 // spare holds at most one idle table for the next monitor in the process.
 // A one-slot channel, not a sync.Pool: a pool keeps a copy per P and
 // another in its victim cache, which multiplies the retained heap when
-// several monitors run at once (a daemon's sessions, a campaign's
+// several checkers run at once (a daemon's sessions, a campaign's
 // workers), while one spare already serves the common case of runs in
 // sequence.
 var spare = make(chan *table, 1)

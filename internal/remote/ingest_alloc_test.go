@@ -3,7 +3,6 @@ package remote
 import (
 	"bytes"
 	"io"
-	"runtime"
 	"testing"
 
 	"blockwatch/internal/core"
@@ -12,11 +11,13 @@ import (
 )
 
 // TestServerIngestZeroAlloc is the CI alloc ceiling for the daemon's
-// event-frame path: decode-into on a pooled reader, SendBatch into the
-// session monitor, drain, and barrier close — the whole per-frame ingest
-// pipeline — must not allocate once warm. AllocsPerRun counts every
-// goroutine's mallocs, so the monitor side of the pipeline is inside the
-// measurement, exactly as in a live session.
+// event-frame path: the session frame loop (wire.FeedFrames) decoding
+// into a pooled reader and frame, checking each frame in place in the
+// session's Checker, and the barrier close — the whole per-frame ingest
+// pipeline — must not allocate once warm. Thread 0's frames arrive
+// first, so its post-barrier frame waits in the checker's gated buffer
+// until thread 1's flush closes the generation: the buffered path is
+// inside the measurement too.
 func TestServerIngestZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc gate runs in the non-race jobs")
@@ -25,32 +26,29 @@ func TestServerIngestZeroAlloc(t *testing.T) {
 	plans := map[int]*core.CheckPlan{
 		1: {BranchID: 1, Kind: core.CheckShared, Reason: core.ReasonChecked},
 	}
-	mon, err := monitor.New(monitor.Config{NumThreads: threads, Plans: plans})
+	chk, err := monitor.NewChecker(monitor.Config{NumThreads: threads, Plans: plans})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon.Start()
-	defer mon.Close()
-	senders := make([]monitor.Sender, threads)
-	for tid := range senders {
-		mon.BindSender(&senders[tid], tid)
-	}
 
-	// One barrier generation on the wire: an events frame and a flush
-	// marker per thread, as the client's relay would emit them.
+	// Two barrier generations on the wire, one thread after the other: an
+	// events frame and a flush marker per thread and generation, as the
+	// client's relay would emit them.
 	var buf bytes.Buffer
 	w := wire.NewWriter(&buf)
 	for tid := 0; tid < threads; tid++ {
-		evs := make([]monitor.Event, 64)
-		for k := range evs {
-			evs[k] = monitor.Event{Kind: monitor.EvBranch, Thread: int32(tid),
-				BranchID: 1, Key1: 1000, Key2: uint64(k), Sig: 5, Taken: true}
-		}
-		if err := w.WriteEvents(tid, evs); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.WriteFlush(tid, int32(tid)); err != nil {
-			t.Fatal(err)
+		for gen := 0; gen < 2; gen++ {
+			evs := make([]monitor.Event, 64)
+			for k := range evs {
+				evs[k] = monitor.Event{Kind: monitor.EvBranch, Thread: int32(tid),
+					BranchID: 1, Key1: 1000, Key2: uint64(gen<<8 | k), Sig: 5, Taken: true}
+			}
+			if err := w.WriteEvents(tid, evs); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.WriteFlush(tid, int32(tid)); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if err := w.Sync(); err != nil {
@@ -62,38 +60,27 @@ func TestServerIngestZeroAlloc(t *testing.T) {
 	rd := wire.NewReader(br)
 	var f wire.Frame
 	ingest := func() {
-		start := mon.Stats().Flushes
+		start := chk.Stats().Flushes
 		br.Reset(data)
 		rd.Reset(br)
-		for {
-			if err := rd.ReadFrameInto(&f); err != nil {
-				if err != io.EOF {
-					t.Fatal(err)
-				}
-				break
-			}
-			switch f.Type {
-			case wire.FrameEvents:
-				senders[f.Slot].SendBatch(f.Events)
-			case wire.FrameFlush:
-				senders[f.Slot].Send(monitor.Event{Kind: monitor.EvFlush, Thread: f.Thread})
-			}
+		if err := rd.FeedFrames(&f, chk, nil); err != io.EOF {
+			t.Fatalf("FeedFrames = %v, want io.EOF", err)
 		}
-		for mon.Stats().Flushes == start {
-			runtime.Gosched()
+		if got := chk.Stats().Flushes - start; got != 2 {
+			t.Fatalf("%d generations closed, want 2", got)
 		}
 	}
 	for i := 0; i < 3; i++ {
-		ingest() // warm the decode scratch, instance table, and report arena
+		ingest() // warm the decode scratch, gated buffer, instance table, and report arena
 	}
 	if avg := testing.AllocsPerRun(50, ingest); avg != 0 {
-		t.Errorf("steady-state ingest allocates %.1f times per generation, want 0", avg)
+		t.Errorf("steady-state ingest allocates %.1f times per two generations, want 0", avg)
 	}
-	for tid := range senders {
-		senders[tid].Send(monitor.Event{Kind: monitor.EvDone, Thread: int32(tid)})
+	for tid := 0; tid < threads; tid++ {
+		chk.Done(tid, int32(tid))
 	}
-	mon.Close()
-	if mon.Detected() {
-		t.Fatalf("identical streams produced violations: %v", mon.Violations())
+	chk.Finish()
+	if chk.Detected() || chk.Health() != monitor.Healthy {
+		t.Fatalf("identical streams: detected %t, health %s: %v", chk.Detected(), chk.Health(), chk.Violations())
 	}
 }

@@ -26,11 +26,14 @@ const DefaultServerWriteTimeout = 10 * time.Second
 
 // ServerConfig configures a monitoring daemon.
 type ServerConfig struct {
-	// QueueCap overrides each session monitor's per-thread queue
-	// capacity (0 = monitor default).
+	// QueueCap bounds the events a session buffers for one thread that
+	// has flushed past a barrier the others have not reached
+	// (0 = monitor.DefaultQueueCap). A thread about to pass it
+	// force-closes the generation, degrading the session's health.
 	QueueCap int
-	// StallDeadline arms each session monitor's stall watchdog
-	// (0 = disabled).
+	// StallDeadline arms each session checker's stall watchdog
+	// (0 = disabled). It is evaluated as each frame arrives and before
+	// the final check.
 	StallDeadline time.Duration
 	// MaxThreads bounds the hello frame's thread count
 	// (0 = DefaultMaxThreads).
@@ -53,7 +56,7 @@ type ServerConfig struct {
 	Logf func(format string, args ...any)
 	// Metrics, when non-nil, receives the daemon's session and wire
 	// metrics (bw_server_*, bw_wire_rx_*) and is threaded into every
-	// session monitor (bw_monitor_*), so one registry aggregates the
+	// session checker (bw_monitor_*), so one registry aggregates the
 	// whole daemon — what the -admin /metrics endpoint scrapes.
 	Metrics *metrics.Registry
 }
@@ -103,9 +106,10 @@ type SessionInfo struct {
 	Clean bool
 }
 
-// Server accepts monitoring connections and runs one in-process
-// monitor.Monitor per connection, fed from the decoded event stream.
-// Sessions are independent: many programs stream concurrently.
+// Server accepts monitoring connections and checks each one with a
+// monitor.Checker on the connection's own goroutine, fed frame by frame
+// from the decoded event stream. Sessions are independent: many programs
+// stream concurrently.
 type Server struct {
 	cfg ServerConfig
 	met serverMetrics
@@ -336,37 +340,39 @@ func (s *Server) logf(format string, args ...any) {
 
 // sessionScratch is the per-session state a busy daemon churns through:
 // the wire reader (with its retained payload scratch), the decoded frame
-// (with its event scratch), and the per-thread sender table (with each
-// sender's batch buffer). Pooled across sessions so steady-state session
-// turnover reuses warmed buffers and the per-frame ingest path — decode
-// into the frame scratch, PushBatch into the session monitor — allocates
-// nothing.
+// (with its event scratch) and the session's checker (with its per-thread
+// buffers for gated threads). Pooled across sessions so steady-state
+// session turnover reuses warmed buffers and the per-frame ingest path —
+// decode into the frame scratch, check in place — allocates nothing.
 type sessionScratch struct {
-	rd      *wire.Reader
-	wr      *wire.Writer // the result frame's writer
-	frame   wire.Frame
-	senders []monitor.Sender
+	rd    *wire.Reader
+	wr    *wire.Writer // the result frame's writer
+	frame wire.Frame
+	chk   monitor.Checker
 }
 
 var scratchPool = sync.Pool{
 	New: func() any { return &sessionScratch{rd: wire.NewReader(nil), wr: wire.NewWriter(nil)} },
 }
 
-// release unpins session-lifetime objects (connection, monitor, hello)
-// and returns the scratch — buffers intact — to the pool.
+// release unpins the session's connection and returns the scratch —
+// buffers intact — to the pool. The checker's Finish already dropped its
+// plans.
 func (sc *sessionScratch) release() {
 	sc.rd.Reset(nil)
 	sc.wr.Reset(nil)
 	sc.frame = wire.Frame{Events: sc.frame.Events[:0]}
-	for i := range sc.senders {
-		sc.senders[i].Unbind()
-	}
 	scratchPool.Put(sc)
 }
 
+// sessionTap, when set, supplies each session checker's EventTap from
+// the session's program name. Tests set it to inject faults into one
+// session's checking; it is nil in a daemon.
+var sessionTap func(program string) func(*monitor.Event)
+
 // handle runs one monitoring session: hello, event stream, finish,
 // result. Sessions are isolated — a malformed stream only ends its own
-// session (the monitor still closes and checks what it received).
+// session (the checker still checks what it received).
 func (s *Server) handle(conn net.Conn) {
 	s.met.sessions.Inc()
 	s.met.active.Add(1)
@@ -401,7 +407,7 @@ func (s *Server) handle(conn net.Conn) {
 	rd.InstrumentRx(s.cfg.Metrics)
 	// armRead re-arms the per-frame read deadline: a connection that goes
 	// silent past IdleTimeout ends its session instead of pinning a
-	// goroutine and a monitor forever.
+	// goroutine and a checker forever.
 	armRead := func() {
 		if s.cfg.IdleTimeout > 0 {
 			_ = conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
@@ -427,111 +433,74 @@ func (s *Server) handle(conn net.Conn) {
 		s.logf("session rejected: %q claims %d threads (max %d)", hello.Program, hello.Threads, s.cfg.MaxThreads)
 		return
 	}
-	mon, err := monitor.New(monitor.Config{
+	cfg := monitor.Config{
 		NumThreads:    hello.Threads,
 		Plans:         hello.PlanTable(),
 		QueueCap:      s.cfg.QueueCap,
 		StallDeadline: s.cfg.StallDeadline,
 		Metrics:       s.cfg.Metrics,
-	})
-	if err != nil {
+	}
+	if sessionTap != nil {
+		cfg.EventTap = sessionTap(hello.Program)
+	}
+	chk := &sc.chk
+	if err := chk.Reset(cfg); err != nil {
 		s.logf("session rejected: %q: monitor: %v", hello.Program, err)
 		return
 	}
 	s.logf("session start: %q, %d threads, %d plans", hello.Program, hello.Threads, len(hello.Plans))
-	mon.Start()
-
-	// The read loop is the single producer for every per-thread queue of
-	// this session's monitor, so the SPSC contract holds; per-slot
-	// Senders hand decoded event frames to the monitor through PushBatch.
-	// The sender table (and each sender's buffer) comes from the pooled
-	// scratch, rebound to this session's monitor.
-	if cap(sc.senders) < hello.Threads {
-		sc.senders = append(sc.senders[:cap(sc.senders)],
-			make([]monitor.Sender, hello.Threads-cap(sc.senders))...)
-	}
-	sc.senders = sc.senders[:hello.Threads]
-	senders := sc.senders
-	for tid := range senders {
-		mon.BindSender(&senders[tid], tid)
-	}
-	// quar counts events from corrupt out-of-range slots through the
-	// monitor's own fail-open path; bound lazily (corruption is rare).
-	var quar *monitor.Sender
 	info = &SessionInfo{Program: hello.Program, Threads: hello.Threads}
 
-	sender := func(slot int) *monitor.Sender {
-		if slot < 0 || slot >= len(senders) {
-			// Out-of-range slot in a corrupt frame: quarantine through the
-			// monitor's own fail-open path (a Sender for an invalid tid
-			// counts and discards).
-			if quar == nil {
-				quar = mon.Sender(-1)
-			}
-			return quar
-		}
-		return &senders[slot]
-	}
+	// The read loop checks every decoded frame itself (wire.FeedFrames):
+	// no queue, no second goroutine. A panic inside the checker fails
+	// the session open (Failed) without leaving this goroutine.
 	f := &sc.frame
-	for {
-		armRead()
-		if err := rd.ReadFrameInto(f); err != nil {
-			// Connection lost or stream corrupt mid-run: close the monitor
-			// (checking everything received so far) and end the session.
-			// The client side fails open on its own.
-			if err != io.EOF {
-				s.logf("session %q: stream error: %v", info.Program, err)
-			}
-			mon.Close()
-			fillSession(info, mon, false)
-			return
+	err := rd.FeedFrames(f, chk, armRead)
+	chk.Finish()
+	if err != nil {
+		// Connection lost or stream corrupt mid-run: the checker has
+		// checked everything received so far; end the session. The client
+		// side fails open on its own.
+		if err != io.EOF {
+			s.logf("session %q: stream error: %v", info.Program, err)
 		}
-		switch f.Type {
-		case wire.FrameEvents:
-			sender(f.Slot).SendBatch(f.Events)
-		case wire.FrameFlush:
-			sender(f.Slot).Send(monitor.Event{Kind: monitor.EvFlush, Thread: f.Thread})
-		case wire.FrameDone:
-			sender(f.Slot).Send(monitor.Event{Kind: monitor.EvDone, Thread: f.Thread})
-		case wire.FrameFinish:
-			mon.Close()
-			fillSession(info, mon, true)
-			res := &wire.Result{
-				Health:     mon.Health(),
-				Stats:      mon.Stats(),
-				Violations: mon.Violations(),
-			}
-			endSession()
-			if wt := s.writeTimeout(); wt > 0 {
-				_ = conn.SetWriteDeadline(time.Now().Add(wt))
-			}
-			wr := sc.wr
-			wr.Reset(conn)
-			if err := wr.WriteResult(res); err == nil {
-				err = wr.Sync()
-				if err != nil {
-					s.logf("session %q: writing result: %v", info.Program, err)
-				}
-			} else {
-				s.logf("session %q: writing result: %v", info.Program, err)
-			}
-			return
-		default:
-			// Hello mid-stream or an unknown-but-valid frame: protocol
-			// violation; end the session defensively.
-			s.logf("session %q: unexpected frame type 0x%02x", info.Program, f.Type)
-			mon.Close()
-			fillSession(info, mon, false)
-			return
+		fillSession(info, chk, false)
+		return
+	}
+	if f.Type != wire.FrameFinish {
+		// Hello mid-stream or an unknown-but-valid frame: protocol
+		// violation; end the session defensively.
+		s.logf("session %q: unexpected frame type 0x%02x", info.Program, f.Type)
+		fillSession(info, chk, false)
+		return
+	}
+	fillSession(info, chk, true)
+	res := &wire.Result{
+		Health:     chk.Health(),
+		Stats:      chk.Stats(),
+		Violations: chk.Violations(),
+	}
+	endSession()
+	if wt := s.writeTimeout(); wt > 0 {
+		_ = conn.SetWriteDeadline(time.Now().Add(wt))
+	}
+	wr := sc.wr
+	wr.Reset(conn)
+	if err := wr.WriteResult(res); err == nil {
+		err = wr.Sync()
+		if err != nil {
+			s.logf("session %q: writing result: %v", info.Program, err)
 		}
+	} else {
+		s.logf("session %q: writing result: %v", info.Program, err)
 	}
 }
 
-func fillSession(info *SessionInfo, mon *monitor.Monitor, clean bool) {
+func fillSession(info *SessionInfo, chk *monitor.Checker, clean bool) {
 	info.Clean = clean
-	info.Violations = len(mon.Violations())
-	info.Health = mon.Health()
-	info.Stats = mon.Stats()
+	info.Violations = len(chk.Violations())
+	info.Health = chk.Health()
+	info.Stats = chk.Stats()
 }
 
 // ListenAndServe listens on addr (Dial syntax) and serves until Close.

@@ -8,10 +8,11 @@
 // recorded run keeps its protection. Recording failures (disk full,
 // closed file) degrade health but never disturb the in-process checking
 // — the same fail-open contract the monitor itself follows. Replay
-// feeds a trace back through a fresh monitor; because the trace
-// preserves per-thread event order and generation markers, replay
-// violations are byte-identical to the live run's, which is what makes
-// a captured trace a faithful bug report for a detection.
+// feeds a trace back through a fresh monitor.Checker on the calling
+// goroutine, exactly as a daemon session checks a live stream; because
+// the trace preserves per-thread event order and generation markers,
+// replay violations are byte-identical to the live run's, which is what
+// makes a captured trace a faithful bug report for a detection.
 package trace
 
 import (
@@ -178,8 +179,12 @@ func (rec *Recorder) finish(bool) (monitor.RelayOutcome, error) {
 
 // ReplayConfig configures a replay.
 type ReplayConfig struct {
-	// QueueCap configures the replaying monitor's queues (detection
-	// results are identical for every value).
+	// QueueCap bounds the events the replay buffers for one thread that
+	// flushed past a barrier the others have not reached yet
+	// (0 = monitor.DefaultQueueCap). A thread about to pass it
+	// force-closes the generation, degrading the replay's health; a
+	// bound at least as large as the recorded gap leaves the verdict
+	// unchanged.
 	QueueCap int
 }
 
@@ -237,7 +242,7 @@ func readHeader(rd *wire.Reader) (*wire.Hello, error) {
 	return f.Hello, nil
 }
 
-// Replay feeds a recorded trace through a fresh monitor and returns its
+// Replay feeds a recorded trace through a fresh checker and returns its
 // verdict. The trace's per-thread event order and generation markers
 // reproduce the live monitor's input exactly, so a sealed trace replays
 // to byte-identical violations.
@@ -247,7 +252,7 @@ func Replay(r io.Reader, cfg ReplayConfig) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	mon, err := monitor.New(monitor.Config{
+	chk, err := monitor.NewChecker(monitor.Config{
 		NumThreads: hello.Threads,
 		Plans:      hello.PlanTable(),
 		QueueCap:   cfg.QueueCap,
@@ -255,55 +260,32 @@ func Replay(r io.Reader, cfg ReplayConfig) (*Outcome, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trace replay monitor: %w", err)
 	}
-	mon.Start()
-	senders := make([]*monitor.Sender, hello.Threads)
-	for tid := range senders {
-		senders[tid] = mon.Sender(tid)
-	}
+	defer chk.Finish()
 	out := &Outcome{Program: hello.Program, Threads: hello.Threads}
-	var quar *monitor.Sender // lazy quarantining handle, mirroring the daemon
-	sender := func(slot int) *monitor.Sender {
-		if slot < 0 || slot >= len(senders) {
-			if quar == nil {
-				quar = mon.Sender(-1)
-			}
-			return quar
-		}
-		return senders[slot]
-	}
-	var f wire.Frame // reused across frames; SendBatch does not retain
-loop:
+	var f wire.Frame // reused across frames; the checker does not retain it
 	for {
-		err := rd.ReadFrameInto(&f)
-		if err != nil {
-			if err != io.EOF {
-				mon.Close()
-				return nil, fmt.Errorf("trace corrupt: %w", err)
-			}
+		err := rd.FeedFrames(&f, chk, nil)
+		if err == io.EOF {
 			break // truncated: check what we have
 		}
-		switch f.Type {
-		case wire.FrameEvents:
-			sender(f.Slot).SendBatch(f.Events)
-		case wire.FrameFlush:
-			sender(f.Slot).Send(monitor.Event{Kind: monitor.EvFlush, Thread: f.Thread})
-		case wire.FrameDone:
-			sender(f.Slot).Send(monitor.Event{Kind: monitor.EvDone, Thread: f.Thread})
-		case wire.FrameFinish:
+		if err != nil {
+			return nil, fmt.Errorf("trace corrupt: %w", err)
+		}
+		if f.Type == wire.FrameFinish {
 			out.Clean = true
-		case wire.FrameResult:
-			out.Recorded = f.Result
-			break loop // the result frame seals the trace
-		default:
-			mon.Close()
+			continue
+		}
+		if f.Type != wire.FrameResult {
 			return nil, fmt.Errorf("trace corrupt: unexpected frame type 0x%02x", f.Type)
 		}
+		out.Recorded = f.Result
+		break // the result frame seals the trace
 	}
-	mon.Close()
-	out.Detected = mon.Detected()
-	out.Violations = mon.Violations()
-	out.Stats = mon.Stats()
-	out.Health = mon.Health()
+	chk.Finish()
+	out.Detected = chk.Detected()
+	out.Violations = chk.Violations()
+	out.Stats = chk.Stats()
+	out.Health = chk.Health()
 	return out, nil
 }
 

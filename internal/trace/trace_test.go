@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"blockwatch/internal/core"
 	"blockwatch/internal/inject"
@@ -390,5 +391,66 @@ func TestHeaderOnlyTrace(t *testing.T) {
 	if o.Clean || o.Detected || o.Stats.Events != 0 {
 		t.Errorf("header-only replay: clean=%v detected=%v events=%d, want false/false/0",
 			o.Clean, o.Detected, o.Stats.Events)
+	}
+}
+
+// TestReplayGatedBacklogPastQueueCap replays a trace in which thread 0
+// runs 200 events past a barrier that thread 1 reaches only afterwards,
+// more than QueueCap: the replay force-closes the generation as the
+// watchdog would, instead of waiting for room that only a later frame of
+// the same trace could make, and returns a degraded outcome.
+func TestReplayGatedBacklogPastQueueCap(t *testing.T) {
+	run := func(tid, key2, n int) []monitor.Event {
+		evs := make([]monitor.Event, n)
+		for k := range evs {
+			evs[k] = monitor.Event{Kind: monitor.EvBranch, Thread: int32(tid), BranchID: 1,
+				Key1: 1000, Key2: uint64(key2 + k), Sig: 5, Taken: true}
+		}
+		return evs
+	}
+	plans := map[int]*core.CheckPlan{1: {BranchID: 1, Kind: core.CheckShared, Reason: core.ReasonChecked}}
+	var buf bytes.Buffer
+	w := wire.NewWriter(&buf)
+	for _, err := range []error{
+		w.WriteHello(wire.HelloFromPlans("backlog", 2, plans)),
+		w.WriteEvents(0, run(0, 0, 10)),
+		w.WriteFlush(0, 0),
+		w.WriteEvents(0, run(0, 10, 200)),
+		w.WriteEvents(1, run(1, 0, 10)),
+		w.WriteFlush(1, 1),
+		w.WriteDone(0, 0),
+		w.WriteDone(1, 1),
+		w.WriteFinish(),
+		w.Sync(),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	type replayed struct {
+		out *Outcome
+		err error
+	}
+	done := make(chan replayed, 1)
+	go func() {
+		out, err := Replay(bytes.NewReader(buf.Bytes()), ReplayConfig{QueueCap: 64})
+		done <- replayed{out, err}
+	}()
+	var r replayed
+	select {
+	case r = <-done:
+	case <-time.After(3 * time.Second):
+		t.Fatal("Replay did not return")
+	}
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	st := r.out.Stats
+	if !r.out.Clean || r.out.Health != monitor.Degraded || st.Watchdog != 1 || r.out.Detected {
+		t.Errorf("outcome: clean %t, %s %+v, detected %t; want clean, degraded, one forced close, no violation",
+			r.out.Clean, r.out.Health, st, r.out.Detected)
+	}
+	if st.Events != 210 || st.Quarantined != 10 {
+		t.Errorf("Events = %d, Quarantined = %d; want 210 and 10", st.Events, st.Quarantined)
 	}
 }

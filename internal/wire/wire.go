@@ -526,6 +526,35 @@ func (r *Reader) ReadFrameInto(f *Frame) error {
 	return err
 }
 
+// FeedFrames reads frames into f and applies every Events, Flush and
+// Done frame to chk, in stream order, on the calling goroutine: it is the
+// whole ingest path of a daemon session and of a trace replay. It returns
+// at the first frame of another type, left in f, with a nil error, or
+// with the error of the read that failed (io.EOF at a clean end of
+// stream). before, when non-nil, runs before each read; a daemon re-arms
+// its idle deadline there. Nothing is allocated per frame once f's and
+// the reader's scratch are warm.
+func (r *Reader) FeedFrames(f *Frame, chk *monitor.Checker, before func()) error {
+	for {
+		if before != nil {
+			before()
+		}
+		if err := r.ReadFrameInto(f); err != nil {
+			return err
+		}
+		switch f.Type {
+		case FrameEvents:
+			chk.Feed(f.Slot, f.Events)
+		case FrameFlush:
+			chk.Flush(f.Slot, f.Thread)
+		case FrameDone:
+			chk.Done(f.Slot, f.Thread)
+		default:
+			return nil
+		}
+	}
+}
+
 func unexpectedEOF(err error) error {
 	if err == io.EOF {
 		return io.ErrUnexpectedEOF
