@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race allocs bench-smoke perf-smoke baseline docs docs-check fuzz-smoke lint vuln clean
+.PHONY: all build test race allocs bench-smoke docs docs-check fuzz-smoke lint vuln clean
 
 all: build test
 
@@ -42,23 +42,12 @@ allocs:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x ./...
 
-# The CI performance gate: emit the short perf grid as BENCH_ci.json
-# and compare it against the checked-in baseline. -no-time keeps only
-# the deterministic gates (record structure, allocs/op) — wall-clock
-# drifts >10% between back-to-back runs on a loaded machine. On quiet
-# dedicated hardware, drop -no-time to gate ns/op and events/sec too.
-perf-smoke:
-	$(GO) run ./cmd/bwbench -exp ingest,throughput -q -json BENCH_ci.json
-	$(GO) run ./cmd/bwbench compare -no-time -base BENCH_baseline.json -head BENCH_ci.json
+# Wall-clock cost is measured by the repo benchmark, not by a make
+# target: bash bwperf/run.sh --workload kernels-local --seed 1
+# (docs/benchmarks.md).
 
-# Refresh the checked-in baseline after an intentional performance
-# change, then regenerate the docs that render it.
-baseline:
-	$(GO) run ./cmd/bwbench -exp ingest,throughput -q -json BENCH_baseline.json
-	$(MAKE) docs
-
-# Regenerate the generated docs (docs/cli.md, README experiment table,
-# benchmarks baseline table); docs-check is the CI drift + link gate.
+# Regenerate the generated docs (docs/cli.md, README experiment table);
+# docs-check is the CI drift + link gate.
 docs:
 	$(GO) run ./cmd/internal/docgen
 

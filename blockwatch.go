@@ -277,11 +277,6 @@ type RunOptions struct {
 	QueueCap int
 	// Overflow selects the monitor's queue-overflow policy.
 	Overflow OverflowPolicy
-	// SenderBatch sets the per-thread event batch size: each thread
-	// buffers that many branch events locally before publishing them to
-	// its monitor queue in one operation (0 = default 64, 1 = unbatched).
-	// Batches never cross a barrier.
-	SenderBatch int
 	// StallDeadline arms the monitor's stall watchdog: a barrier
 	// generation that makes no progress for this long is force-closed
 	// (0 = watchdog disabled).
@@ -403,15 +398,14 @@ func (p *Program) Run(opts RunOptions) (*RunResult, error) {
 		switch {
 		case opts.Remote != "":
 			ccfg := remote.ClientConfig{
-				Program:     p.name,
-				NumThreads:  opts.Threads,
-				Plans:       iopts.Plans,
-				QueueCap:    opts.QueueCap,
-				Overflow:    opts.Overflow.toMonitor(),
-				SenderBatch: opts.SenderBatch,
-				Metrics:     opts.Metrics,
-				Retry:       remote.RetryConfig{Attempts: opts.RemoteRetry},
-				SpoolPath:   opts.RemoteSpool,
+				Program:    p.name,
+				NumThreads: opts.Threads,
+				Plans:      iopts.Plans,
+				QueueCap:   opts.QueueCap,
+				Overflow:   opts.Overflow.toMonitor(),
+				Metrics:    opts.Metrics,
+				Retry:      remote.RetryConfig{Attempts: opts.RemoteRetry},
+				SpoolPath:  opts.RemoteSpool,
 			}
 			client, err := remote.Dial(opts.Remote, ccfg)
 			if err != nil {
@@ -426,7 +420,6 @@ func (p *Program) Run(opts RunOptions) (*RunResult, error) {
 				Plans:         iopts.Plans,
 				QueueCap:      opts.QueueCap,
 				Overflow:      opts.Overflow.toMonitor(),
-				SenderBatch:   opts.SenderBatch,
 				StallDeadline: opts.StallDeadline,
 				Metrics:       opts.Metrics,
 			})
@@ -440,7 +433,6 @@ func (p *Program) Run(opts RunOptions) (*RunResult, error) {
 				Plans:         plans,
 				QueueCap:      opts.QueueCap,
 				Overflow:      opts.Overflow.toMonitor(),
-				SenderBatch:   opts.SenderBatch,
 				StallDeadline: opts.StallDeadline,
 				Metrics:       opts.Metrics,
 			})

@@ -1,21 +1,24 @@
 // Command bwbench reproduces the paper's full evaluation: every table and
 // figure of Sections IV–VI, printed as text artifacts. With no flags it
 // runs everything at paper scale (1000 faults per campaign, 100
-// false-positive runs), which takes several minutes.
+// false-positive runs), which takes several minutes. The wall-clock cost
+// of the monitor pipeline is measured by bwperf (bash bwperf/run.sh),
+// not here.
 //
 // Usage:
 //
 //	bwbench                      run everything
 //	bwbench -exp fig8 -faults 300
-//	bwbench -exp throughput -json BENCH_throughput.json
-//	bwbench compare -base BENCH_baseline.json -head BENCH_ci.json -no-time
+//	bwbench -exp detectorfault -json BENCH_detectorfault.json
+//	bwbench compare -base BENCH_a.json -head BENCH_b.json
 //
 // The experiment list lives in the internal/harness registry; bwbench's
 // -exp help text, the generated docs/cli.md, and the README experiment
-// table all derive from it. With -json, the perf experiments also write
-// their measurements as a schema-versioned benchstore artifact; the
-// compare subcommand diffs two artifacts and exits nonzero on
-// regression (docs/benchmarks.md describes the workflow).
+// table all derive from it. With -json, the campaign experiments that
+// emit records (detectorfault, netfault) also write them as a
+// schema-versioned benchstore artifact; the compare subcommand diffs two
+// artifacts and exits nonzero on regression (docs/benchmarks.md
+// describes the workflow).
 //
 // -cpuprofile and -memprofile write pprof profiles covering whichever
 // experiments ran (`go tool pprof` reads them). A leading -version flag
@@ -95,7 +98,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	// -exp takes a single id, "all", or a comma-separated list (so one
-	// artifact can hold several experiments' records, as CI's does).
+	// artifact can hold several experiments' records).
 	wanted := make(map[string]bool)
 	for _, id := range strings.Split(opt.Exp, ",") {
 		wanted[strings.TrimSpace(id)] = true
@@ -124,7 +127,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if opt.JSON != "" {
 		if len(artifact.Records) == 0 {
-			return fmt.Errorf("-json: experiment %q emits no records (perf experiments only)", opt.Exp)
+			return fmt.Errorf("-json: experiment %q emits no records", opt.Exp)
 		}
 		if err := artifact.WriteFile(opt.JSON); err != nil {
 			return fmt.Errorf("-json: %w", err)

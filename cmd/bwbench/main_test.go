@@ -45,41 +45,37 @@ func TestRunUnknownExperiment(t *testing.T) {
 		t.Fatal("expected error for unknown experiment id")
 	}
 	// The suggestion list is registry-derived, so every id shows up.
-	for _, id := range []string{"nestsweep", "throughput", "all"} {
+	for _, id := range []string{"nestsweep", "netfault", "all"} {
 		if !strings.Contains(err.Error(), id) {
 			t.Errorf("error %q does not suggest %q", err, id)
 		}
 	}
 }
 
-// TestRunJSONArtifact drives the acceptance path: a perf experiment with
-// -json writes a schema-valid artifact that compares clean against
-// itself and trips the gate against a doctored regression.
+// TestRunJSONArtifact drives the -json path: a record-emitting campaign
+// experiment writes a schema-valid artifact that compares clean against
+// itself and trips the gate against a head that lost one of its records.
 func TestRunJSONArtifact(t *testing.T) {
 	if testing.Short() {
-		t.Skip("perf experiment in -short mode")
+		t.Skip("campaign experiment in -short mode")
 	}
 	dir := t.TempDir()
-	art := dir + "/BENCH_ingest.json"
+	art := dir + "/BENCH_detectorfault.json"
 	var out, errb bytes.Buffer
-	if err := run([]string{"-exp", "ingest", "-q", "-json", art}, &out, &errb); err != nil {
+	if err := run([]string{"-exp", "detectorfault", "-faults", "8", "-q", "-json", art}, &out, &errb); err != nil {
 		t.Fatalf("run -json: %v\n%s", err, errb.String())
 	}
 	f, err := benchstore.ReadFile(art)
 	if err != nil {
 		t.Fatalf("artifact did not validate: %v", err)
 	}
-	var wireDecode *benchstore.Record
-	for i, r := range f.Records {
-		if r.Config["path"] == "wire-decode" {
-			wireDecode = &f.Records[i]
+	if len(f.Records) < 2 {
+		t.Fatalf("artifact holds %d record(s), want one per kernel: %+v", len(f.Records), f.Records)
+	}
+	for _, r := range f.Records {
+		if r.Experiment != "detectorfault" || r.Counters["injected"] == 0 {
+			t.Errorf("record %s = %+v, want a detectorfault cell with injected faults", r.Key(), r)
 		}
-	}
-	if wireDecode == nil {
-		t.Fatalf("artifact lacks the wire-decode record: %+v", f.Records)
-	}
-	if got := wireDecode.Values["allocs/op"]; got != 0 {
-		t.Errorf("wire-decode allocs/op = %v, want 0", got)
 	}
 
 	// Identical artifacts compare clean (exit zero).
@@ -88,28 +84,22 @@ func TestRunJSONArtifact(t *testing.T) {
 		t.Fatalf("self-compare failed: %v\n%s", err, out.String())
 	}
 
-	// A doctored 20% ns/op regression fails the default gate.
-	worse := dir + "/BENCH_worse.json"
-	for i := range f.Records {
-		if ns, ok := f.Records[i].Values["ns/op"]; ok {
-			f.Records[i].Values["ns/op"] = ns * 1.2
-		}
-	}
-	if err := f.WriteFile(worse); err != nil {
+	// A head that lost a record fails the gate, also in -no-time mode:
+	// record structure gates on any machine.
+	lost := dir + "/BENCH_lost.json"
+	f.Records = f.Records[1:]
+	if err := f.WriteFile(lost); err != nil {
 		t.Fatal(err)
 	}
-	out.Reset()
-	if err := run([]string{"compare", "-base", art, "-head", worse}, &out, &errb); err == nil {
-		t.Fatalf("20%% ns/op regression passed compare:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "REGRESSION") {
-		t.Errorf("delta table does not flag the regression:\n%s", out.String())
-	}
-
-	// ...but passes in cross-machine -no-time mode, where only allocs
-	// and record structure gate.
-	if err := run([]string{"compare", "-no-time", "-base", art, "-head", worse}, &out, &errb); err != nil {
-		t.Errorf("-no-time compare gated on wall-clock drift: %v", err)
+	for _, extra := range [][]string{nil, {"-no-time"}} {
+		out.Reset()
+		args := append([]string{"compare", "-base", art, "-head", lost}, extra...)
+		if err := run(args, &out, &errb); err == nil {
+			t.Fatalf("%v: a lost record passed compare:\n%s", extra, out.String())
+		}
+		if !strings.Contains(out.String(), "MISSING") {
+			t.Errorf("%v: delta table does not flag the lost record:\n%s", extra, out.String())
+		}
 	}
 }
 

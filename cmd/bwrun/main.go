@@ -20,7 +20,6 @@
 //	-overhead     also report the normalized instrumented execution time
 //	-queuecap N   per-thread monitor queue capacity (0 = default 16384)
 //	-overflow P   queue-overflow policy: block | drop-newest | block-timeout
-//	-batch N      per-thread event batch size (0 = default 64, 1 = unbatched)
 //	-watchdog D   stall-watchdog deadline (e.g. 500ms; 0 = disabled)
 //	-remote A     stream events to a bwmonitord daemon at A instead of
 //	              checking in-process (implies -protect; fails open if the
@@ -91,7 +90,6 @@ func run(args []string, stdout, stderr io.Writer) (*blockwatch.RunResult, error)
 		Seed:          opt.Seed,
 		QueueCap:      opt.QueueCap,
 		Overflow:      policy,
-		SenderBatch:   opt.Batch,
 		StallDeadline: opt.Watchdog,
 		Remote:        opt.Remote,
 		RemoteRetry:   opt.Retry,

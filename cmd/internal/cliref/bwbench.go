@@ -65,13 +65,14 @@ func BenchCompareFlags(stderr io.Writer) (*flag.FlagSet, *BenchCompareOpts) {
 func benchCommand() Command {
 	return Command{
 		Name:    "bwbench",
-		Summary: "reproduce the paper's evaluation and the repo's perf experiments; compare BENCH_*.json artifacts",
+		Summary: "reproduce the paper's evaluation and the repo's fault campaigns; compare BENCH_*.json artifacts",
 		Description: "bwbench runs every table and figure of the paper's Sections IV–VI plus the " +
-			"repo's performance experiments, printed as text artifacts. With no flags it runs " +
-			"everything at paper scale (1000 faults per campaign, 100 false-positive runs), " +
-			"which takes several minutes. With -json, the perf experiments also emit " +
-			"schema-versioned benchstore records; bwbench compare gates one artifact against " +
-			"another and exits nonzero on regression.",
+			"repo's detector-fault and transport-fault campaigns, printed as text artifacts. " +
+			"With no flags it runs everything at paper scale (1000 faults per campaign, 100 " +
+			"false-positive runs), which takes several minutes. With -json, the campaigns also " +
+			"emit schema-versioned benchstore records; bwbench compare gates one artifact " +
+			"against another and exits nonzero on regression. The wall-clock cost of the " +
+			"monitor pipeline is measured by bwperf (`bash bwperf/run.sh`), not by bwbench.",
 		Sections: []Section{
 			{
 				Usage: "bwbench [flags]",

@@ -17,7 +17,6 @@ type RunOpts struct {
 	Trace         bool
 	QueueCap      int
 	Overflow      string
-	Batch         int
 	Watchdog      time.Duration
 	Remote        string
 	Retry         int
@@ -40,7 +39,6 @@ func RunFlags(stderr io.Writer) (*flag.FlagSet, *RunOpts) {
 	fs.BoolVar(&o.Trace, "trace", false, "print every executed branch to stderr")
 	fs.IntVar(&o.QueueCap, "queuecap", 0, "per-thread monitor queue capacity (0 = default)")
 	fs.StringVar(&o.Overflow, "overflow", "block", "queue-overflow policy: block | drop-newest | block-timeout")
-	fs.IntVar(&o.Batch, "batch", 0, "per-thread event batch size (0 = default, 1 = unbatched)")
 	fs.DurationVar(&o.Watchdog, "watchdog", 0, "monitor stall-watchdog deadline (0 = disabled)")
 	fs.StringVar(&o.Remote, "remote", "", "bwmonitord address (host:port or unix:/path); implies -protect")
 	fs.IntVar(&o.Retry, "retry", 0, "with -remote, dial attempts per outage with backoff (0 = single attempt)")

@@ -53,10 +53,10 @@ func TestFlagSetsParse(t *testing.T) {
 	}
 
 	bfs, b := BenchFlags(io.Discard)
-	if err := bfs.Parse([]string{"-exp", "ingest", "-json", "out.json"}); err != nil {
+	if err := bfs.Parse([]string{"-exp", "detectorfault", "-json", "out.json"}); err != nil {
 		t.Fatal(err)
 	}
-	if b.Exp != "ingest" || b.JSON != "out.json" {
+	if b.Exp != "detectorfault" || b.JSON != "out.json" {
 		t.Errorf("BenchOpts = %+v", b)
 	}
 	// The -exp help text is registry-derived: nestsweep regressed out of

@@ -1,8 +1,7 @@
 // Command docgen generates the repo's derived documentation from the
 // code that defines it: docs/cli.md from the cmd/internal/cliref flag
-// registry, the README experiment table from the internal/harness
-// experiment registry, and the baseline-results table in
-// docs/benchmarks.md from the checked-in BENCH_baseline.json artifact.
+// registry, and the README experiment table from the internal/harness
+// experiment registry.
 //
 // Usage:
 //
@@ -10,8 +9,8 @@
 //	go run ./cmd/internal/docgen -check     fail (exit 1) if anything would change
 //	go run ./cmd/internal/docgen -links     check markdown links in README and docs/
 //
-// docs/cli.md is fully generated; README.md and docs/benchmarks.md are
-// hand-written files with one marker-delimited generated block each:
+// docs/cli.md is fully generated; README.md is a hand-written file with
+// one marker-delimited generated block:
 //
 //	<!-- generated:NAME:begin -->
 //	...replaced by docgen...
@@ -28,12 +27,9 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
-	"strconv"
 	"strings"
 
 	"blockwatch/cmd/internal/cliref"
-	"blockwatch/internal/benchstore"
 	"blockwatch/internal/harness"
 )
 
@@ -129,13 +125,6 @@ func renderAll(root string) ([]target, error) {
 		return nil, err
 	}
 	targets = append(targets, target{path: readmePath, content: readme})
-
-	benchPath := filepath.Join(root, "docs", "benchmarks.md")
-	bench, err := patchFile(benchPath, "bench-baseline", baselineTable(root))
-	if err != nil {
-		return nil, err
-	}
-	targets = append(targets, target{path: benchPath, content: bench})
 	return targets, nil
 }
 
@@ -223,32 +212,6 @@ func experimentTable() string {
 			records = "`-json`"
 		}
 		fmt.Fprintf(&b, "| `%s` | %s | %s |\n", e.ID, records, escapeCell(e.Desc))
-	}
-	return b.String()
-}
-
-// baselineTable renders the checked-in CI baseline artifact as a
-// markdown table (gated Values only; Counters live in the JSON).
-func baselineTable(root string) string {
-	path := filepath.Join(root, "BENCH_baseline.json")
-	f, err := benchstore.ReadFile(path)
-	if err != nil {
-		return fmt.Sprintf("_No readable BENCH_baseline.json at the repo root (%v)._\n", err)
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "Baseline provenance: schema %d, %s %s, %s/%s.\n\n",
-		f.Schema, f.Tool, f.Version, f.GOOS, f.GOARCH)
-	b.WriteString("| record | metric | value |\n|---|---|---|\n")
-	for _, r := range f.Records {
-		names := make([]string, 0, len(r.Values))
-		for n := range r.Values {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			fmt.Fprintf(&b, "| `%s` | `%s` | %s |\n", r.Key(), n,
-				strconv.FormatFloat(r.Values[n], 'g', 4, 64))
-		}
 	}
 	return b.String()
 }

@@ -31,17 +31,17 @@ func TestCLIMarkdown(t *testing.T) {
 }
 
 // TestExperimentTable pins that the README block is registry-derived:
-// the once-dropped nestsweep id must be present, and perf experiments
-// are marked as record emitters.
+// the once-dropped nestsweep id must be present, and the campaigns that
+// emit benchstore records are marked as record emitters.
 func TestExperimentTable(t *testing.T) {
 	tbl := experimentTable()
-	for _, id := range []string{"nestsweep", "tables", "ingest", "netfault"} {
+	for _, id := range []string{"nestsweep", "tables", "detectorfault", "netfault"} {
 		if !strings.Contains(tbl, "| `"+id+"` |") {
 			t.Errorf("experiment table missing %q:\n%s", id, tbl)
 		}
 	}
-	if !strings.Contains(tbl, "| `ingest` | `-json` |") {
-		t.Error("ingest row not marked as a -json record emitter")
+	if !strings.Contains(tbl, "| `detectorfault` | `-json` |") {
+		t.Error("detectorfault row not marked as a -json record emitter")
 	}
 	if !strings.Contains(tbl, "| `tables` | — |") {
 		t.Error("tables row should not be marked as a record emitter")

@@ -19,9 +19,8 @@ type CompareOptions struct {
 	// (0 selects DefaultTimeTol).
 	TimeTol float64
 	// SkipTime reports time-derived metrics without gating them — the
-	// mode for cross-machine comparisons such as the CI baseline gate,
-	// where wall-clock numbers carry no signal but allocs/op and record
-	// structure still do.
+	// mode for cross-machine comparisons, where wall-clock numbers carry
+	// no signal but allocs/op and record structure still do.
 	SkipTime bool
 }
 

@@ -1,8 +1,8 @@
-// Package benchstore is the machine-readable performance trajectory of
-// the repo: a schema-versioned JSON record format for experiment
-// results (the BENCH_*.json artifacts bwbench emits next to its text
-// tables), plus the comparison engine behind `bwbench compare` and the
-// CI perf-smoke gate.
+// Package benchstore is the machine-readable record of the repo's
+// experiment results: a schema-versioned JSON record format (the
+// BENCH_*.json artifacts bwbench emits next to its text tables), plus
+// the comparison engine behind `bwbench compare`. Wall-clock cost of
+// the monitor pipeline is measured by bwperf, not recorded here.
 //
 // A File is provenance metadata — schema version, emitting tool,
 // buildinfo version and git revision, Go version and platform — plus a
@@ -29,7 +29,7 @@
 //     beyond the tolerance (default ±10%) in the bad direction is a
 //     regression; these are wall-clock derived, so they gate
 //     same-machine comparisons and are skipped with SkipTime for
-//     cross-machine ones (the CI baseline gate);
+//     cross-machine ones;
 //   - everything else, and all Counters, is informational context.
 //
 // A record or gated metric present in base but missing from head fails

@@ -1,15 +1,8 @@
 package harness
 
 import (
-	"bytes"
-	"fmt"
-	"runtime"
-	"time"
-
 	"blockwatch/internal/benchstore"
 	"blockwatch/internal/inject"
-	"blockwatch/internal/monitor"
-	"blockwatch/internal/wire"
 )
 
 // The experiment registry: the single source of truth for what bwbench
@@ -19,8 +12,9 @@ import (
 // each other or from the drivers.
 
 // ExperimentResult is one experiment's output: the rendered text
-// artifact, plus benchstore records for the perf experiments (nil for
-// the paper tables/figures, whose artifacts are the text itself).
+// artifact, plus benchstore records for the campaign experiments that
+// emit them (nil for the paper tables/figures, whose artifacts are the
+// text itself).
 type ExperimentResult struct {
 	Text    string
 	Records []benchstore.Record
@@ -145,22 +139,6 @@ func Experiments() []Experiment {
 				}
 				return ExperimentResult{Text: RenderDetectorFault(rows), Records: DetectorFaultRecords(rows)}, nil
 			}},
-		{ID: "throughput", Desc: "monitor pipeline events/sec at Sender batch sizes 1 and 64", Perf: true,
-			Run: func(cfg Config) (ExperimentResult, error) {
-				points, err := Throughput(cfg)
-				if err != nil {
-					return ExperimentResult{}, err
-				}
-				return ExperimentResult{Text: RenderThroughput(points), Records: ThroughputRecords(points)}, nil
-			}},
-		{ID: "remote", Desc: "transport cost: in-process vs tcp vs unix vs record+replay", Perf: true,
-			Run: func(cfg Config) (ExperimentResult, error) {
-				points, err := Remote(cfg)
-				if err != nil {
-					return ExperimentResult{}, err
-				}
-				return ExperimentResult{Text: RenderRemote(points), Records: RemoteRecords(points)}, nil
-			}},
 		{ID: "netfault", Desc: "transport-fault campaign: zero lost verdicts under drops, stalls, corruption", Perf: true,
 			Run: func(cfg Config) (ExperimentResult, error) {
 				points, err := NetFault(cfg)
@@ -168,22 +146,6 @@ func Experiments() []Experiment {
 					return ExperimentResult{}, err
 				}
 				return ExperimentResult{Text: RenderNetFault(points), Records: NetFaultRecords(points)}, nil
-			}},
-		{ID: "ingest", Desc: "multi-session daemon ingest scaling with decode-reuse counters", Perf: true,
-			Run: func(cfg Config) (ExperimentResult, error) {
-				points, err := Ingest(cfg)
-				if err != nil {
-					return ExperimentResult{}, err
-				}
-				recs := IngestRecords(points)
-				// The deterministic wire-decode cell rides along: its
-				// allocs/op is exactly 0 on the pooled path, which is what
-				// makes the cross-machine CI baseline gate meaningful.
-				dec, err := wireDecodeRecord()
-				if err != nil {
-					return ExperimentResult{}, err
-				}
-				return ExperimentResult{Text: RenderIngest(points), Records: append(recs, dec)}, nil
 			}},
 	}
 }
@@ -206,80 +168,4 @@ func FindExperiment(id string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
-}
-
-// wireDecodeRecord measures the daemon's pooled frame-decode hot path
-// in isolation: one default-batch events frame decoded with a reused
-// Reader and Frame — the BenchmarkWireDecode loop, measured without the
-// testing harness so bwbench can emit it as a record. allocs/op is the
-// load-bearing number: the pooled path is exactly zero at steady state
-// on every machine, so the CI baseline comparison gates it even where
-// wall-clock numbers carry no cross-machine signal.
-func wireDecodeRecord() (benchstore.Record, error) {
-	evs := make([]monitor.Event, monitor.DefaultSenderBatch)
-	for i := range evs {
-		evs[i] = monitor.Event{
-			Kind:     monitor.EvBranch,
-			Thread:   2,
-			BranchID: int32(i % 7),
-			Key1:     0x9e3779b97f4a7c15 ^ uint64(i%7),
-			Key2:     uint64(i / 7),
-			Sig:      uint64(i) * 0x100000001b3,
-			Taken:    i%3 == 0,
-		}
-	}
-	var buf bytes.Buffer
-	w := wire.NewWriter(&buf)
-	if err := w.WriteEvents(2, evs); err != nil {
-		return benchstore.Record{}, err
-	}
-	if err := w.Sync(); err != nil {
-		return benchstore.Record{}, err
-	}
-	data := buf.Bytes()
-	br := bytes.NewReader(data)
-	rd := wire.NewReader(br)
-	var f wire.Frame
-	var derr error
-	decode := func() {
-		br.Reset(data)
-		rd.Reset(br)
-		if err := rd.ReadFrameInto(&f); err != nil && derr == nil {
-			derr = err
-		}
-	}
-
-	allocs := allocsPerRun(100, decode)
-	const iters = 2000
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		decode()
-	}
-	perFrame := float64(time.Since(start).Nanoseconds()) / iters
-	if derr != nil {
-		return benchstore.Record{}, fmt.Errorf("wire-decode record: %w", derr)
-	}
-	return benchstore.Record{
-		Experiment: "ingest",
-		Config: map[string]string{
-			"path":  "wire-decode",
-			"batch": fmt.Sprintf("%d", len(evs)),
-		},
-		Values: map[string]float64{"ns/op": perFrame, "allocs/op": allocs},
-	}, nil
-}
-
-// allocsPerRun mirrors testing.AllocsPerRun (single-proc pinning, one
-// warm-up call, truncating division so sub-run background noise rounds
-// to zero) without importing package testing into the bwbench binary.
-func allocsPerRun(runs int, f func()) float64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	f()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		f()
-	}
-	runtime.ReadMemStats(&after)
-	return float64((after.Mallocs - before.Mallocs) / uint64(runs))
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"blockwatch/internal/inject"
-	"blockwatch/internal/monitor"
 )
 
 // fastCfg keeps harness tests quick; bwbench runs paper-scale campaigns.
@@ -247,30 +246,6 @@ func TestNestSweep(t *testing.T) {
 	}
 	if out := RenderNestSweep(points); !strings.Contains(out, "maxnest") {
 		t.Error("render incomplete")
-	}
-}
-
-func TestRemoteTransportGrid(t *testing.T) {
-	points, err := Remote(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One row per transport per kernel, and Remote itself asserts the
-	// verdicts match; here we pin the grid shape and health.
-	wantRows := len(remoteKernels) * 4
-	if len(points) != wantRows {
-		t.Fatalf("grid has %d rows, want %d", len(points), wantRows)
-	}
-	for _, p := range points {
-		if p.Health != monitor.Healthy {
-			t.Errorf("%s/%s: health %s", p.Program, p.Transport, p.Health)
-		}
-		if p.Events == 0 {
-			t.Errorf("%s/%s: zero events", p.Program, p.Transport)
-		}
-	}
-	if out := RenderRemote(points); !strings.Contains(out, "record+replay") {
-		t.Errorf("render missing transports:\n%s", out)
 	}
 }
 

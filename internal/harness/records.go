@@ -6,88 +6,13 @@ import (
 	"blockwatch/internal/benchstore"
 )
 
-// Converters from the perf drivers' point grids to benchstore records.
+// Converters from the campaign drivers' grids to benchstore records.
 // Config axes identify a cell across runs (they form the record key),
 // so only inputs go there; measured outcomes go in Values or Counters.
 // Value names follow the benchstore gating contract: "ns/op" and
 // "*/sec" are time-gated, "allocs/op" is alloc-gated, everything else
-// is informational.
-
-// perEventNS is elapsed wall-clock per event in nanoseconds.
-func perEventNS(elapsedNS int64, events uint64) float64 {
-	if events == 0 {
-		return 0
-	}
-	return float64(elapsedNS) / float64(events)
-}
-
-// ThroughputRecords converts the Sender batch-size sweep. Every cell
-// publishes through a Sender, so mode is always "batch"; the key keeps
-// it so records stay comparable with earlier artifacts.
-func ThroughputRecords(points []ThroughputPoint) []benchstore.Record {
-	recs := make([]benchstore.Record, 0, len(points))
-	for _, p := range points {
-		recs = append(recs, benchstore.Record{
-			Experiment: "throughput",
-			Config: map[string]string{
-				"mode":  "batch",
-				"batch": strconv.Itoa(p.SenderBatch),
-			},
-			Values: map[string]float64{
-				"ns/op":      perEventNS(p.Elapsed.Nanoseconds(), uint64(p.Events)),
-				"events/sec": p.EventsPerSec(),
-			},
-			Counters: benchstore.CounterValues(p.Metrics),
-		})
-	}
-	return recs
-}
-
-// RemoteRecords converts the kernel × transport grid.
-func RemoteRecords(points []RemotePoint) []benchstore.Record {
-	recs := make([]benchstore.Record, 0, len(points))
-	for _, p := range points {
-		recs = append(recs, benchstore.Record{
-			Experiment: "remote",
-			Config: map[string]string{
-				"kernel":    p.Program,
-				"transport": p.Transport,
-			},
-			Values: map[string]float64{
-				"ns/op":      perEventNS(p.Elapsed.Nanoseconds(), p.Events),
-				"events/sec": float64(p.Events) / p.Elapsed.Seconds(),
-			},
-			Counters: map[string]uint64{"events": p.Events},
-		})
-	}
-	return recs
-}
-
-// IngestRecords converts the transport × sessions grid. The decode
-// scratch-reuse counters carry the artifact's real signal: RxFrames
-// tracks coalescing and BufGrows stays at one growth per pooled reader.
-func IngestRecords(points []IngestPoint) []benchstore.Record {
-	recs := make([]benchstore.Record, 0, len(points))
-	for _, p := range points {
-		recs = append(recs, benchstore.Record{
-			Experiment: "ingest",
-			Config: map[string]string{
-				"transport": p.Transport,
-				"sessions":  strconv.Itoa(p.Sessions),
-			},
-			Values: map[string]float64{
-				"ns/op":      perEventNS(p.Elapsed.Nanoseconds(), p.Events),
-				"events/sec": p.EventsPerSec(),
-			},
-			Counters: map[string]uint64{
-				"bw_wire_rx_frames_total":        p.RxFrames,
-				"bw_wire_decode_buf_grows_total": p.BufGrows,
-				"bw_wire_decode_buf_bytes":       uint64(p.BufBytes),
-			},
-		})
-	}
-	return recs
-}
+// is informational. Wall-clock cost of the monitor pipeline is measured
+// by bwperf, not here.
 
 // NetFaultRecords converts the campaign grid. Campaign wall-clock is
 // dominated by injected stalls, so it is recorded as informational

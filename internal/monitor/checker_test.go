@@ -35,11 +35,7 @@ func (b *byteSource) intn(n int) int { return int(b.next()) % n }
 // order in which the Checker receives them.
 type diffCase struct {
 	streams [diffThreads + 1][]Event
-	// stragglers reports an event after a thread's effective done: the
-	// concurrent Monitor's loop may end, at the last done, before it
-	// drains such events, so only the preloaded comparison checks them.
-	stragglers bool
-	order      *byteSource
+	order   *byteSource
 }
 
 // decodeDiffCase builds per-thread streams from data: barrier
@@ -117,15 +113,6 @@ func decodeDiffCase(data []byte) *diffCase {
 			case 4:
 				ev.Thread = int32((tid + 1) % diffThreads) // another thread's label
 			}
-		}
-	}
-	for tid := range diffThreads {
-		done := false
-		for _, ev := range dc.streams[tid] {
-			if done {
-				dc.stragglers = true
-			}
-			done = done || ev.Kind == EvDone && int(ev.Thread) == tid
 		}
 	}
 	dc.order = src
@@ -226,9 +213,6 @@ func (dc *diffCase) runMonitor(t testing.TB, cfg Config, preload bool) *Monitor 
 // (Dropped, a front-end counter, excepted: neither drops here).
 func compareCheckerMonitor(t testing.TB, data []byte, preload bool) {
 	dc := decodeDiffCase(data)
-	if !preload && dc.stragglers {
-		return
-	}
 	// Queues and the gated buffer hold every stream whole: the streams
 	// are at most a few dozen events a thread, well inside one drain
 	// batch, so no overflow policy or forced close comes into play.

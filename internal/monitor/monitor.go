@@ -162,9 +162,11 @@ func (m *Monitor) Start() {
 
 // Close asks the monitor to finish draining and waits for it. It is safe
 // to call after all program threads have sent their EvDone events; any
-// still-pending instances are checked before the goroutine exits. Close is
-// idempotent. After a clean run Close hands the queues to the next sink in
-// the process (see recycleRings), so no Sender may be used after it.
+// still-pending instances are checked before the goroutine exits, and
+// events published after a thread's EvDone are quarantined, as a Checker
+// quarantines them. Close is idempotent. After a clean run Close hands
+// the queues to the next sink in the process (see recycleRings), so no
+// Sender may be used after it.
 func (m *Monitor) Close() {
 	if m.closed.Swap(true) {
 		if m.started.Load() {
@@ -178,6 +180,9 @@ func (m *Monitor) Close() {
 	} else {
 		m.closeUnstarted()
 	}
+	// The loop returns once it has seen every thread's EvDone, so events
+	// a thread published after its EvDone may still be in the rings.
+	m.discardAll()
 	m.recycleRings(m.doneCount >= m.cfg.NumThreads)
 }
 

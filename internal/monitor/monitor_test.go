@@ -222,6 +222,44 @@ func TestMonitorCloseWithoutStart(t *testing.T) {
 	}
 }
 
+// TestMonitorCloseQuarantinesStragglers: the loop returns once it has
+// seen every thread's EvDone, so an event published after that stays in
+// its thread's ring. Close must count it as a quarantined straggler, as
+// a Checker fed the same input does, and hand the emptied rings on.
+func TestMonitorCloseQuarantinesStragglers(t *testing.T) {
+	dropRings()
+	cfg := Config{NumThreads: 1, Plans: testPlans()}
+	straggler := branchEv(0, 1, 1, 5, true)
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Start()
+	s := m.Sender(0)
+	s.Send(Event{Kind: EvDone, Thread: 0})
+	<-m.done // the loop saw the last EvDone and returned
+	s.Send(straggler)
+	s.Flush()
+	m.Close()
+
+	c, err := NewChecker(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Done(0, 0)
+	c.Feed(0, []Event{straggler})
+	c.Finish()
+
+	ms, cs := m.Stats(), c.Stats()
+	if ms.Quarantined != 1 || ms != cs || m.Health() != Degraded || c.Health() != Degraded {
+		t.Fatalf("monitor %s %+v, checker %s %+v; want both degraded with 1 quarantined",
+			m.Health(), ms, c.Health(), cs)
+	}
+	if m.queues != nil || len(spareRings) != 1 {
+		t.Error("Close kept the rings instead of handing the emptied set on")
+	}
+}
+
 func TestMonitorCloseUnblocksMissingDone(t *testing.T) {
 	// Thread 1 never sends Done (e.g. it crashed under fault injection):
 	// Close must still terminate and check what arrived.

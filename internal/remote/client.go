@@ -148,14 +148,13 @@ type ClientConfig struct {
 	// Plans is the check-plan table from the local static analysis; its
 	// checker-facing reduction is shipped in the hello frame.
 	Plans map[int]*core.CheckPlan
-	// QueueCap, Overflow and SenderBatch configure the client's
-	// producer front end exactly like the in-process monitor's
-	// (monitor.Config semantics). Backpressure from the connection maps
-	// onto the overflow policy: a slow daemon fills the per-thread
-	// queues, and the policy decides between blocking and dropping.
-	QueueCap    int
-	Overflow    monitor.OverflowPolicy
-	SenderBatch int
+	// QueueCap and Overflow configure the client's producer front end
+	// exactly like the in-process monitor's (monitor.Config semantics).
+	// Backpressure from the connection maps onto the overflow policy: a
+	// slow daemon fills the per-thread queues, and the policy decides
+	// between blocking and dropping.
+	QueueCap int
+	Overflow monitor.OverflowPolicy
 	// CoalesceBytes is the frame-coalescing byte budget: each thread's
 	// event batches accumulate into one wire frame until its encoded
 	// payload would exceed this many bytes
@@ -429,13 +428,12 @@ func (c *Client) hello() *wire.Hello {
 
 func (c *Client) buildRelay() error {
 	relay, err := monitor.NewRelay(monitor.RelayConfig{
-		NumThreads:  c.cfg.NumThreads,
-		QueueCap:    c.cfg.QueueCap,
-		Overflow:    c.cfg.Overflow,
-		SenderBatch: c.cfg.SenderBatch,
-		Stream:      (*clientStream)(c),
-		Finish:      c.finish,
-		Metrics:     c.cfg.Metrics,
+		NumThreads: c.cfg.NumThreads,
+		QueueCap:   c.cfg.QueueCap,
+		Overflow:   c.cfg.Overflow,
+		Stream:     (*clientStream)(c),
+		Finish:     c.finish,
+		Metrics:    c.cfg.Metrics,
 	})
 	if err != nil {
 		return err

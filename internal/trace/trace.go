@@ -36,11 +36,10 @@ type RecorderConfig struct {
 	// Plans is the check-plan table; its checker-facing reduction is
 	// stored in the trace header (wire.Hello).
 	Plans map[int]*core.CheckPlan
-	// QueueCap, Overflow and SenderBatch configure the producer
-	// front end (monitor.Config semantics).
-	QueueCap    int
-	Overflow    monitor.OverflowPolicy
-	SenderBatch int
+	// QueueCap and Overflow configure the producer front end
+	// (monitor.Config semantics).
+	QueueCap int
+	Overflow monitor.OverflowPolicy
 	// StallDeadline arms the inner monitor's stall watchdog.
 	StallDeadline time.Duration
 	// Metrics, when non-nil, receives the recorder's wire metrics
@@ -90,13 +89,12 @@ func NewRecorder(w io.Writer, cfg RecorderConfig) (*Recorder, error) {
 		rec.senders[tid] = inner.Sender(tid)
 	}
 	relay, err := monitor.NewRelay(monitor.RelayConfig{
-		NumThreads:  cfg.NumThreads,
-		QueueCap:    cfg.QueueCap,
-		Overflow:    cfg.Overflow,
-		SenderBatch: cfg.SenderBatch,
-		Stream:      (*recorderStream)(rec),
-		Finish:      rec.finish,
-		Metrics:     cfg.Metrics,
+		NumThreads: cfg.NumThreads,
+		QueueCap:   cfg.QueueCap,
+		Overflow:   cfg.Overflow,
+		Stream:     (*recorderStream)(rec),
+		Finish:     rec.finish,
+		Metrics:    cfg.Metrics,
 	})
 	if err != nil {
 		return nil, err
