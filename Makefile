@@ -31,10 +31,11 @@ race:
 	$(GO) test -race -count=10 -timeout 5m -run 'Park|Wake|RingsBackToBack|WindowUnderRace|Stop' \
 		./internal/queue/ ./internal/monitor/ ./internal/remote/ ./internal/interp/ ./internal/inject/
 
-# The alloc gates (the CI "Alloc gates" step): zero-allocation hot paths
-# and the flat per-run allocations of warm protected and unprotected runs.
+# The alloc gates (the CI "Alloc gates" step): zero-allocation hot paths,
+# the flat per-run allocations of warm protected and unprotected runs, and
+# the instance table's layout and footprint.
 allocs:
-	$(GO) test -run 'ZeroAlloc|AllocsFlat' -v . ./internal/wire/ ./internal/monitor/ \
+	$(GO) test -run 'ZeroAlloc|AllocsFlat|Footprint' -v . ./internal/wire/ ./internal/monitor/ \
 		./internal/remote/ ./internal/interp/
 
 # One iteration of every benchmark: catches benchmark-rot without

@@ -26,15 +26,15 @@ func tidPlan(rel ir.Op, tidLeft bool) *core.CheckPlan {
 
 func TestCheckSharedAgreement(t *testing.T) {
 	plan := sharedPlan()
-	ok := []Report{{0, 42, true}, {1, 42, true}, {2, 42, true}}
+	ok := []Report{{Thread: 0, Sig: 42, Taken: true}, {Thread: 1, Sig: 42, Taken: true}, {Thread: 2, Sig: 42, Taken: true}}
 	if r := CheckReports(plan, ok); r != "" {
 		t.Errorf("consistent shared reports flagged: %s", r)
 	}
-	badOutcome := []Report{{0, 42, true}, {1, 42, false}}
+	badOutcome := []Report{{Thread: 0, Sig: 42, Taken: true}, {Thread: 1, Sig: 42, Taken: false}}
 	if r := CheckReports(plan, badOutcome); r == "" {
 		t.Error("diverging shared outcome not flagged")
 	}
-	badSig := []Report{{0, 42, true}, {1, 43, true}}
+	badSig := []Report{{Thread: 0, Sig: 42, Taken: true}, {Thread: 1, Sig: 43, Taken: true}}
 	if r := CheckReports(plan, badSig); r == "" {
 		t.Error("diverging shared condition data not flagged")
 	}
@@ -42,7 +42,7 @@ func TestCheckSharedAgreement(t *testing.T) {
 
 func TestCheckSingleReportNeverFlags(t *testing.T) {
 	for _, plan := range []*core.CheckPlan{sharedPlan(), partialPlan(), tidPlan(ir.OpEq, true)} {
-		if r := CheckReports(plan, []Report{{0, 1, true}}); r != "" {
+		if r := CheckReports(plan, []Report{{Thread: 0, Sig: 1, Taken: true}}); r != "" {
 			t.Errorf("single report flagged under %s: %s", plan.Kind, r)
 		}
 		if r := CheckReports(plan, nil); r != "" {
@@ -53,7 +53,7 @@ func TestCheckSingleReportNeverFlags(t *testing.T) {
 
 func TestCheckDuplicateThread(t *testing.T) {
 	plan := sharedPlan()
-	dup := []Report{{0, 42, true}, {0, 42, true}}
+	dup := []Report{{Thread: 0, Sig: 42, Taken: true}, {Thread: 0, Sig: 42, Taken: true}}
 	if r := CheckReports(plan, dup); !strings.Contains(r, "twice") {
 		t.Errorf("duplicate thread report not flagged: %q", r)
 	}
@@ -62,27 +62,27 @@ func TestCheckDuplicateThread(t *testing.T) {
 func TestCheckThreadIDEq(t *testing.T) {
 	plan := tidPlan(ir.OpEq, true)
 	// tid == 0: exactly thread 0 takes.
-	ok := []Report{{0, 0, true}, {1, 0, false}, {2, 0, false}, {3, 0, false}}
+	ok := []Report{{Thread: 0, Sig: 0, Taken: true}, {Thread: 1, Sig: 0, Taken: false}, {Thread: 2, Sig: 0, Taken: false}, {Thread: 3, Sig: 0, Taken: false}}
 	if r := CheckReports(plan, ok); r != "" {
 		t.Errorf("legal tid== pattern flagged: %s", r)
 	}
 	// Shared value out of tid range: nobody takes.
-	zero := []Report{{0, 7, false}, {1, 7, false}}
+	zero := []Report{{Thread: 0, Sig: 7, Taken: false}, {Thread: 1, Sig: 7, Taken: false}}
 	if r := CheckReports(plan, zero); r != "" {
 		t.Errorf("zero-taker tid==7 pattern flagged: %s", r)
 	}
 	// An extra taker: violation.
-	bad := []Report{{0, 0, true}, {1, 0, false}, {2, 0, true}}
+	bad := []Report{{Thread: 0, Sig: 0, Taken: true}, {Thread: 1, Sig: 0, Taken: false}, {Thread: 2, Sig: 0, Taken: true}}
 	if r := CheckReports(plan, bad); r == "" {
 		t.Error("extra taker on tid== branch not flagged")
 	}
 	// The rightful taker skipped: violation (exact relation check).
-	missing := []Report{{0, 0, false}, {1, 0, false}, {2, 0, false}}
+	missing := []Report{{Thread: 0, Sig: 0, Taken: false}, {Thread: 1, Sig: 0, Taken: false}, {Thread: 2, Sig: 0, Taken: false}}
 	if r := CheckReports(plan, missing); r == "" {
 		t.Error("missing taker on tid== branch not flagged")
 	}
 	// Shared operand corrupted in one thread.
-	sig := []Report{{0, 0, true}, {1, 8, false}}
+	sig := []Report{{Thread: 0, Sig: 0, Taken: true}, {Thread: 1, Sig: 8, Taken: false}}
 	if r := CheckReports(plan, sig); r == "" {
 		t.Error("corrupted shared operand not flagged")
 	}
@@ -90,11 +90,11 @@ func TestCheckThreadIDEq(t *testing.T) {
 
 func TestCheckThreadIDNe(t *testing.T) {
 	plan := tidPlan(ir.OpNe, true)
-	ok := []Report{{0, 0, false}, {1, 0, true}, {2, 0, true}}
+	ok := []Report{{Thread: 0, Sig: 0, Taken: false}, {Thread: 1, Sig: 0, Taken: true}, {Thread: 2, Sig: 0, Taken: true}}
 	if r := CheckReports(plan, ok); r != "" {
 		t.Errorf("legal tid!= pattern flagged: %s", r)
 	}
-	bad := []Report{{0, 0, false}, {1, 0, false}, {2, 0, true}}
+	bad := []Report{{Thread: 0, Sig: 0, Taken: false}, {Thread: 1, Sig: 0, Taken: false}, {Thread: 2, Sig: 0, Taken: true}}
 	if r := CheckReports(plan, bad); r == "" {
 		t.Error("wrong fall-through on tid!= branch not flagged")
 	}
@@ -102,26 +102,26 @@ func TestCheckThreadIDNe(t *testing.T) {
 
 func TestCheckThreadIDOrdered(t *testing.T) {
 	lt := tidPlan(ir.OpLt, true) // tid < shared
-	ok := []Report{{0, 2, true}, {1, 2, true}, {2, 2, false}, {3, 2, false}}
+	ok := []Report{{Thread: 0, Sig: 2, Taken: true}, {Thread: 1, Sig: 2, Taken: true}, {Thread: 2, Sig: 2, Taken: false}, {Thread: 3, Sig: 2, Taken: false}}
 	if r := CheckReports(lt, ok); r != "" {
 		t.Errorf("legal tid<2 pattern flagged: %s", r)
 	}
-	bad := []Report{{0, 2, true}, {1, 2, false}, {2, 2, false}}
+	bad := []Report{{Thread: 0, Sig: 2, Taken: true}, {Thread: 1, Sig: 2, Taken: false}, {Thread: 2, Sig: 2, Taken: false}}
 	if r := CheckReports(lt, bad); r == "" {
 		t.Error("thread 1 skipping tid<2 branch not flagged")
 	}
-	extra := []Report{{0, 2, true}, {1, 2, true}, {2, 2, true}}
+	extra := []Report{{Thread: 0, Sig: 2, Taken: true}, {Thread: 1, Sig: 2, Taken: true}, {Thread: 2, Sig: 2, Taken: true}}
 	if r := CheckReports(lt, extra); r == "" {
 		t.Error("thread 2 taking tid<2 branch not flagged")
 	}
 
 	// shared < tid mirrors to tid > shared.
 	mirror := tidPlan(ir.OpLt, false)
-	okM := []Report{{0, 1, false}, {1, 1, false}, {2, 1, true}}
+	okM := []Report{{Thread: 0, Sig: 1, Taken: false}, {Thread: 1, Sig: 1, Taken: false}, {Thread: 2, Sig: 1, Taken: true}}
 	if r := CheckReports(mirror, okM); r != "" {
 		t.Errorf("legal 1<tid pattern flagged: %s", r)
 	}
-	badM := []Report{{0, 1, true}, {1, 1, false}, {2, 1, true}}
+	badM := []Report{{Thread: 0, Sig: 1, Taken: true}, {Thread: 1, Sig: 1, Taken: false}, {Thread: 2, Sig: 1, Taken: true}}
 	if r := CheckReports(mirror, badM); r == "" {
 		t.Error("thread 0 taking 1<tid branch not flagged")
 	}
@@ -131,11 +131,11 @@ func TestCheckThreadIDDerivedNoRelation(t *testing.T) {
 	// Derived tid values carry no outcome relation: any outcome pattern is
 	// legal, but the shared-side signature must still agree.
 	plan := tidPlan(0, true)
-	anyPattern := []Report{{0, 7, true}, {1, 7, false}, {2, 7, true}}
+	anyPattern := []Report{{Thread: 0, Sig: 7, Taken: true}, {Thread: 1, Sig: 7, Taken: false}, {Thread: 2, Sig: 7, Taken: true}}
 	if r := CheckReports(plan, anyPattern); r != "" {
 		t.Errorf("derived-tid outcomes flagged without relation: %s", r)
 	}
-	badSig := []Report{{0, 7, true}, {1, 9, true}}
+	badSig := []Report{{Thread: 0, Sig: 7, Taken: true}, {Thread: 1, Sig: 9, Taken: true}}
 	if r := CheckReports(plan, badSig); r == "" {
 		t.Error("derived-tid shared-side corruption not flagged")
 	}
@@ -143,16 +143,16 @@ func TestCheckThreadIDDerivedNoRelation(t *testing.T) {
 
 func TestCheckPartialGroups(t *testing.T) {
 	plan := partialPlan()
-	ok := []Report{{0, 1, true}, {1, 2, false}, {2, 1, true}, {3, 2, false}}
+	ok := []Report{{Thread: 0, Sig: 1, Taken: true}, {Thread: 1, Sig: 2, Taken: false}, {Thread: 2, Sig: 1, Taken: true}, {Thread: 3, Sig: 2, Taken: false}}
 	if r := CheckReports(plan, ok); r != "" {
 		t.Errorf("consistent partial groups flagged: %s", r)
 	}
-	bad := []Report{{0, 1, true}, {1, 2, false}, {2, 1, false}}
+	bad := []Report{{Thread: 0, Sig: 1, Taken: true}, {Thread: 1, Sig: 2, Taken: false}, {Thread: 2, Sig: 1, Taken: false}}
 	if r := CheckReports(plan, bad); r == "" {
 		t.Error("diverging outcomes within a partial group not flagged")
 	}
 	// All-singleton groups can never be flagged.
-	singles := []Report{{0, 1, true}, {1, 2, false}, {2, 3, true}}
+	singles := []Report{{Thread: 0, Sig: 1, Taken: true}, {Thread: 1, Sig: 2, Taken: false}, {Thread: 2, Sig: 3, Taken: true}}
 	if r := CheckReports(plan, singles); r != "" {
 		t.Errorf("singleton partial groups flagged: %s", r)
 	}

@@ -75,7 +75,7 @@ func (c *checker) init(cfg Config, st *status) error {
 	if c.now == nil {
 		c.now = time.Now
 	}
-	c.maxInstances = cfg.MaxInstances
+	c.maxInstances = min(cfg.MaxInstances, maxTableInstances)
 	if c.maxInstances <= 0 {
 		c.maxInstances = DefaultMaxInstances
 	}
@@ -309,16 +309,15 @@ func (c *checker) maybeFlushGeneration() {
 // level call-site/static-branch key, second level loop-iteration key) and
 // eagerly checks the instance once every thread has reported. Key1's plan
 // binding persists across generations: Key1 identifies the static branch,
-// so its check plan never changes. An existing instance carries the
-// binding, so the common case is one level-2 probe.
+// so its check plan never changes. The binding is looked up first, and
+// the instance is matched on (binding, Key2).
 func (c *checker) insert(ev *Event) {
 	t := c.tab
-	i, slot := t.find(ev.Key1, ev.Key2)
+	b := t.binding(ev.Key1)
+	i, slot := t.find(b, ev.Key1, ev.Key2)
 	var plan *core.CheckPlan
-	if i >= 0 {
-		plan = t.entries[i].plan
-	} else {
-		plan = t.binding(ev.Key1)
+	if b >= 0 {
+		plan = t.binds[b].plan
 	}
 	if plan != nil && int(ev.BranchID) != plan.BranchID {
 		// The payload's branch ID disagrees with the established
@@ -344,7 +343,7 @@ func (c *checker) insert(ev *Event) {
 		if !plan.Checked() {
 			return
 		}
-		if !t.bind(ev.Key1, plan, c.maxInstances) {
+		if b = t.bind(ev.Key1, plan, c.maxInstances); b < 0 {
 			// Past the binding cap, or a Key1 crafted into a full binding
 			// cluster.
 			c.st.quarantine(1)
@@ -364,14 +363,13 @@ func (c *checker) insert(ev *Event) {
 			c.closeGeneration(closeOverflow)
 			slot = -1
 		}
-		i = t.insert(ev.Key1, ev.Key2, plan, slot)
+		i = t.insert(b, ev.Key1, ev.Key2, slot)
 	}
-	// A straggler report for an already-checked instance reopens it: the
-	// full set is re-checked (only possible under fault, never in
-	// error-free runs).
-	t.entries[i].checked = false
-	t.add(i, Report{Thread: ev.Thread, Sig: ev.Sig, Taken: ev.Taken})
-	if int(t.entries[i].count) >= c.cfg.NumThreads {
+	// A straggler report for an already-checked instance reopens it (add
+	// clears the checked flag): the full set is re-checked (only possible
+	// under fault, never in error-free runs).
+	t.add(i, Report{Sig: ev.Sig, Thread: ev.Thread, Taken: ev.Taken})
+	if t.entries[i].reported() >= c.cfg.NumThreads {
 		c.checkInstance(i)
 	}
 }
@@ -381,15 +379,16 @@ func (c *checker) insert(ev *Event) {
 // straggler can still reopen it.
 func (c *checker) checkInstance(i int32) {
 	e := &c.tab.entries[i]
-	if e.checked {
+	if e.checked() {
 		return
 	}
-	e.checked = true
+	e.count |= flagBit
 	c.instances.Add(1)
-	if reason := CheckReports(e.plan, c.tab.reports(i)); reason != "" {
+	b := &c.tab.binds[e.bind]
+	if reason := CheckReports(b.plan, c.tab.reports(i)); reason != "" {
 		c.genViolations = append(c.genViolations, Violation{
-			BranchID: e.plan.BranchID,
-			Key1:     e.key1,
+			BranchID: b.plan.BranchID,
+			Key1:     b.key1,
 			Key2:     e.key2,
 			Reason:   reason,
 		})
@@ -401,7 +400,7 @@ func (c *checker) checkInstance(i int32) {
 // reports are required for any cross-thread check.
 func (c *checker) checkPending() {
 	for i := range c.tab.entries {
-		if e := &c.tab.entries[i]; !e.checked && e.count >= 2 {
+		if e := &c.tab.entries[i]; !e.checked() && e.reported() >= 2 {
 			c.checkInstance(int32(i))
 		}
 	}

@@ -56,10 +56,11 @@ type Event struct {
 
 // Report is one thread's contribution to a branch instance. An instance's
 // reports are stored contiguously (the table's report arena), in arrival
-// order until CheckReports sorts them by thread.
+// order until CheckReports sorts them by thread. Its fields are ordered
+// so that it takes 16 bytes.
 type Report struct {
-	Thread int32
 	Sig    uint64
+	Thread int32
 	Taken  bool
 }
 

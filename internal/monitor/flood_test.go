@@ -116,8 +116,8 @@ func TestBindingsBounded(t *testing.T) {
 	}
 	for i := range evs {
 		m.process(0, &evs[i])
-		if m.tab.bound > limit {
-			t.Fatalf("after %d distinct Key1s: %d bindings, want at most %d", i+1, m.tab.bound, limit)
+		if len(m.tab.binds) > limit {
+			t.Fatalf("after %d distinct Key1s: %d bindings, want at most %d", i+1, len(m.tab.binds), limit)
 		}
 	}
 	m.Close()

@@ -40,7 +40,9 @@ type Config struct {
 	// The paper similarly fixes its queue lengths; an unbounded table
 	// would let a faulty thread exhaust memory before hang detection.
 	// It also caps the Key1 bindings, which last for the run: the
-	// reports of a Key1 bound past the cap are quarantined.
+	// reports of a Key1 bound past the cap are quarantined. Values above
+	// 2^24-1 are clamped to it (the table numbers its entries in 24
+	// bits).
 	MaxInstances int
 	// Overflow selects the Sender overflow policy for branch events
 	// (zero value = OverflowBlock, the paper's lossless behavior).
@@ -360,18 +362,6 @@ func (m *Monitor) failsafe() {
 		default:
 		}
 		m.idleWait(m.stop, m.queued, 0)
-	}
-}
-
-// discardAll releases and quarantines every queued event without
-// touching the (possibly corrupt) table state. A panic leaves the batch
-// it interrupted unreleased, so its events are quarantined here too.
-func (m *Monitor) discardAll() {
-	for _, q := range m.queues {
-		for evs := q.Peek(q.Cap()); len(evs) > 0; evs = q.Peek(q.Cap()) {
-			m.quarantine(len(evs))
-			q.Release(len(evs))
-		}
 	}
 }
 

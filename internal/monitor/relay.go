@@ -143,8 +143,10 @@ func (r *Relay) Start() {
 }
 
 // Close drains outstanding events through the stream, runs the finisher,
-// and waits for the relay goroutine. Idempotent. Like Monitor.Close, a
-// clean Close hands the queues to the next sink in the process.
+// and waits for the relay goroutine. Idempotent. Like Monitor.Close, it
+// quarantines events published after a thread's EvDone that the relay
+// goroutine did not forward, and a clean Close hands the queues to the
+// next sink in the process.
 func (r *Relay) Close() {
 	if r.closed.Swap(true) {
 		if r.started.Load() {
@@ -161,6 +163,9 @@ func (r *Relay) Close() {
 	} else {
 		r.run()
 	}
+	// run returns once it has seen every thread's EvDone, so events a
+	// thread published after its EvDone may still be in the rings.
+	r.discardAll()
 	r.recycleRings(r.allDone)
 }
 

@@ -352,3 +352,46 @@ func TestRelayCloseWithoutStartOrDone(t *testing.T) {
 		t.Fatal("Close of unstarted relay without done markers hung")
 	}
 }
+
+// TestRelayCloseQuarantinesStragglers: the relay goroutine returns once
+// it has seen every thread's EvDone, so an event published after that
+// stays in its thread's ring. Close must count it as a quarantined
+// straggler, as a Checker fed the same input does (and as
+// TestMonitorCloseQuarantinesStragglers requires of a Monitor), and hand
+// the emptied rings on.
+func TestRelayCloseQuarantinesStragglers(t *testing.T) {
+	dropRings()
+	straggler := branchEv(0, 1, 1, 5, true)
+	stream := newCollectStream()
+	r, err := NewRelay(RelayConfig{NumThreads: 1, Stream: stream})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Start()
+	s := r.Sender(0)
+	s.Send(Event{Kind: EvDone, Thread: 0})
+	<-r.done // the relay goroutine saw the last EvDone and returned
+	s.Send(straggler)
+	s.Flush()
+	r.Close()
+
+	c, err := NewChecker(Config{NumThreads: 1, Plans: testPlans()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Done(0, 0)
+	c.Feed(0, []Event{straggler})
+	c.Finish()
+
+	rs, cs := r.Stats(), c.Stats()
+	if rs.Quarantined != 1 || rs != cs || r.Health() != Degraded || c.Health() != Degraded {
+		t.Fatalf("relay %s %+v, checker %s %+v; want both degraded with 1 quarantined",
+			r.Health(), rs, c.Health(), cs)
+	}
+	if n := len(stream.events(0)); n != 0 {
+		t.Errorf("the straggler reached the stream (%d events)", n)
+	}
+	if r.queues != nil || len(spareRings) != 1 {
+		t.Error("Close kept the rings instead of handing the emptied set on")
+	}
+}

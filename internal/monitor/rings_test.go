@@ -28,8 +28,6 @@ type ringSink struct {
 	// build returns an unstarted sink of two threads and its front end;
 	// fail makes its consumer panic into Failed.
 	build func(t *testing.T, fail bool) (Sink, *frontEnd)
-	// wait blocks until the consumer goroutine of a started sink exits.
-	wait func(Sink)
 }
 
 // panicOnBranch is an EventTap that fails the monitor goroutine.
@@ -67,7 +65,6 @@ func ringSinks() []ringSink {
 				}
 				return m, &m.frontEnd
 			},
-			wait: func(s Sink) { <-s.(*Monitor).done },
 		},
 		{
 			name: "relay",
@@ -82,7 +79,6 @@ func ringSinks() []ringSink {
 				}
 				return r, &r.frontEnd
 			},
-			wait: func(s Sink) { <-s.(*Relay).done },
 		},
 	}
 }
@@ -138,17 +134,16 @@ func TestRingsHandedOnAfterCleanClose(t *testing.T) {
 
 // TestRingsKeptAfterUncleanClose: the queues stay with their sink — and
 // the next sink allocates its own — when a thread's EvDone is missing,
-// when the consumer panicked into Failed, and, for a relay, when events
-// were still queued at Close (published after the last EvDone). A
-// monitor quarantines such events at Close and hands its emptied rings
-// on (TestMonitorCloseQuarantinesStragglers).
+// and when the consumer panicked into Failed. Events still queued at
+// Close (published after the last EvDone) are quarantined and the
+// emptied rings handed on (TestMonitorCloseQuarantinesStragglers,
+// TestRelayCloseQuarantinesStragglers).
 func TestRingsKeptAfterUncleanClose(t *testing.T) {
 	for _, k := range ringSinks() {
-		type ringCase struct {
+		cases := []struct {
 			name string
 			run  func(t *testing.T) (Sink, *frontEnd)
-		}
-		cases := []ringCase{
+		}{
 			{"missing-done", func(t *testing.T) (Sink, *frontEnd) {
 				s, f := k.build(t, false)
 				s.Start()
@@ -166,19 +161,6 @@ func TestRingsKeptAfterUncleanClose(t *testing.T) {
 				}
 				return s, f
 			}},
-		}
-		if k.name == "relay" {
-			cases = append(cases, ringCase{"queued", func(t *testing.T) (Sink, *frontEnd) {
-				s, f := k.build(t, false)
-				s.Start()
-				sendRun(s, 0, 1)
-				k.wait(s) // every EvDone consumed: the consumer has exited
-				late := s.Sender(0)
-				late.Send(branchEv(0, 1, 2, 5, true))
-				late.Flush()
-				s.Close()
-				return s, f
-			}})
 		}
 		for _, c := range cases {
 			t.Run(k.name+"/"+c.name, func(t *testing.T) {

@@ -140,6 +140,20 @@ func (f *frontEnd) recycleRings(allDone bool) {
 	}
 }
 
+// discardAll releases and quarantines every queued event. The embedding
+// sink calls it once its consumer is done with the queues: after a panic,
+// without touching the (possibly corrupt) consumer state, whose
+// interrupted batch was left unreleased; and in Close, for events a
+// thread published after its EvDone, which the consumer never reads.
+func (f *frontEnd) discardAll() {
+	for _, q := range f.queues {
+		for evs := q.Peek(q.Cap()); len(evs) > 0; evs = q.Peek(q.Cap()) {
+			f.quarantine(len(evs))
+			q.Release(len(evs))
+		}
+	}
+}
+
 // backlog returns the number of events queued but not yet drained, or 0
 // once the rings were handed on.
 func (f *frontEnd) backlog() int {

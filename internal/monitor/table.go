@@ -12,16 +12,22 @@ import (
 // flat so a barrier generation costs no per-instance allocation or free:
 //
 //   - Level 1 binds each Key1 (call-site path + static branch) to its check
-//     plan. The binding is made by the first checked report of a Key1 and
-//     lasts for the run; it survives generation closes and is cleared only
-//     when the table is handed to the next monitor. The bindings count
-//     against the monitor's MaxInstances, and their probes stop after
-//     maxProbe slots too: a Key1 past either bound is refused (see bind).
-//   - Level 2 holds the generation's branch instances as dense entries in
-//     insertion order, found through an open-addressed index keyed by
-//     (Key1, Key2). An index slot holds epoch<<32 | entry+1; a slot written
-//     under an older epoch reads as empty. A probe stops after maxProbe
-//     slots, so keys crafted to collide cost O(maxProbe) each (see find).
+//     plan. The bindings sit in a dense array in the order they were made,
+//     found through an open-addressed index of 4-byte slots, so a
+//     binding's position is fixed for the run and an entry names its
+//     binding by that position. A binding is made by the first checked
+//     report of a Key1 and lasts for the run; it survives generation
+//     closes and is cleared only when the table is handed to the next
+//     monitor. The bindings count against the monitor's MaxInstances, and
+//     their probes stop after maxProbe slots too: a Key1 past either bound
+//     is refused (see bind).
+//   - Level 2 holds the generation's branch instances as dense 32-byte
+//     entries in insertion order, found through an open-addressed index of
+//     4-byte slots keyed by (Key1, Key2) and matched on (binding, Key2). A
+//     slot holds epoch<<24 | entry+1; a slot written under an older epoch
+//     reads as empty, and the whole index is cleared when the 8-bit epoch
+//     wraps. A probe stops after maxProbe slots, so keys crafted to
+//     collide cost O(maxProbe) each (see find).
 //   - An entry keeps its first report inline. The second report moves the
 //     instance into a block of NumThreads reports in the generation's
 //     report arena, so CheckReports sees one contiguous slice. Reports past
@@ -35,40 +41,66 @@ import (
 type table struct {
 	threads int // reports per arena block (the monitor's NumThreads)
 
-	// Level 1: Key1 → plan, open-addressed; a nil plan marks a free slot.
-	bindKeys  []uint64
-	bindPlans []*core.CheckPlan
-	bindShift uint8 // 64 - log2(len(bindKeys)): a hash's top bits pick the slot
-	bound     int
+	// Level 1.
+	binds     []binding // in bind order; an entry's bind indexes it
+	bindIndex []uint32  // binding+1, 0 = free; linear probing
+	bindShift uint8     // 64 - log2(len(bindIndex)): a hash's top bits pick the slot
 
 	// Level 2.
-	index   []uint64 // epoch<<32 | entry+1, linear probing
+	index   []uint32 // epoch<<indexBits | entry+1, linear probing
 	shift   uint8    // 64 - log2(len(index))
-	epoch   uint32
+	epoch   uint32   // 1..maxEpoch once the index exists
 	entries []entry
 	arena   []Report
 	spill   map[int32][]Report // entry → every report, once past threads
 }
 
-// entry is one branch instance of the current generation, 48 bytes: the
-// first report is stored field by field, since a Report's padding would
-// take the entry to 64.
-type entry struct {
-	key1, key2 uint64
-	plan       *core.CheckPlan // the Key1 binding
-	sig        uint64          // first report
-	thread     int32           // first report
-	count      int32           // reports received
-	off        int32           // arena block offset, valid once count ≥ 2
-	taken      bool            // first report
-	checked    bool
+// binding is one Key1's check plan.
+type binding struct {
+	key1 uint64
+	plan *core.CheckPlan
 }
 
-func (e *entry) first() Report { return Report{Thread: e.thread, Sig: e.sig, Taken: e.taken} }
+// entry is one branch instance of the current generation, 32 bytes. Key1
+// and the plan are its binding's, and its first report is stored field by
+// field, with Taken packed into the thread word (a report's thread is
+// validated to lie in [0, NumThreads) before it is inserted) and the
+// checked flag into the count.
+type entry struct {
+	key2   uint64
+	sig    uint64 // first report
+	bind   int32  // index of the Key1 binding in table.binds
+	thread uint32 // first report: Thread | Taken<<31
+	count  uint32 // reports received | checked<<31
+	off    int32  // arena block offset, valid once count ≥ 2
+}
+
+// flagBit is the top bit of entry.thread (the first report's Taken) and
+// of entry.count (checked).
+const flagBit = 1 << 31
+
+// first returns the instance's first report.
+func (e *entry) first() Report {
+	return Report{Sig: e.sig, Thread: int32(e.thread &^ flagBit), Taken: e.thread&flagBit != 0}
+}
+
+// reported is the number of reports the instance has received.
+func (e *entry) reported() int { return int(e.count &^ flagBit) }
+
+// checked reports whether the instance's current report set was checked.
+func (e *entry) checked() bool { return e.count&flagBit != 0 }
 
 const (
 	initialIndex = 1 << 10 // level-2 index slots on first use
 	initialBinds = 1 << 6  // level-1 slots on first use
+
+	// indexBits is the width of a level-2 index slot's entry number; the
+	// epoch takes the 8 bits above it and wraps after maxEpoch closes.
+	indexBits = 24
+	maxEpoch  = 1<<(32-indexBits) - 1
+	// maxTableInstances is the largest MaxInstances a monitor honours,
+	// so that entry+1 fits in indexBits.
+	maxTableInstances = 1<<indexBits - 1
 
 	// maxProbe caps a probe at either level. Past it, a level-2 find
 	// gives up and the monitor closes the generation (closeOverflow),
@@ -82,10 +114,11 @@ const (
 	maxProbe = 128
 
 	// spareTableBytes caps the footprint of a table kept for the next
-	// monitor. The bundled kernels at two threads need up to 2.3 MiB
-	// (raytrace: 32k single-report instances in one generation); a table
-	// grown by a MaxInstances flood (about 64 MB at the default) is
-	// left to the garbage collector.
+	// monitor. The bundled kernels at two threads need up to 1.6 MiB,
+	// mostly for raytrace's 32k single-report instances in one
+	// generation (TestTableFootprint); a table grown by a MaxInstances
+	// flood (about 40 MB at the default) is left to the garbage
+	// collector.
 	spareTableBytes = 4 << 20
 )
 
@@ -103,9 +136,7 @@ func takeTable(threads int) *table {
 	var t *table
 	select {
 	case t = <-spare:
-		clear(t.bindKeys)
-		clear(t.bindPlans)
-		t.bound = 0
+		t.unbindAll()
 	default:
 		t = &table{}
 	}
@@ -129,8 +160,8 @@ func releaseTable(t *table) {
 
 // footprint is the table's retained memory in bytes.
 func (t *table) footprint() int {
-	return cap(t.bindKeys)*int(unsafe.Sizeof(uint64(0))+unsafe.Sizeof((*core.CheckPlan)(nil))) +
-		cap(t.index)*int(unsafe.Sizeof(uint64(0))) +
+	return cap(t.binds)*int(unsafe.Sizeof(binding{})) +
+		(cap(t.bindIndex)+cap(t.index))*int(unsafe.Sizeof(uint32(0))) +
 		cap(t.entries)*int(unsafe.Sizeof(entry{})) +
 		cap(t.arena)*int(unsafe.Sizeof(Report{}))
 }
@@ -150,71 +181,86 @@ func hash2(k1, k2 uint64) uint64 {
 // (a power of two) slots.
 func slotShift(n int) uint8 { return uint8(64 - bits.TrailingZeros(uint(n))) }
 
-// binding returns Key1's plan, or nil when Key1 is unbound.
-func (t *table) binding(k1 uint64) *core.CheckPlan {
-	if t.bound == 0 {
-		return nil
+// binding returns the index of Key1's binding, or -1 when Key1 is
+// unbound.
+func (t *table) binding(k1 uint64) int32 {
+	if len(t.binds) == 0 {
+		return -1
 	}
-	mask := uint64(len(t.bindKeys) - 1)
+	mask := uint64(len(t.bindIndex) - 1)
 	s := hash2(k1, 0) >> t.bindShift
 	for range maxProbe {
-		p := t.bindPlans[s]
-		if p == nil || t.bindKeys[s] == k1 {
-			return p
+		v := t.bindIndex[s]
+		if v == 0 {
+			return -1
+		}
+		if t.binds[v-1].key1 == k1 {
+			return int32(v - 1)
 		}
 		s = (s + 1) & mask
 	}
-	return nil
+	return -1
 }
 
-// bind records Key1's plan; k1 must be unbound. It reports false, and
-// binds nothing, when limit Key1s are bound already or no slot within
-// maxProbe of k1's home is free: the bindings last for the run, so unlike
-// the instances and their index, they are not emptied by a generation
-// close, and a Key1 past either bound is refused instead.
-func (t *table) bind(k1 uint64, plan *core.CheckPlan, limit int) bool {
-	if t.bound >= limit {
-		return false
+// bind binds k1, which must be unbound, to plan and returns the
+// binding's index. It returns -1, and binds nothing, when limit Key1s
+// are bound already or no slot within maxProbe of k1's home is free: the
+// bindings last for the run, so unlike the instances and their index,
+// they are not emptied by a generation close, and a Key1 past either
+// bound is refused instead.
+func (t *table) bind(k1 uint64, plan *core.CheckPlan, limit int) int32 {
+	n := len(t.binds)
+	if n >= limit {
+		return -1
 	}
-	if 2*(t.bound+1) > len(t.bindKeys) {
-		keys, plans := t.bindKeys, t.bindPlans
-		n := max(2*len(keys), initialBinds)
-		t.bindKeys, t.bindPlans = make([]uint64, n), make([]*core.CheckPlan, n)
-		t.bindShift = slotShift(n)
-		for s, p := range plans {
-			if p != nil {
-				t.bindAt(keys[s], p, len(t.bindKeys))
-			}
+	if 2*(n+1) > len(t.bindIndex) {
+		t.bindIndex = make([]uint32, max(2*len(t.bindIndex), initialBinds))
+		t.bindShift = slotShift(len(t.bindIndex))
+		for i, b := range t.binds {
+			t.bindIndex[t.bindSlot(b.key1, 0, len(t.bindIndex))] = uint32(i + 1)
 		}
 	}
-	if !t.bindAt(k1, plan, maxProbe) {
-		return false
+	s := t.bindSlot(k1, 0, maxProbe)
+	if s < 0 {
+		return -1
 	}
-	t.bound++
-	return true
+	t.binds = append(t.binds, binding{key1: k1, plan: plan})
+	t.bindIndex[s] = uint32(n + 1)
+	return int32(n)
 }
 
-// bindAt stores (k1, plan) in the first free slot of k1's probe, looking
-// at most probes slots, and reports whether it found one.
-func (t *table) bindAt(k1 uint64, plan *core.CheckPlan, probes int) bool {
-	mask := uint64(len(t.bindKeys) - 1)
+// bindSlot walks at most probes level-1 slots of k1's probe and returns
+// the first that holds v, or -1. With v = 0 it finds the free slot a new
+// binding of k1 takes; with v = binding+1, that binding's slot.
+func (t *table) bindSlot(k1 uint64, v uint32, probes int) int {
+	mask := uint64(len(t.bindIndex) - 1)
 	s := hash2(k1, 0) >> t.bindShift
 	for range probes {
-		if t.bindPlans[s] == nil {
-			t.bindKeys[s], t.bindPlans[s] = k1, plan
-			return true
+		if t.bindIndex[s] == v {
+			return int(s)
 		}
 		s = (s + 1) & mask
 	}
-	return false
+	return -1
 }
 
-// find returns the index of the current generation's (k1, k2) entry, or
-// -1 and the free index slot where a new entry for the key would go. The
-// slot is -1 when the index is empty, and probeCapped when maxProbe slots
-// hold other keys: the key is then treated as absent, and the caller
-// must empty the index before inserting it.
-func (t *table) find(k1, k2 uint64) (i int32, slot int) {
+// unbindAll drops every binding for the next run, clearing only the
+// level-1 slots they took.
+func (t *table) unbindAll() {
+	for i, b := range t.binds {
+		t.bindIndex[t.bindSlot(b.key1, uint32(i+1), len(t.bindIndex))] = 0
+	}
+	clear(t.binds)
+	t.binds = t.binds[:0]
+}
+
+// find returns the index of the current generation's entry for key2
+// under binding b (whose Key1 is k1), or -1 and the free index slot where
+// a new entry for the key would go. The slot is -1 when the index is
+// empty, and probeCapped when maxProbe slots hold other keys: the key is
+// then treated as absent, and the caller must empty the index before
+// inserting it.
+func (t *table) find(b int32, k1, k2 uint64) (i int32, slot int) {
 	if len(t.index) == 0 {
 		return -1, -1
 	}
@@ -222,12 +268,12 @@ func (t *table) find(k1, k2 uint64) (i int32, slot int) {
 	s := hash2(k1, k2) >> t.shift
 	for range maxProbe {
 		v := t.index[s]
-		if uint32(v>>32) != t.epoch {
+		if v>>indexBits != t.epoch {
 			return -1, int(s)
 		}
-		e := &t.entries[uint32(v)-1]
-		if e.key1 == k1 && e.key2 == k2 {
-			return int32(uint32(v) - 1), int(s)
+		i := int32(v&(1<<indexBits-1)) - 1
+		if e := &t.entries[i]; e.key2 == k2 && e.bind == b {
+			return i, int(s)
 		}
 		s = (s + 1) & mask
 	}
@@ -237,10 +283,11 @@ func (t *table) find(k1, k2 uint64) (i int32, slot int) {
 // probeCapped is find's slot when the probe passed maxProbe.
 const probeCapped = -2
 
-// insert appends a new (k1, k2) entry bound to plan and indexes it at
-// slot, the free slot find returned for the key in the current epoch; a
-// negative slot makes insert probe for one. Returns the entry's index.
-func (t *table) insert(k1, k2 uint64, plan *core.CheckPlan, slot int) int32 {
+// insert appends a new entry for key2 under binding b (whose Key1 is k1)
+// and indexes it at slot, the free slot find returned for the key in the
+// current epoch; a negative slot makes insert probe for one. Returns the
+// entry's index.
+func (t *table) insert(b int32, k1, k2 uint64, slot int) int32 {
 	if 2*(len(t.entries)+1) > len(t.index) {
 		t.grow()
 		slot = -1
@@ -249,21 +296,21 @@ func (t *table) insert(k1, k2 uint64, plan *core.CheckPlan, slot int) int32 {
 		slot = t.free(hash2(k1, k2))
 	}
 	i := int32(len(t.entries))
-	t.entries = append(t.entries, entry{key1: k1, key2: k2, plan: plan})
-	t.index[slot] = uint64(t.epoch)<<32 | uint64(i+1)
+	t.entries = append(t.entries, entry{key2: k2, bind: b})
+	t.index[slot] = t.epoch<<indexBits | uint32(i+1)
 	return i
 }
 
 // grow doubles the level-2 index and re-indexes the live entries.
 func (t *table) grow() {
-	t.index = make([]uint64, max(2*len(t.index), initialIndex))
+	t.index = make([]uint32, max(2*len(t.index), initialIndex))
 	t.shift = slotShift(len(t.index))
 	if t.epoch == 0 {
 		t.epoch = 1 // a zeroed slot must read as empty
 	}
 	for i := range t.entries {
 		e := &t.entries[i]
-		t.index[t.free(hash2(e.key1, e.key2))] = uint64(t.epoch)<<32 | uint64(i+1)
+		t.index[t.free(hash2(t.binds[e.bind].key1, e.key2))] = t.epoch<<indexBits | uint32(i+1)
 	}
 }
 
@@ -273,19 +320,23 @@ func (t *table) grow() {
 func (t *table) free(h uint64) int {
 	mask := uint64(len(t.index) - 1)
 	s := h >> t.shift
-	for uint32(t.index[s]>>32) == t.epoch {
+	for t.index[s]>>indexBits == t.epoch {
 		s = (s + 1) & mask
 	}
 	return int(s)
 }
 
-// add appends r to entry i's reports.
+// add appends r to entry i's reports and marks the instance unchecked:
+// a straggler report for an already-checked instance reopens it.
 func (t *table) add(i int32, r Report) {
 	e := &t.entries[i]
-	n := int(e.count)
+	n := e.reported()
 	switch {
 	case n == 0:
-		e.thread, e.sig, e.taken = r.Thread, r.Sig, r.Taken
+		e.sig, e.thread = r.Sig, uint32(r.Thread)
+		if r.Taken {
+			e.thread |= flagBit
+		}
 	case n < t.threads:
 		if n == 1 {
 			off := len(t.arena)
@@ -308,7 +359,7 @@ func (t *table) add(i int32, r Report) {
 		}
 		t.spill[i] = append(s, r)
 	}
-	e.count++
+	e.count = uint32(n + 1)
 }
 
 // reports returns entry i's report set as one slice (nil below two
@@ -316,7 +367,7 @@ func (t *table) add(i int32, r Report) {
 // place.
 func (t *table) reports(i int32) []Report {
 	e := &t.entries[i]
-	n := int(e.count)
+	n := e.reported()
 	switch {
 	case n < 2:
 		return nil
@@ -332,7 +383,7 @@ func (t *table) reports(i int32) []Report {
 // level-1 bindings stay.
 func (t *table) reset() {
 	t.epoch++
-	if t.epoch == 0 {
+	if t.epoch > maxEpoch {
 		clear(t.index) // the epoch wrapped: old slots would read as live
 		t.epoch = 1
 	}

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"blockwatch/internal/core"
 	"blockwatch/internal/ir"
@@ -411,6 +412,36 @@ func TestSpareTableBindingsDoNotLeak(t *testing.T) {
 	}
 }
 
+// TestSpareTableUnbound: the next monitor takes the spare table with no
+// binding left in its array or its index. Half the Key1s share one hash,
+// so some bindings sit past their home slot, and the index grows twice.
+func TestSpareTableUnbound(t *testing.T) {
+	dropSpare()
+	tab := takeTable(2)
+	for i := range uint64(200) {
+		k1 := i + 1
+		if i%2 == 0 {
+			k1 *= goldenInv // hash2(k1, 0) is the same for every such k1
+		}
+		tab.bind(k1, testPlans()[1], 1000)
+	}
+	if len(tab.binds) < 100 || len(tab.bindIndex) <= initialBinds {
+		t.Fatalf("%d bindings in %d slots: the set-up did not bind and grow", len(tab.binds), len(tab.bindIndex))
+	}
+	releaseTable(tab)
+	if got := takeTable(2); got != tab {
+		t.Fatal("the spare was not taken")
+	}
+	if n := len(tab.binds); n != 0 {
+		t.Errorf("%d bindings left", n)
+	}
+	for s, v := range tab.bindIndex {
+		if v != 0 {
+			t.Fatalf("index slot %d still holds binding %d", s, v-1)
+		}
+	}
+}
+
 // TestSpareTableNotKeptAfterFloodOrFailure: a table grown past
 // spareTableBytes, and the table of a monitor that panicked, are never
 // handed to the next monitor.
@@ -498,5 +529,85 @@ func TestSpareTableAllocsFlat(t *testing.T) {
 	t.Logf("allocs per run: %.0f at 1k instances, %.0f at 12k", allocSmall, allocLarge)
 	if allocLarge > allocSmall+2 {
 		t.Errorf("allocations grow with the instance count: %.0f at 1k, %.0f at 12k", allocSmall, allocLarge)
+	}
+}
+
+// TestTableFootprint pins the table's layout — 32-byte entries, 4-byte
+// index slots and 16-byte reports — and bounds the footprint of the
+// largest generation the bundled kernels make at two threads: raytrace's
+// 32k single-report instances. With 48-byte entries, 8-byte index slots
+// and 24-byte reports the table took 2,384,880 bytes for it; it now
+// takes 1,360,144. A 40-byte entry or an 8-byte index slot alone would
+// pass the bound.
+func TestTableFootprint(t *testing.T) {
+	if n := unsafe.Sizeof(entry{}); n != 32 {
+		t.Errorf("entry is %d bytes, want 32", n)
+	}
+	if n := unsafe.Sizeof(Report{}); n != 16 {
+		t.Errorf("Report is %d bytes, want 16", n)
+	}
+	var tab table
+	if a, b := unsafe.Sizeof(tab.index[0]), unsafe.Sizeof(tab.bindIndex[0]); a != 4 || b != 4 {
+		t.Errorf("index slots are %d bytes (level 2) and %d bytes (level 1), want 4", a, b)
+	}
+	dropSpare()
+	m, err := New(Config{NumThreads: 2, Plans: testPlans()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := range uint64(32 << 10) {
+		ev := branchEv(0, 1, k, 5, true)
+		m.process(0, &ev)
+	}
+	got := m.tab.footprint()
+	m.Close()
+	t.Logf("footprint of 32k single-report instances: %d bytes", got)
+	const limit = 1536 << 10
+	if got > limit {
+		t.Errorf("footprint %d bytes, want at most %d", got, limit)
+	}
+}
+
+// TestTableEpochWraps: the level-2 index is emptied by bumping its 8-bit
+// epoch, so when the epoch wraps the whole index must be cleared, or a
+// slot last written maxEpoch closes earlier would read as live. Every
+// generation inserts keys of its own; generation 0's, whose slots are
+// never written again, must read as absent in every later generation.
+func TestTableEpochWraps(t *testing.T) {
+	tab := &table{threads: 2}
+	b := tab.bind(1000, testPlans()[1], 1)
+	const perGen = 8
+	for gen := range uint64(3 * maxEpoch) {
+		for k := range uint64(perGen) {
+			if i, _ := tab.find(b, 1000, k); i >= 0 && gen > 0 {
+				t.Fatalf("generation %d: generation 0's key %d reads as entry %d", gen, k, i)
+			}
+		}
+		for k := gen * perGen; k < (gen+1)*perGen; k++ {
+			i, slot := tab.find(b, 1000, k)
+			if i >= 0 {
+				t.Fatalf("generation %d: new key %d reads as entry %d", gen, k, i)
+			}
+			i = tab.insert(b, 1000, k, slot)
+			if got, _ := tab.find(b, 1000, k); got != i {
+				t.Fatalf("generation %d: key %d inserted as entry %d, found as %d", gen, k, i, got)
+			}
+		}
+		tab.reset()
+	}
+}
+
+// TestMaxInstancesClamped: a MaxInstances past what a 24-bit entry number
+// can index is clamped to it.
+func TestMaxInstancesClamped(t *testing.T) {
+	for _, n := range []int{maxTableInstances, maxTableInstances + 1, 1 << 30} {
+		m, err := New(Config{NumThreads: 2, Plans: testPlans(), MaxInstances: n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.maxInstances != maxTableInstances {
+			t.Errorf("MaxInstances %d: monitor bound %d, want %d", n, m.maxInstances, maxTableInstances)
+		}
+		m.Close()
 	}
 }
