@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -204,9 +205,10 @@ type Campaign struct {
 	// (0 = max(1, Faults/64)).
 	ProgressEvery int
 	// Metrics, when non-nil, aggregates the monitor-pipeline metrics of
-	// every monitored run in the campaign (golden and faulty). All handles
-	// are atomic, so concurrent workers share the registry safely; the
-	// deterministic campaign statistics are unaffected.
+	// every monitored run in the campaign (golden and faulty; a faulty run
+	// resumed from a snapshot counts only what follows the snapshot). All
+	// handles are atomic, so concurrent workers share the registry safely;
+	// the deterministic campaign statistics are unaffected.
 	Metrics *metrics.Registry
 }
 
@@ -278,8 +280,11 @@ type DetectorTally struct {
 
 // CampaignResult is the aggregate of one campaign.
 type CampaignResult struct {
-	Tally      Tally
-	GoldenTime int64 // simulated cycles of the golden run
+	Tally Tally
+	// GoldenTime is the golden run's simulated cycles. Run runs the golden
+	// run of a protected branch-flip or branch-condition campaign
+	// protected, as its faulty runs are, so the time includes the sends.
+	GoldenTime int64
 	// Detector classifies detector-under-fault behavior; non-nil only for
 	// EventBit campaigns.
 	Detector *DetectorTally
@@ -309,10 +314,15 @@ var (
 )
 
 // Run executes the three-step procedure of Section IV: profile, sample,
-// inject.
+// inject. In a protected branch-flip or branch-condition campaign a
+// faulty run starts from the golden run's last barrier snapshot before
+// its fault (see resumePoints) instead of from the top, which gives the
+// same outcome. Unprotected runs start from the top: their multi-thread
+// faulty runs depend most on the Go scheduler, and a resumed run starts
+// its threads under another interleaving than a barrier's wake-up.
 func (c Campaign) Run() (*CampaignResult, error) {
-	return c.runAll(func(f Fault, stepLimit uint64, golden []interp.Value) (Outcome, runExtras, error) {
-		out, ex := c.runOneFull(f, golden, stepLimit)
+	return c.runAll(c.Type != EventBit && c.Plans != nil, func(f Fault, from *interp.Snapshot, stepLimit uint64, golden []interp.Value) (Outcome, runExtras, error) {
+		out, ex := c.runOneFull(f, from, golden, stepLimit)
 		return out, ex, nil
 	})
 }
@@ -325,8 +335,9 @@ type Runner func(f Fault, stepLimit uint64, golden []interp.Value) (Outcome, err
 
 // runnerFull is the internal per-run signature: in addition to the
 // outcome it reports detector-side observations used to build
-// DetectorTally.
-type runnerFull func(f Fault, stepLimit uint64, golden []interp.Value) (Outcome, runExtras, error)
+// DetectorTally. A run with a non-nil from starts from that snapshot of
+// the golden run.
+type runnerFull func(f Fault, from *interp.Snapshot, stepLimit uint64, golden []interp.Value) (Outcome, runExtras, error)
 
 // runExtras carries per-run detector observations out of the worker pool;
 // they are aggregated in fault-index order like the outcomes.
@@ -349,15 +360,33 @@ type runExtras struct {
 // field of CampaignResult except the wall-clock Elapsed/Latency
 // observability data independent of worker count and scheduling.
 func (c Campaign) RunWith(run Runner) (*CampaignResult, error) {
-	return c.runAll(func(f Fault, stepLimit uint64, golden []interp.Value) (Outcome, runExtras, error) {
+	return c.runAll(false, func(f Fault, _ *interp.Snapshot, stepLimit uint64, golden []interp.Value) (Outcome, runExtras, error) {
 		out, err := run(f, stepLimit, golden)
 		return out, runExtras{}, err
 	})
 }
 
-// runAll is the shared campaign engine: profile, sample, fan out, and
-// aggregate deterministically.
-func (c Campaign) runAll(run runnerFull) (*CampaignResult, error) {
+// snapshotBytesPerThread caps the golden run's barrier snapshots; the
+// cap grows with the thread count, as a snapshot does. Snapshots cost
+// about 2.5 times their size in peak heap, and on the bwperf campaign
+// workload (two threads) this cap kept most of the speed-up of an
+// uncapped capture at about a quarter of its heap (docs/internals.md).
+const snapshotBytesPerThread = 32 << 10
+
+// plan is a campaign's profile and sample: the golden run, the fault
+// list, the snapshot each fault starts from (nil = from the top) and the
+// faulty runs' step budget.
+type plan struct {
+	golden    *interp.Result
+	faults    []Fault
+	from      []*interp.Snapshot
+	stepLimit uint64
+}
+
+// plan runs the golden run and samples the fault list. With resume, the
+// golden run is run as the faulty runs are, protected when Plans is set,
+// and captures snapshots for them to start from.
+func (c Campaign) plan(resume bool) (*plan, error) {
 	if c.Faults < 1 {
 		return nil, ErrNoFaults
 	}
@@ -378,6 +407,10 @@ func (c Campaign) runAll(run runnerFull) (*CampaignResult, error) {
 		}
 		goldenOpts.Mode = interp.MonitorDrainOnly
 		goldenOpts.Plans = c.Plans
+	}
+	if resume {
+		goldenOpts = c.faultyOpts()
+		goldenOpts.Capture = &interp.Capture{MaxBytes: c.Threads * snapshotBytesPerThread}
 	}
 	golden, err := c.run(goldenOpts, nil, nil)
 	if err != nil {
@@ -403,9 +436,23 @@ func (c Campaign) runAll(run runnerFull) (*CampaignResult, error) {
 	// Step 2: sample every (thread, branch) target up front, in the exact
 	// RNG consumption order of the sequential implementation.
 	rng := rand.New(rand.NewSource(c.Seed))
-	faults := c.sampleFaults(rng, space)
+	p := &plan{golden: golden, faults: c.sampleFaults(rng, space), stepLimit: sumSteps(golden) * stepFactor}
+	if resume && !golden.Detected {
+		p.from = resumePoints(goldenOpts.Capture.Snapshots, p.faults)
+	} else {
+		p.from = make([]*interp.Snapshot, len(p.faults))
+	}
+	return p, nil
+}
 
-	stepLimit := sumSteps(golden) * stepFactor
+// runAll is the shared campaign engine: profile, sample, fan out, and
+// aggregate deterministically.
+func (c Campaign) runAll(resume bool, run runnerFull) (*CampaignResult, error) {
+	p, err := c.plan(resume)
+	if err != nil {
+		return nil, err
+	}
+	golden, faults := p.golden, p.faults
 
 	// Step 3: inject one fault per run, fanned out over the worker pool.
 	outcomes := make([]Outcome, len(faults))
@@ -447,7 +494,7 @@ func (c Campaign) runAll(run runnerFull) (*CampaignResult, error) {
 					continue
 				}
 				t0 := time.Now()
-				out, ex, err := run(faults[i], stepLimit, golden.Output)
+				out, ex, err := run(faults[i], p.from[i], p.stepLimit, golden.Output)
 				latencies[i] = time.Since(t0)
 				extras[i] = ex
 				if err != nil {
@@ -512,6 +559,26 @@ func (c Campaign) runAll(run runnerFull) (*CampaignResult, error) {
 		res.Latency[out] = ls
 	}
 	return res, nil
+}
+
+// resumePoints picks each fault's snapshot: the latest captured episode
+// at which the fault's thread has executed fewer branches than the
+// fault's Seq, or nil when none has. Up to that episode the faulty run
+// repeats the golden run exactly, and the golden run's monitor flagged
+// nothing (the caller checks), so its prefix raised no violation. An
+// episode is a barrier, where a generation closes, so a fresh monitor
+// fed only the rest of the run reports the same violations. Snapshots no
+// fault starts from are left to the collector.
+func resumePoints(snaps []*interp.Snapshot, faults []Fault) []*interp.Snapshot {
+	from := make([]*interp.Snapshot, len(faults))
+	for i, f := range faults {
+		// A thread's branch count only grows from episode to episode.
+		n := sort.Search(len(snaps), func(e int) bool { return snaps[e].BranchSeq(f.Thread) >= f.Seq })
+		if n > 0 {
+			from[i] = snaps[n-1]
+		}
+	}
+	return from
 }
 
 // sampleFaults draws the campaign's full fault list. The per-fault RNG
@@ -629,25 +696,27 @@ func sumSteps(golden *interp.Result) uint64 {
 	return total * 64
 }
 
-// runOneFull performs a single faulty run and classifies it, reporting
-// detector-side observations alongside the outcome.
-func (c Campaign) runOneFull(f Fault, golden []interp.Value, stepLimit uint64) (Outcome, runExtras) {
+// faultyOpts are the options of a program-fault run, before its fault,
+// step budget and snapshot: protected when the campaign has plans.
+func (c Campaign) faultyOpts() interp.Options {
+	opts := interp.Options{Threads: c.Threads, Seed: c.Seed0}
+	if c.Plans != nil {
+		opts.Mode, opts.Plans = interp.MonitorActive, c.Plans
+	}
+	return opts
+}
+
+// runOneFull performs a single faulty run, from snapshot from when it is
+// not nil, and classifies it, reporting detector-side observations
+// alongside the outcome.
+func (c Campaign) runOneFull(f Fault, from *interp.Snapshot, golden []interp.Value, stepLimit uint64) (Outcome, runExtras) {
 	if f.Type == EventBit {
 		return c.runOneEvent(f, golden, stepLimit)
 	}
 	ij := NewSingle(f)
-	mode := interp.MonitorOff
-	if c.Plans != nil {
-		mode = interp.MonitorActive
-	}
-	res, err := c.run(interp.Options{
-		Threads:   c.Threads,
-		Mode:      mode,
-		Plans:     c.Plans,
-		Fault:     ij,
-		Seed:      c.Seed0,
-		StepLimit: stepLimit,
-	}, nil, ij)
+	opts := c.faultyOpts()
+	opts.Fault, opts.StepLimit, opts.Resume = ij, stepLimit, from
+	res, err := c.run(opts, nil, ij)
 	if err != nil {
 		return Crash, runExtras{}
 	}
@@ -660,7 +729,7 @@ func (c Campaign) runOneFull(f Fault, golden []interp.Value, stepLimit uint64) (
 
 // runOne keeps the historical single-outcome shape (tests, docs).
 func (c Campaign) runOne(f Fault, golden []interp.Value, stepLimit uint64) Outcome {
-	out, _ := c.runOneFull(f, golden, stepLimit)
+	out, _ := c.runOneFull(f, nil, golden, stepLimit)
 	return out
 }
 

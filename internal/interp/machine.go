@@ -63,6 +63,17 @@ type Options struct {
 	// concurrently and must be cheap. A fault campaign uses it to end a
 	// run whose outcome is already decided.
 	Stop func() bool
+	// Capture, when non-nil, records snapshots of the run at its barrier
+	// episodes (see Capture). It adds work only at barrier releases.
+	Capture *Capture
+	// Resume, when non-nil, starts the run from a snapshot instead of from
+	// the top: setup() is skipped and every thread continues slave() just
+	// after the snapshot's barrier. The snapshot must come from a run of
+	// the same decoded module at the same Threads; the run reproduces that
+	// run's continuation exactly when Seed, Mode, Plans and Cost match it
+	// too. The Sink sees only the events after the snapshot, while the
+	// Result counts branches and events from the top.
+	Resume *Snapshot
 }
 
 // DefaultStepLimit is the per-thread instruction budget.
@@ -196,9 +207,11 @@ type machine struct {
 	sigOps []sigOp   // the hashed operands of sigs
 	mon    monitor.Sink
 
-	mem     []Value // global memory image
-	locks   lockSched
-	barrier *simBarrier
+	mem      []Value // global memory image
+	setupOut []Value // setup()'s output
+	locks    lockSched
+	barrier  *simBarrier
+	threads  []*Thread // the parallel section's threads, by tid
 
 	traceMu  sync.Mutex
 	mu       sync.Mutex
@@ -314,6 +327,9 @@ func Run(mod *ir.Module, opts Options) (*Result, error) {
 	if prog.slave == nil {
 		return nil, errors.New("module has no slave() function")
 	}
+	if r := opts.Resume; r != nil && (r.prog != prog || len(r.threads) != opts.Threads) {
+		return nil, ErrResume
+	}
 	cost := opts.Cost
 	if cost == nil {
 		cost = DefaultCostModel()
@@ -325,6 +341,7 @@ func Run(mod *ir.Module, opts Options) (*Result, error) {
 		cost:    cost,
 		active:  opts.Threads,
 		aborted: make(chan struct{}),
+		threads: make([]*Thread, opts.Threads),
 	}
 	m.sigs, m.sigOps = compileSigs(prog, opts.Plans)
 	m.locks.init(opts.Threads, cost.LockAcquire)
@@ -356,8 +373,9 @@ func Run(mod *ir.Module, opts Options) (*Result, error) {
 	}
 
 	// Phase 1: setup, single-threaded, not part of the parallel section.
-	var setupOut []Value
-	if prog.setup != nil {
+	if opts.Resume != nil {
+		m.restore(opts.Resume)
+	} else if prog.setup != nil {
 		t := newThread(m, -1)
 		if _, trap := t.call(prog.setup, nil, nil); trap != nil {
 			if m.mon != nil {
@@ -365,7 +383,7 @@ func Run(mod *ir.Module, opts Options) (*Result, error) {
 			}
 			return nil, fmt.Errorf("setup trapped: %w", trap)
 		}
-		setupOut = t.output
+		m.setupOut = t.output
 	}
 
 	// Phase 2: the parallel section.
@@ -378,7 +396,13 @@ func Run(mod *ir.Module, opts Options) (*Result, error) {
 		go func() {
 			defer wg.Done()
 			t := newThread(m, tid)
-			_, trap := t.call(prog.slave, nil, nil)
+			m.threads[tid] = t
+			var trap *Trap
+			if opts.Resume != nil {
+				trap = t.resume(prog.slave, opts.Resume)
+			} else {
+				_, trap = t.call(prog.slave, nil, nil)
+			}
 			m.releaseAll(t)
 			if trap != nil {
 				res.Traps[tid] = trap
@@ -406,7 +430,7 @@ func Run(mod *ir.Module, opts Options) (*Result, error) {
 		res.MonitorHealth = m.mon.Health()
 		res.MonitorStats = m.mon.Stats()
 	}
-	res.Output = append(res.Output, setupOut...)
+	res.Output = append(res.Output, m.setupOut...)
 	for _, o := range outs {
 		res.Output = append(res.Output, o...)
 	}

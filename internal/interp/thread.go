@@ -34,6 +34,7 @@ type Thread struct {
 	held      []uint64
 	fr        *frame
 	frames    []*frame      // by call depth, reused across calls
+	resumePC  int32         // pc after the barrier the thread last reached
 	phiBuf    []Value       // parallel-copy scratch for the phis of an edge
 	fault     FaultInjector // Options.Fault; nil for the setup context
 
@@ -163,7 +164,11 @@ func (t *Thread) call(fn *function, args []int32, from []Value) (Value, *Trap) {
 	caller := t.fr
 	t.fr = fr
 	t.depth++
-	ret, trap := t.exec(fn, fr.regs)
+	pc, trap := t.enter(fn, fr.regs, &fn.entry)
+	var ret Value
+	if trap == nil {
+		ret, trap = t.exec(fn, fr.regs, pc)
+	}
 	t.fr = caller
 	t.depth--
 	return ret, trap
@@ -199,15 +204,12 @@ func (t *Thread) enter(fn *function, regs []Value, e *edge) (int32, *Trap) {
 }
 
 // exec runs fn in the active frame, whose register file is regs, from
-// the function's entry.
-func (t *Thread) exec(fn *function, regs []Value) (Value, *Trap) {
+// pc.
+func (t *Thread) exec(fn *function, regs []Value, pc int32) (Value, *Trap) {
 	c := t.m.cost
 	mem, globals := t.m.mem, t.m.prog.globals
 	code := fn.code
-	pc, trap := t.enter(fn, regs, &fn.entry)
-	if trap != nil {
-		return 0, trap
-	}
+	var trap *Trap
 	for {
 		in := &code[pc]
 		t.steps++
@@ -408,6 +410,7 @@ func (t *Thread) exec(fn *function, regs []Value) (Value, *Trap) {
 				// batch never crosses the barrier.
 				t.sender.Send(monitor.Event{Kind: monitor.EvFlush, Thread: int32(t.tid)})
 			}
+			t.resumePC = pc
 			if trap := t.m.barrier.wait(t); trap != nil {
 				return 0, trap
 			}

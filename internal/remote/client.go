@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"time"
@@ -543,7 +544,7 @@ func (c *Client) dialOnce() error {
 	}
 	if c.sp != nil {
 		if _, err := c.sp.ReplayTo(&deadlineWriter{conn: conn, timeout: c.cfg.writeTimeout()}); err != nil {
-			if rej := c.readReject(conn); rej != nil {
+			if rej := c.readReject(conn, err); rej != nil {
 				c.rejected, err = rej, rej
 			}
 			conn.Close()
@@ -555,7 +556,7 @@ func (c *Client) dialOnce() error {
 	c.adopt(conn)
 	if c.sp == nil {
 		if err := c.writeHello(); err != nil {
-			if rej := c.readReject(conn); rej != nil {
+			if rej := c.readReject(conn, err); rej != nil {
 				c.rejected, err = rej, rej
 			}
 			c.dropConn()
@@ -606,7 +607,7 @@ func (c *Client) onStreamError(err error) {
 		if errors.Is(err, errRejected) {
 			c.rejected = err
 		} else {
-			c.rejected = c.readReject(c.conn)
+			c.rejected = c.readReject(c.conn, err)
 		}
 	}
 	c.Degrade()
@@ -620,14 +621,20 @@ func (c *Client) onStreamError(err error) {
 var errRejected = errors.New("session rejected")
 
 // rejectWait bounds the look for a reject frame after a transport error.
-// A daemon writes the frame before it closes the connection, so a frame
-// that was sent is already buffered when the close surfaces as an error.
-const rejectWait = time.Millisecond
+// A daemon that refuses a session writes the frame and then closes the
+// connection, so the look ends at the frame or at EOF as soon as the
+// read runs. The bound only ends a look at a daemon that neither writes
+// nor closes; it is wide so that a slow scheduler, such as the race
+// detector's, cannot pass it before the read starts.
+const rejectWait = 250 * time.Millisecond
 
 // readReject reads the reject frame a daemon sent before closing conn,
-// and returns its reason as an error (nil when none came).
-func (c *Client) readReject(conn net.Conn) error {
-	if conn == nil {
+// after the transport error cause, and returns its reason as an error
+// (nil when none came). A write that timed out went to a daemon that
+// has not closed the connection, so after one there is nothing to look
+// for.
+func (c *Client) readReject(conn net.Conn, cause error) error {
+	if conn == nil || errors.Is(cause, os.ErrDeadlineExceeded) {
 		return nil
 	}
 	if c.codec == nil {
@@ -636,11 +643,15 @@ func (c *Client) readReject(conn net.Conn) error {
 	_ = conn.SetReadDeadline(time.Now().Add(rejectWait))
 	rd := c.codec.rd
 	rd.Reset(conn)
-	f, err := rd.ReadFrame()
-	if err != nil || f.Type != wire.FrameReject {
-		return nil
+	for {
+		f, err := rd.ReadFrame()
+		if err != nil {
+			return nil
+		}
+		if f.Type == wire.FrameReject {
+			return fmt.Errorf("%w: %s", errRejected, f.Reject)
+		}
 	}
-	return fmt.Errorf("%w: %s", errRejected, f.Reject)
 }
 
 // cause is the error finish reports when no verdict arrived: the

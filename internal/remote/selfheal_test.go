@@ -550,6 +550,84 @@ func TestClientReportsRejectReason(t *testing.T) {
 	}
 }
 
+// slowReadConn delays each Read, as a slow scheduler (the race
+// detector's, say) can delay the read that follows readReject's
+// deadline, and counts the reads.
+type slowReadConn struct {
+	net.Conn
+	delay time.Duration
+	reads *atomic.Int32
+}
+
+func (c slowReadConn) Read(p []byte) (int, error) {
+	c.reads.Add(1)
+	time.Sleep(c.delay)
+	return c.Conn.Read(p)
+}
+
+// TestReadRejectSlowRead: the reject frame a daemon wrote before closing
+// is found even when the read starts 5 ms after the look began. The look
+// used to end 1 ms after it began, and under -race the read could start
+// later than that (TestClientReportsRejectReason failed 2–3 of 60 runs).
+// A daemon that closes without a frame ends the look at EOF, and a write
+// that timed out (a daemon that has not closed) skips it.
+func TestReadRejectSlowRead(t *testing.T) {
+	const reason = "daemon at capacity (test)"
+	for _, network := range []string{"tcp", "unix"} {
+		addr := "127.0.0.1:0"
+		if network == "unix" {
+			addr = filepath.Join(t.TempDir(), "d.sock")
+		}
+		ln, err := net.Listen(network, addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			name   string
+			frame  bool
+			cause  error
+			reject bool
+			reads  bool
+		}{
+			{"reject frame", true, io.ErrClosedPipe, true, true},
+			{"close without a frame", false, io.ErrClosedPipe, false, true},
+			{"write timeout", true, fmt.Errorf("write: %w", os.ErrDeadlineExceeded), false, false},
+		} {
+			served := make(chan struct{})
+			go func() {
+				defer close(served)
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				if tc.frame {
+					wr := wire.NewWriter(conn)
+					if wr.WriteReject(reason) == nil {
+						_ = wr.Sync()
+					}
+				}
+				conn.Close()
+			}()
+			conn, err := net.Dial(network, ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-served
+			var reads atomic.Int32
+			c := &Client{}
+			rej := c.readReject(slowReadConn{conn, 5 * time.Millisecond, &reads}, tc.cause)
+			conn.Close()
+			if got := rej != nil && errors.Is(rej, errRejected) && strings.Contains(rej.Error(), reason); got != tc.reject {
+				t.Errorf("%s/%s: readReject = %v, want the reason: %t", network, tc.name, rej, tc.reject)
+			}
+			if got := reads.Load() > 0; got != tc.reads {
+				t.Errorf("%s/%s: conn read %d times", network, tc.name, reads.Load())
+			}
+		}
+		ln.Close()
+	}
+}
+
 // TestDialUnreachableWithSpool: with a spool, a daemon that cannot be
 // reached at Dial starts the session disconnected instead of failing it:
 // the run completes degraded, the spool is sealed, and Err names the
