@@ -540,8 +540,11 @@ type CampaignOptions struct {
 	// goroutines.
 	Progress func(CampaignProgress)
 	// Metrics, when non-nil, aggregates the monitor metrics of every
-	// protected run in the campaign (handles are atomic, so concurrent
-	// workers share it safely). Deterministic campaign statistics are
+	// monitored run in the campaign (handles are atomic, so concurrent
+	// workers share it safely). A branch-flip or branch-condition run
+	// that starts from a barrier snapshot of a clean run counts only the
+	// events after the snapshot, and the clean run the snapshots come
+	// from is not counted. Deterministic campaign statistics are
 	// unaffected.
 	Metrics *metrics.Registry
 }

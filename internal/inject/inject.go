@@ -206,7 +206,8 @@ type Campaign struct {
 	ProgressEvery int
 	// Metrics, when non-nil, aggregates the monitor-pipeline metrics of
 	// every monitored run in the campaign (golden and faulty; a faulty run
-	// resumed from a snapshot counts only what follows the snapshot). All
+	// resumed from a snapshot counts only what follows the snapshot, and
+	// the clean run resumePoints takes snapshots from is left out). All
 	// handles are atomic, so concurrent workers share the registry safely;
 	// the deterministic campaign statistics are unaffected.
 	Metrics *metrics.Registry
@@ -280,11 +281,8 @@ type DetectorTally struct {
 
 // CampaignResult is the aggregate of one campaign.
 type CampaignResult struct {
-	Tally Tally
-	// GoldenTime is the golden run's simulated cycles. Run runs the golden
-	// run of a protected branch-flip or branch-condition campaign
-	// protected, as its faulty runs are, so the time includes the sends.
-	GoldenTime int64
+	Tally      Tally
+	GoldenTime int64 // simulated cycles of the golden run
 	// Detector classifies detector-under-fault behavior; non-nil only for
 	// EventBit campaigns.
 	Detector *DetectorTally
@@ -315,11 +313,11 @@ var (
 
 // Run executes the three-step procedure of Section IV: profile, sample,
 // inject. In a protected branch-flip or branch-condition campaign a
-// faulty run starts from the golden run's last barrier snapshot before
-// its fault (see resumePoints) instead of from the top, which gives the
-// same outcome. Unprotected runs start from the top: their multi-thread
-// faulty runs depend most on the Go scheduler, and a resumed run starts
-// its threads under another interleaving than a barrier's wake-up.
+// faulty run starts from a clean run's last barrier snapshot before its
+// fault (see resumePoints) instead of from the top. Unprotected runs
+// start from the top: their multi-thread faulty runs depend most on the
+// Go scheduler, and a resumed run starts its threads under another
+// interleaving than a barrier's wake-up.
 func (c Campaign) Run() (*CampaignResult, error) {
 	return c.runAll(c.Type != EventBit && c.Plans != nil, func(f Fault, from *interp.Snapshot, stepLimit uint64, golden []interp.Value) (Outcome, runExtras, error) {
 		out, ex := c.runOneFull(f, from, golden, stepLimit)
@@ -366,13 +364,6 @@ func (c Campaign) RunWith(run Runner) (*CampaignResult, error) {
 	})
 }
 
-// snapshotBytesPerThread caps the golden run's barrier snapshots; the
-// cap grows with the thread count, as a snapshot does. Snapshots cost
-// about 2.5 times their size in peak heap, and on the bwperf campaign
-// workload (two threads) this cap kept most of the speed-up of an
-// uncapped capture at about a quarter of its heap (docs/internals.md).
-const snapshotBytesPerThread = 32 << 10
-
 // plan is a campaign's profile and sample: the golden run, the fault
 // list, the snapshot each fault starts from (nil = from the top) and the
 // faulty runs' step budget.
@@ -384,8 +375,8 @@ type plan struct {
 }
 
 // plan runs the golden run and samples the fault list. With resume, the
-// golden run is run as the faulty runs are, protected when Plans is set,
-// and captures snapshots for them to start from.
+// golden run also marks its barrier episodes, and plan picks the
+// snapshot each fault starts from (resumePoints).
 func (c Campaign) plan(resume bool) (*plan, error) {
 	if c.Faults < 1 {
 		return nil, ErrNoFaults
@@ -408,9 +399,15 @@ func (c Campaign) plan(resume bool) (*plan, error) {
 		goldenOpts.Mode = interp.MonitorDrainOnly
 		goldenOpts.Plans = c.Plans
 	}
+	var marks []episodeMark
 	if resume {
-		goldenOpts = c.faultyOpts()
-		goldenOpts.Capture = &interp.Capture{MaxBytes: c.Threads * snapshotBytesPerThread}
+		goldenOpts.Capture = func(e interp.Episode) {
+			m := episodeMark{n: e.N(), branchSeq: make([]uint64, c.Threads)}
+			for tid := range m.branchSeq {
+				m.branchSeq[tid] = e.BranchSeq(tid)
+			}
+			marks = append(marks, m)
+		}
 	}
 	golden, err := c.run(goldenOpts, nil, nil)
 	if err != nil {
@@ -437,8 +434,8 @@ func (c Campaign) plan(resume bool) (*plan, error) {
 	// RNG consumption order of the sequential implementation.
 	rng := rand.New(rand.NewSource(c.Seed))
 	p := &plan{golden: golden, faults: c.sampleFaults(rng, space), stepLimit: sumSteps(golden) * stepFactor}
-	if resume && !golden.Detected {
-		p.from = resumePoints(goldenOpts.Capture.Snapshots, p.faults)
+	if resume {
+		p.from = c.resumePoints(marks, p.faults)
 	} else {
 		p.from = make([]*interp.Snapshot, len(p.faults))
 	}
@@ -561,22 +558,54 @@ func (c Campaign) runAll(resume bool, run runnerFull) (*CampaignResult, error) {
 	return res, nil
 }
 
-// resumePoints picks each fault's snapshot: the latest captured episode
-// at which the fault's thread has executed fewer branches than the
-// fault's Seq, or nil when none has. Up to that episode the faulty run
-// repeats the golden run exactly, and the golden run's monitor flagged
-// nothing (the caller checks), so its prefix raised no violation. An
-// episode is a barrier, where a generation closes, so a fresh monitor
-// fed only the rest of the run reports the same violations. Snapshots no
-// fault starts from are left to the collector.
-func resumePoints(snaps []*interp.Snapshot, faults []Fault) []*interp.Snapshot {
+// episodeMark is a barrier episode of the golden run that qualifies for
+// a snapshot: its number and each thread's branch count there.
+type episodeMark struct {
+	n         int
+	branchSeq []uint64
+}
+
+// resumePoints picks each fault's snapshot: the latest marked episode at
+// which the fault's thread has executed fewer branches than the fault's
+// Seq, or nil when none has. It then runs the program again as the
+// faulty runs are run, protected, and snapshots only the picked
+// episodes. Up to its episode a faulty run repeats this clean run
+// exactly. An episode is a barrier, where a generation closes, so when
+// the clean run's monitor flagged nothing, a fresh monitor fed only the
+// rest of the faulty run reports the same violations. When it flagged
+// something, or the run failed, every fault starts from the top. The
+// snapshot run checks each fault against its own branch counts, so a
+// fault never starts after its branch even if the unprotected golden
+// run counted differently. It is left out of Metrics.
+func (c Campaign) resumePoints(marks []episodeMark, faults []Fault) []*interp.Snapshot {
 	from := make([]*interp.Snapshot, len(faults))
-	for i, f := range faults {
+	want := map[int]bool{}
+	for _, f := range faults {
 		// A thread's branch count only grows from episode to episode.
-		n := sort.Search(len(snaps), func(e int) bool { return snaps[e].BranchSeq(f.Thread) >= f.Seq })
+		n := sort.Search(len(marks), func(e int) bool { return marks[e].branchSeq[f.Thread] >= f.Seq })
 		if n > 0 {
-			from[i] = snaps[n-1]
+			want[marks[n-1].n] = true
 		}
+	}
+	if len(want) == 0 {
+		return from
+	}
+	opts := c.faultyOpts()
+	opts.Capture = func(e interp.Episode) {
+		if !want[e.N()] {
+			return
+		}
+		s := e.Snapshot()
+		for i, f := range faults {
+			if s.BranchSeq(f.Thread) < f.Seq {
+				from[i] = s
+			}
+		}
+	}
+	c.Metrics = nil
+	res, err := c.run(opts, nil, nil)
+	if err != nil || !res.Clean() || res.Detected {
+		clear(from)
 	}
 	return from
 }

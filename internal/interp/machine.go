@@ -63,9 +63,14 @@ type Options struct {
 	// concurrently and must be cheap. A fault campaign uses it to end a
 	// run whose outcome is already decided.
 	Stop func() bool
-	// Capture, when non-nil, records snapshots of the run at its barrier
-	// episodes (see Capture). It adds work only at barrier releases.
-	Capture *Capture
+	// Capture, when non-nil, is called at each barrier release where
+	// every thread waits in slave() itself (call depth 1) holding no
+	// lock, in run order: then a thread's whole state is one frame, its
+	// counters and its loop keys, and the Episode can take a Snapshot.
+	// Other releases are skipped. It is called on the last thread to
+	// arrive while its peers wait, so it must not block. It adds work
+	// only at barrier releases.
+	Capture func(Episode)
 	// Resume, when non-nil, starts the run from a snapshot instead of from
 	// the top: setup() is skipped and every thread continues slave() just
 	// after the snapshot's barrier. The snapshot must come from a run of

@@ -67,18 +67,16 @@ func TestResumeMatchesFromStart(t *testing.T) {
 			}
 			opts := Options{Threads: threads, Mode: MonitorActive, Plans: plans, Seed: 7}
 			want := mustRun(t, mod, opts)
-			capt := &Capture{}
-			opts.Capture = capt
-			sameResumed(t, name, threads, -1, mustRun(t, mod, opts), want)
-			opts.Capture = nil
-			if len(capt.Snapshots) == 0 {
+			got, snaps := captured(t, mod, opts)
+			sameResumed(t, name, threads, -1, got, want)
+			if len(snaps) == 0 {
 				t.Errorf("%s at %d threads: no episode captured", name, threads)
 			}
-			for i, s := range capt.Snapshots {
-				if i > 0 && s.Episode() <= capt.Snapshots[i-1].Episode() {
+			for i, s := range snaps {
+				if i > 0 && s.Episode() <= snaps[i-1].Episode() {
 					t.Errorf("%s at %d threads: episodes out of order", name, threads)
 				}
-				if raceEnabled && i != len(capt.Snapshots)/2 {
+				if raceEnabled && i != len(snaps)/2 {
 					continue
 				}
 				before := cloneSnapshot(s)
@@ -140,50 +138,24 @@ func void slave() {
 	barrier();
 	x = x + 1;
 }`)
-	capt := &Capture{}
-	mustRun(t, mod, Options{Threads: 2, Capture: capt})
+	_, snaps := captured(t, mod, Options{Threads: 2})
 	// Episode 1 is in sync(); at episode 2 each thread holds a lock.
-	if got := episodes(capt); !reflect.DeepEqual(got, []int{0, 3}) {
+	if got := episodes(snaps); !reflect.DeepEqual(got, []int{0, 3}) {
 		t.Errorf("captured episodes %v, want [0 3]", got)
 	}
 }
 
-// TestCaptureThinsAtCap: at the byte cap the capture drops every other
-// snapshot and takes every other episode from then on, so what it keeps
-// still spans the run.
-func TestCaptureThinsAtCap(t *testing.T) {
-	mod := compileViaLower(t, `
-global int x[4];
-func void slave() {
-	int r;
-	for (r = 0; r < 8; r = r + 1) {
-		x[tid()] = x[tid()] + r;
-		barrier();
-	}
-}`)
-	all := &Capture{}
-	mustRun(t, mod, Options{Threads: 2, Capture: all})
-	size := all.Snapshots[0].bytes
-	for _, c := range []struct {
-		snaps int
-		want  []int
-	}{{8, []int{0, 1, 2, 3, 4, 5, 6, 7}}, {3, []int{0, 4}}, {2, []int{0, 4}}, {1, []int{0}}} {
-		capt := &Capture{MaxBytes: c.snaps * size}
-		mustRun(t, mod, Options{Threads: 2, Capture: capt})
-		if got := episodes(capt); !reflect.DeepEqual(got, c.want) {
-			t.Errorf("cap of %d snapshots kept episodes %v, want %v", c.snaps, got, c.want)
-		}
-	}
-	small := &Capture{MaxBytes: size - 1}
-	mustRun(t, mod, Options{Threads: 2, Capture: small})
-	if len(small.Snapshots) > 0 {
-		t.Errorf("a cap below one snapshot kept %d", len(small.Snapshots))
-	}
+// captured runs mod with opts and returns the snapshots the run took.
+func captured(t *testing.T, mod *ir.Module, opts Options) (*Result, []*Snapshot) {
+	t.Helper()
+	var snaps []*Snapshot
+	opts.Capture = func(e Episode) { snaps = append(snaps, e.Snapshot()) }
+	return mustRun(t, mod, opts), snaps
 }
 
-func episodes(c *Capture) []int {
+func episodes(snaps []*Snapshot) []int {
 	var eps []int
-	for _, s := range c.Snapshots {
+	for _, s := range snaps {
 		eps = append(eps, s.Episode())
 	}
 	return eps
@@ -193,9 +165,8 @@ func episodes(c *Capture) []int {
 // own program at its own thread count.
 func TestResumeRejectsForeignSnapshot(t *testing.T) {
 	fft, radix := loadKernel(t, "fft"), loadKernel(t, "radix")
-	capt := &Capture{}
-	mustRun(t, fft, Options{Threads: 2, Capture: capt})
-	s := capt.Snapshots[0]
+	_, snaps := captured(t, fft, Options{Threads: 2})
+	s := snaps[0]
 	for _, c := range []struct {
 		name    string
 		mod     *ir.Module

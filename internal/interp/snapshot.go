@@ -2,31 +2,12 @@ package interp
 
 import "errors"
 
-// Capture records snapshots of a run at its barrier episodes, so later
-// runs of the same program can start from one instead of from the top
-// (Options.Resume). A snapshot is taken by the last thread to arrive at a
-// barrier, while it holds the barrier and every peer waits, and only when
-// each thread is in slave() itself (call depth 1) and holds no lock:
-// then a thread's whole state is one frame, its counters and its loop
-// keys. Other episodes are skipped.
-type Capture struct {
-	// MaxBytes caps the snapshots' total size. When the next snapshot
-	// would pass it, every other snapshot taken so far is dropped and from
-	// then on only every other qualifying episode is taken, so the
-	// snapshots stay spread over the whole run. Zero means no cap.
-	MaxBytes int
-	// Snapshots are the recorded episodes in run order.
-	Snapshots []*Snapshot
-
-	bytes  int
-	seen   int // qualifying episodes so far
-	stride int // Snapshots[i] is qualifying episode i*stride
-}
-
 // Snapshot is the state of a run just after a barrier released: shared
 // memory, the setup() output, the release clock and each thread's slave()
-// frame, position and counters. It is read-only once taken, so
-// concurrent runs may resume from the same snapshot.
+// frame, position and counters, taken at an Episode. Later runs of the
+// same program can start from a snapshot instead of from the top
+// (Options.Resume). It is read-only once taken, so concurrent runs may
+// resume from the same snapshot.
 //
 // It holds no lock table. No thread holds a lock at a snapshot, and a
 // slot's release time is a clock its holder had before it reached the
@@ -40,7 +21,6 @@ type Snapshot struct {
 	mem        []Value
 	setupOut   []Value
 	threads    []threadSnap
-	bytes      int // approximate size, counted against Capture.MaxBytes
 }
 
 // threadSnap is one thread's state at a snapshot.
@@ -63,42 +43,31 @@ func (s *Snapshot) BranchSeq(tid int) uint64 { return s.threads[tid].branchSeq }
 // ErrResume reports a snapshot that does not fit the run resuming from it.
 var ErrResume = errors.New("snapshot is not from this program at this thread count")
 
-// snapshot records the state of a barrier episode if it qualifies and
-// fits the capture's cap. It runs on the last thread to arrive, under the
-// barrier's lock: every peer waits for the release, so no thread state
-// or memory word can change.
-func (m *machine) snapshot(episode int, releaseSim int64) {
-	c := m.opts.Capture
-	words := len(m.mem)
-	for _, t := range m.threads {
-		if t.depth != 1 || len(t.held) > 0 {
-			return
-		}
-		words += len(t.fr.regs) + 2*len(t.loopStack) + 1 + len(t.output) + 8
-	}
-	size := 8 * words
-	n := c.seen
-	c.seen++
-	c.stride = max(c.stride, 1)
-	if c.MaxBytes > 0 {
-		if size > c.MaxBytes {
-			return
-		}
-		for n%c.stride == 0 && c.bytes+size > c.MaxBytes {
-			c.thin()
-		}
-	}
-	if n%c.stride != 0 {
-		return
-	}
+// Episode is a barrier episode that qualifies for a snapshot, as
+// Options.Capture sees it. It is valid only during that call.
+type Episode struct {
+	m          *machine
+	n          int
+	releaseSim int64
+}
+
+// N returns the number of barrier releases in the run before this one.
+func (e Episode) N() int { return e.n }
+
+// BranchSeq returns the number of conditional branches thread tid has
+// executed.
+func (e Episode) BranchSeq(tid int) uint64 { return e.m.threads[tid].branchSeq }
+
+// Snapshot copies the run's state at the episode.
+func (e Episode) Snapshot() *Snapshot {
+	m := e.m
 	s := &Snapshot{
 		prog:       m.prog,
-		episode:    episode,
-		releaseSim: releaseSim,
+		episode:    e.n,
+		releaseSim: e.releaseSim,
 		mem:        append([]Value(nil), m.mem...),
 		setupOut:   m.setupOut,
 		threads:    make([]threadSnap, len(m.threads)),
-		bytes:      size,
 	}
 	for i, t := range m.threads {
 		s.threads[i] = threadSnap{
@@ -113,24 +82,20 @@ func (m *machine) snapshot(episode int, releaseSim int64) {
 			output:    append([]Value(nil), t.output...),
 		}
 	}
-	c.bytes += s.bytes
-	c.Snapshots = append(c.Snapshots, s)
+	return s
 }
 
-// thin drops every other snapshot, keeping the first, and doubles the
-// stride between the qualifying episodes the capture takes.
-func (c *Capture) thin() {
-	kept := c.Snapshots[:0]
-	c.bytes = 0
-	for i, s := range c.Snapshots {
-		if i%2 == 0 {
-			kept = append(kept, s)
-			c.bytes += s.bytes
+// episode hands Options.Capture barrier episode n if it qualifies. It
+// runs on the last thread to arrive, under the barrier's lock: every
+// peer waits for the release, so no thread state or memory word can
+// change.
+func (m *machine) episode(n int, releaseSim int64) {
+	for _, t := range m.threads {
+		if t.depth != 1 || len(t.held) > 0 {
+			return
 		}
 	}
-	clear(c.Snapshots[len(kept):])
-	c.Snapshots = kept
-	c.stride *= 2
+	m.opts.Capture(Episode{m, n, releaseSim})
 }
 
 // restore loads a snapshot's shared state into a fresh machine: memory,

@@ -67,7 +67,7 @@ func (b *simBarrier) wait(t *Thread) *Trap {
 		t.sim = b.releaseSim
 		b.m.locks.leaveBarrier(b.releaseSim)
 		if b.m.opts.Capture != nil {
-			b.m.snapshot(int(b.gen-1), b.releaseSim)
+			b.m.episode(int(b.gen-1), b.releaseSim)
 		}
 		b.released.Store(b.gen)
 		b.cond.Broadcast()
