@@ -221,7 +221,8 @@ type OverflowPolicy int
 
 // Overflow policies.
 const (
-	// OverflowBlock spins until the queue has room (lossless, default).
+	// OverflowBlock parks the producing thread until the queue has room
+	// (lossless, default).
 	OverflowBlock OverflowPolicy = iota
 	// OverflowDropNewest drops the new branch event when the queue is full.
 	OverflowDropNewest
@@ -273,7 +274,7 @@ type RunOptions struct {
 	// Trace, when non-nil, receives one line per executed branch.
 	Trace io.Writer
 	// QueueCap overrides the monitor's per-thread queue capacity
-	// (0 = default 16384).
+	// (0 = default 4096).
 	QueueCap int
 	// Overflow selects the monitor's queue-overflow policy.
 	Overflow OverflowPolicy

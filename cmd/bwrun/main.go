@@ -18,7 +18,7 @@
 //	-seed N       rnd() seed
 //	-q            quiet: suppress the program output listing
 //	-overhead     also report the normalized instrumented execution time
-//	-queuecap N   per-thread monitor queue capacity (0 = default 16384)
+//	-queuecap N   per-thread monitor queue capacity (0 = default 4096)
 //	-overflow P   queue-overflow policy: block | drop-newest | block-timeout
 //	-watchdog D   stall-watchdog deadline (e.g. 500ms; 0 = disabled)
 //	-remote A     stream events to a bwmonitord daemon at A instead of

@@ -37,7 +37,7 @@ func RunFlags(stderr io.Writer) (*flag.FlagSet, *RunOpts) {
 	fs.BoolVar(&o.Quiet, "q", false, "suppress the program output listing")
 	fs.BoolVar(&o.Overhead, "overhead", false, "report instrumentation overhead")
 	fs.BoolVar(&o.Trace, "trace", false, "print every executed branch to stderr")
-	fs.IntVar(&o.QueueCap, "queuecap", 0, "per-thread monitor queue capacity (0 = default)")
+	fs.IntVar(&o.QueueCap, "queuecap", 0, "per-thread monitor queue capacity (0 = default 4096)")
 	fs.StringVar(&o.Overflow, "overflow", "block", "queue-overflow policy: block | drop-newest | block-timeout")
 	fs.DurationVar(&o.Watchdog, "watchdog", 0, "monitor stall-watchdog deadline (0 = disabled)")
 	fs.StringVar(&o.Remote, "remote", "", "bwmonitord address (host:port or unix:/path); implies -protect")

@@ -1,6 +1,9 @@
 package monitor
 
 import (
+	"cmp"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -206,5 +209,65 @@ func TestPropertySharedFlipAlwaysDetected(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// permute calls f with every ordering of rs (Heap's algorithm), each in a
+// fresh copy, since CheckReports sorts its argument in place.
+func permute(rs []Report, f func([]Report)) {
+	var gen func(k int)
+	gen = func(k int) {
+		if k <= 1 {
+			f(slices.Clone(rs))
+			return
+		}
+		for i := 0; i < k; i++ {
+			gen(k - 1)
+			if k%2 == 0 {
+				rs[i], rs[k-1] = rs[k-1], rs[i]
+			} else {
+				rs[0], rs[k-1] = rs[k-1], rs[0]
+			}
+		}
+	}
+	gen(len(rs))
+}
+
+// TestCheckReasonIndependentOfReportOrder: a violation's reason is a
+// function of the report set alone. For every plan kind, every ordering
+// of random sets of 2-4 reports — over four threads, with duplicate
+// threads, two signatures and both outcomes, so most sets disagree —
+// gives the reason of the set in thread order.
+func TestCheckReasonIndependentOfReportOrder(t *testing.T) {
+	plans := []*core.CheckPlan{
+		sharedPlan(), partialPlan(),
+		tidPlan(ir.OpEq, true), tidPlan(ir.OpLt, false), tidPlan(0, true),
+		{BranchID: 4, Kind: core.CheckUniform, Reason: core.ReasonChecked},
+		{BranchID: 5, Kind: core.CheckNone, Reason: core.ReasonNone},
+	}
+	rng := rand.New(rand.NewSource(1))
+	flagged := 0
+	for _, plan := range plans {
+		for set := 0; set < 200; set++ {
+			rs := make([]Report, 2+rng.Intn(3))
+			for i := range rs {
+				rs[i] = Report{Thread: int32(rng.Intn(4)), Sig: uint64(rng.Intn(2)), Taken: rng.Intn(2) == 0}
+			}
+			sorted := slices.Clone(rs)
+			slices.SortStableFunc(sorted, func(a, b Report) int { return cmp.Compare(a.Thread, b.Thread) })
+			want := CheckReports(plan, sorted)
+			if want != "" {
+				flagged++
+			}
+			permute(rs, func(p []Report) {
+				order := slices.Clone(p)
+				if got := CheckReports(plan, p); got != want {
+					t.Fatalf("%s plan, reports %+v: reason %q, in thread order %q", plan.Kind, order, got, want)
+				}
+			})
+		}
+	}
+	if flagged < len(plans)*50 {
+		t.Errorf("only %d of %d report sets flagged: the test checks few reasons", flagged, len(plans)*200)
 	}
 }

@@ -491,6 +491,13 @@ func (c *checker) Stats() Stats {
 	}
 }
 
+// DefaultHeldCap is a Checker's default bound on the events buffered for
+// one gated thread. It is larger than DefaultQueueCap because a buffer
+// that fills force-closes the generation and degrades the verdict,
+// where a full ring only parks its producer; one kernels-remote session
+// was seen holding about 6,100 events.
+const DefaultHeldCap = 1 << 14
+
 // Checker is the monitor's checker driven synchronously: the goroutine
 // that already holds every thread's events in order — a daemon session's
 // read loop, a trace replay — feeds them straight in with Feed, Flush and
@@ -499,7 +506,8 @@ func (c *checker) Stats() Stats {
 // are checked in place in the caller's slice. A gated thread's events
 // (it flushed past the current barrier generation while another thread
 // has not) wait in a per-thread buffer, in order, until the generation
-// closes. The buffer is bounded by Config.QueueCap: a thread about to
+// closes. The buffer is bounded by Config.QueueCap (0 = DefaultHeldCap,
+// not the rings' DefaultQueueCap): a thread about to
 // pass the bound force-closes the generation as the stall watchdog would
 // (sound, counted in Stats.Watchdog, health Degraded), so no input ever
 // blocks or grows memory without bound.
@@ -551,7 +559,7 @@ func (c *Checker) Reset(cfg Config) error {
 	}
 	c.heldCap = cfg.QueueCap
 	if c.heldCap <= 0 {
-		c.heldCap = DefaultQueueCap
+		c.heldCap = DefaultHeldCap
 	}
 	if cap(c.held) < cfg.NumThreads {
 		c.held = append(c.held[:cap(c.held)], make([][]Event, cfg.NumThreads-cap(c.held))...)

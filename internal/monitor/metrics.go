@@ -29,7 +29,8 @@ type checkerMetrics struct {
 
 // monMetrics is the handle set of a Monitor's concurrent front end
 // (zero value = detached): bw_monitor_drops_total, bw_sender_flush_size,
-// bw_monitor_parks_total and the queue-depth high-water mark.
+// bw_monitor_parks_total, bw_sender_parks_total and the queue-depth
+// high-water mark.
 type monMetrics struct {
 	frontEndMetrics
 	queueHWM *metrics.Gauge // bw_monitor_queue_depth_hwm
@@ -42,6 +43,11 @@ var batchSizeBounds = []int64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 func senderFlushHistogram(r *metrics.Registry) *metrics.Histogram {
 	return r.Histogram("bw_sender_flush_size",
 		"branch events published per Sender flush", batchSizeBounds)
+}
+
+func senderParksCounter(r *metrics.Registry) *metrics.Counter {
+	return r.Counter("bw_sender_parks_total",
+		"times a Sender parked on a full ring until the consumer freed slots")
 }
 
 func newCheckerMetrics(r *metrics.Registry) checkerMetrics {
@@ -81,6 +87,7 @@ func newMonMetrics(r *metrics.Registry) monMetrics {
 			flushSize: senderFlushHistogram(r),
 			parks: r.Counter("bw_monitor_parks_total",
 				"times the idle monitor goroutine parked until a Sender published"),
+			senderParks: senderParksCounter(r),
 		},
 		queueHWM: r.Gauge("bw_monitor_queue_depth_hwm",
 			"per-thread front-end queue depth high-water mark"),
@@ -89,7 +96,7 @@ func newMonMetrics(r *metrics.Registry) monMetrics {
 
 // relayMetrics is the relay's handle set (zero value = detached). The
 // front-end handles are bw_relay_drops_total, bw_relay_quarantined_total,
-// bw_sender_flush_size and bw_relay_parks_total.
+// bw_sender_flush_size, bw_relay_parks_total and bw_sender_parks_total.
 type relayMetrics struct {
 	frontEndMetrics
 	quarantined *metrics.Counter // bw_relay_quarantined_total
@@ -110,6 +117,7 @@ func newRelayMetrics(r *metrics.Registry) relayMetrics {
 			flushSize: senderFlushHistogram(r),
 			parks: r.Counter("bw_relay_parks_total",
 				"times the idle relay goroutine parked until a Sender published or a stream duty fell due"),
+			senderParks: senderParksCounter(r),
 		},
 		quarantined: r.Counter("bw_relay_quarantined_total",
 			"malformed events skipped by the relay"),

@@ -11,9 +11,14 @@ import (
 	"blockwatch/internal/queue"
 )
 
-// DefaultQueueCap is the per-thread front-end queue capacity. The paper
-// sets "a sufficiently large value to prevent it from being a bottleneck".
-const DefaultQueueCap = 1 << 14
+// DefaultQueueCap is the per-thread front-end queue capacity: 4096
+// events, 160 KiB a thread. The paper sets "a sufficiently large value to
+// prevent it from being a bottleneck"; this one is sized by measurement
+// (docs/internals.md). A producer that finds its ring full parks until
+// the consumer frees slots (Sender.park), so a smaller ring costs
+// hand-offs, not lost events. A Checker's gated-event bound has its own
+// default, DefaultHeldCap.
+const DefaultQueueCap = 1 << 12
 
 // drainBatch bounds the number of events one queue may contribute per
 // drain round (fairness), and so the length of one in-place Peek.
@@ -25,8 +30,9 @@ type Config struct {
 	NumThreads int
 	// Plans maps static branch ID → check plan (from core.Analyze).
 	Plans map[int]*core.CheckPlan
-	// QueueCap overrides the per-thread queue capacity (0 = default).
-	// For a Checker it bounds the events buffered for one gated thread.
+	// QueueCap overrides the per-thread queue capacity (0 =
+	// DefaultQueueCap). For a Checker it bounds the events buffered for
+	// one gated thread (0 = DefaultHeldCap).
 	QueueCap int
 	// CheckingDisabled makes the monitor drain events without storing or
 	// checking them — the paper's configuration for the 32-thread
@@ -299,7 +305,7 @@ func (m *Monitor) drainSlot(tid int, q *queue.SPSC[Event]) bool {
 	if m.met.queueHWM != nil {
 		m.met.queueHWM.SetMax(int64(q.Len()))
 	}
-	q.Release(n)
+	m.release(tid, q, n)
 	return true
 }
 

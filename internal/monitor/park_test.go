@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -275,5 +276,294 @@ func TestMonitorParkAllocsFlat(t *testing.T) {
 	t.Logf("allocs per run: %.0f with 1 park cycle, %.0f with 200", few, many)
 	if many > few+2 {
 		t.Errorf("allocations grow with park cycles: %.0f with 1, %.0f with 200", few, many)
+	}
+}
+
+// heldStream is a relay stream that blocks its first StreamEvents call
+// until release closes, then records the branch events in order.
+type heldStream struct {
+	release chan struct{}
+	mu      sync.Mutex
+	got     []Event
+}
+
+func (s *heldStream) StreamEvents(_ int, evs []Event) error {
+	<-s.release
+	s.mu.Lock()
+	s.got = append(s.got, evs...)
+	s.mu.Unlock()
+	return nil
+}
+
+func (s *heldStream) StreamControl(int, Event) error { return nil }
+
+// TestSenderParksOnFullRing: a producer whose 64-slot ring fills while
+// the consumer is held parks once and blocks, instead of spinning, and
+// the consumer's release wakes it. Every event arrives, in order.
+func TestSenderParksOnFullRing(t *testing.T) {
+	const ring, events = 64, 64 * 16
+	stream := &heldStream{release: make(chan struct{})}
+	reg := metrics.NewRegistry()
+	r, err := NewRelay(RelayConfig{NumThreads: 1, QueueCap: ring, Stream: stream, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Start()
+	sent := make(chan struct{})
+	go func() {
+		defer close(sent)
+		s := r.Sender(0)
+		for i := range events {
+			s.Send(relayEv(0, 1, uint64(i)))
+			if i%100 == 99 {
+				s.Send(Event{Kind: EvFlush, Thread: 0})
+			}
+		}
+		s.Send(Event{Kind: EvDone, Thread: 0})
+	}()
+	waitUntil(t, parkDeadline, "the producer to park on its full ring", func() bool {
+		return parks(reg, "bw_sender_parks_total") > 0
+	})
+	time.Sleep(20 * time.Millisecond) // a spinning producer would count on
+	if n := parks(reg, "bw_sender_parks_total"); n != 1 {
+		t.Errorf("bw_sender_parks_total = %d with the consumer held, want 1", n)
+	}
+	select {
+	case <-sent:
+		t.Fatal("the producer finished while its ring was full")
+	default:
+	}
+	close(stream.release)
+	select {
+	case <-sent:
+	case <-time.After(parkDeadline):
+		t.Fatal("the consumer's release did not wake the parked producer")
+	}
+	r.Close()
+	// One park per ring-full at most, twice that for wake-ups that find
+	// the ring refilled: a handful, never one per retry.
+	if n := parks(reg, "bw_sender_parks_total"); n > 2*events/ring {
+		t.Errorf("bw_sender_parks_total = %d for %d events through a %d-slot ring", n, events, ring)
+	}
+	if len(stream.got) != events {
+		t.Fatalf("streamed %d events, want %d", len(stream.got), events)
+	}
+	for i, ev := range stream.got {
+		if ev.Sig != uint64(i) {
+			t.Fatalf("event %d has Sig %d: lost or reordered", i, ev.Sig)
+		}
+	}
+	if st := r.Stats(); r.Health() != Healthy || st.Dropped != 0 || st.Quarantined != 0 {
+		t.Errorf("run not clean: health %v, stats %+v", r.Health(), st)
+	}
+}
+
+// flood runs one producer goroutine per thread of sink, each sending
+// events branch events, half of them through SendBatch, with a flush
+// and a barrier every 50 and a final EvDone. Like the interpreter's
+// threads, no producer starts a generation before every thread has
+// flushed the last one. It fails the test if the producers do not
+// finish within parkDeadline: a full ring whose consumer never woke its
+// parked producer.
+func flood(t *testing.T, sink Sink, threads, events int) {
+	t.Helper()
+	const gen = 50
+	barriers := make([]sync.WaitGroup, events/gen+1)
+	for i := range barriers {
+		barriers[i].Add(threads)
+	}
+	var wg sync.WaitGroup
+	for tid := range threads {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := sink.Sender(tid)
+			batch := make([]Event, 0, gen)
+			for i := range events {
+				ev := branchEv(int32(tid), 1, uint64(i), 5, true)
+				if i%2 == 0 {
+					s.Send(ev)
+				} else {
+					batch = append(batch, ev)
+				}
+				if i%gen == gen-1 {
+					s.SendBatch(batch)
+					batch = batch[:0]
+					s.Send(Event{Kind: EvFlush, Thread: int32(tid)})
+					b := &barriers[i/gen]
+					b.Done()
+					b.Wait()
+				}
+			}
+			s.SendBatch(batch)
+			s.Send(Event{Kind: EvDone, Thread: int32(tid)})
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(parkDeadline):
+		t.Fatal("producers wedged on a full ring: lost wake-up")
+	}
+}
+
+// innerStream forwards a relay's stream into an inner monitor's Senders,
+// branch runs through SendBatch, as the trace recorder does.
+type innerStream struct{ senders []*Sender }
+
+func (s innerStream) StreamEvents(slot int, evs []Event) error {
+	s.senders[slot].SendBatch(evs)
+	return nil
+}
+
+func (s innerStream) StreamControl(slot int, ev Event) error {
+	s.senders[slot].Send(ev)
+	return nil
+}
+
+// TestProducerParkWakeStress floods 8-slot rings through every consumer
+// that frees ring slots, so producers park on full rings again and
+// again: the monitor's drain, a relay's drain before and after its
+// stream fails, the failsafe drain after a recovered monitor panic, a
+// relay forwarding into an inner monitor through SendBatch (the trace
+// recorder's shape, whose relay goroutine is itself a parked producer),
+// and Close discarding what a producer published after the last
+// EvDone. A lost wake-up wedges a producer and fails at parkDeadline.
+func TestProducerParkWakeStress(t *testing.T) {
+	const threads, events, rounds = 3, 600, 4
+	cases := []struct {
+		name string
+		run  func(t *testing.T, reg *metrics.Registry)
+	}{
+		{"monitor drain", func(t *testing.T, reg *metrics.Registry) {
+			m, err := New(Config{NumThreads: threads, Plans: testPlans(), QueueCap: 8, Metrics: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Start()
+			flood(t, m, threads, events)
+			m.Close()
+			if st := m.Stats(); m.Detected() || m.Health() != Healthy || st.Events != threads*events {
+				t.Errorf("run not clean: health %v, stats %+v", m.Health(), st)
+			}
+		}},
+		{"relay drain, stream fails", func(t *testing.T, reg *metrics.Registry) {
+			stream := newCollectStream()
+			stream.failAt = 20
+			r, err := NewRelay(RelayConfig{NumThreads: threads, QueueCap: 8, Stream: stream, Metrics: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Start()
+			flood(t, r, threads, events)
+			r.Close()
+			if r.Health() != Degraded || r.Stats().Dropped == 0 {
+				t.Errorf("broken stream: health %v, stats %+v", r.Health(), r.Stats())
+			}
+		}},
+		{"failsafe after panic", func(t *testing.T, reg *metrics.Registry) {
+			var seen atomic.Int64
+			m, err := New(Config{NumThreads: threads, Plans: testPlans(), QueueCap: 8, Metrics: reg,
+				EventTap: func(*Event) {
+					if seen.Add(1) == 100 {
+						panic("injected monitor fault")
+					}
+				}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Start()
+			flood(t, m, threads, events)
+			m.Close()
+			if m.Health() != Failed || m.Detected() {
+				t.Errorf("health %v, detected %t; want Failed, no detection", m.Health(), m.Detected())
+			}
+		}},
+		{"relay into monitor by SendBatch", func(t *testing.T, reg *metrics.Registry) {
+			// Only the inner monitor reports to reg, so its Senders'
+			// parks are the relay goroutine's. The inner rings are
+			// twice the relay's: events a thread sends past a barrier
+			// wait gated in its inner ring until the relay forwards the
+			// other threads' flushes, and with barrier-synchronized
+			// producers it forwards at most two relay rings of them
+			// first. A tap that pauses the inner monitor now and then
+			// makes the relay wait on full inner rings.
+			var seen atomic.Int64
+			inner, err := New(Config{NumThreads: threads, Plans: testPlans(), QueueCap: 16, Metrics: reg,
+				EventTap: func(*Event) {
+					if seen.Add(1)%64 == 0 {
+						time.Sleep(20 * time.Microsecond)
+					}
+				}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			stream := innerStream{senders: make([]*Sender, threads)}
+			for tid := range stream.senders {
+				stream.senders[tid] = inner.Sender(tid)
+			}
+			r, err := NewRelay(RelayConfig{NumThreads: threads, QueueCap: 8, Stream: stream,
+				Finish: func(bool) (RelayOutcome, error) {
+					inner.Close()
+					return RelayOutcome{Health: inner.Health(), Stats: inner.Stats()}, nil
+				}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			inner.Start()
+			r.Start()
+			flood(t, r, threads, events)
+			closeWithin(t, "relay", r.Close)
+			if st := r.Stats(); inner.Detected() || r.Health() != Healthy || st.Events != threads*events {
+				t.Errorf("run not clean: health %v, stats %+v", r.Health(), st)
+			}
+		}},
+		{"Close discards stragglers", func(t *testing.T, reg *metrics.Registry) {
+			const ring = 8
+			m, err := New(Config{NumThreads: threads, Plans: testPlans(), QueueCap: ring, SenderBatch: 1, Metrics: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Start()
+			for tid := range threads {
+				m.Sender(tid).Send(Event{Kind: EvDone, Thread: int32(tid)})
+			}
+			<-m.done // the consumer saw every EvDone and left the rings
+			before := parks(reg, "bw_sender_parks_total")
+			sent := make(chan struct{})
+			go func() {
+				defer close(sent)
+				s := m.Sender(0)
+				for i := range ring {
+					s.Send(branchEv(0, 1, uint64(i), 5, true))
+				}
+				s.Send(Event{Kind: EvFlush, Thread: 0}) // finds the ring full
+			}()
+			waitUntil(t, parkDeadline, "a straggler to park", func() bool {
+				return parks(reg, "bw_sender_parks_total") > before
+			})
+			m.Close()
+			select {
+			case <-sent:
+			case <-time.After(parkDeadline):
+				t.Fatal("Close's discard did not wake the parked producer")
+			}
+			if q := m.Stats().Quarantined; q < ring {
+				t.Errorf("Quarantined = %d, want at least %d", q, ring)
+			}
+			dropRings() // the straggler's flush may sit in a handed-on ring
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			reg := metrics.NewRegistry()
+			for range rounds {
+				c.run(t, reg)
+			}
+			if parks(reg, "bw_sender_parks_total") == 0 {
+				t.Error("no producer ever parked: the case exercised no wake-up")
+			}
+		})
 	}
 }

@@ -308,7 +308,7 @@ func (s *relayState) drainOnce() bool {
 		}
 		progress = true
 		s.forward(tid, evs)
-		q.Release(len(evs))
+		s.r.release(tid, q, len(evs))
 	}
 	return progress
 }

@@ -31,8 +31,9 @@ type OverflowPolicy int
 
 // Overflow policies.
 const (
-	// OverflowBlock spins until the queue has room — the paper's lossless
-	// behavior (and the default). A wedged monitor stalls producers.
+	// OverflowBlock parks the producer until the consumer frees room in
+	// the queue — the paper's lossless behavior (and the default). A
+	// wedged monitor stalls producers.
 	OverflowBlock OverflowPolicy = iota
 	// OverflowDropNewest drops the new branch event immediately and
 	// counts it in the per-thread drop counters.

@@ -252,7 +252,7 @@ func TestQueueBacklogAfterHandOff(t *testing.T) {
 // garbage collector, and one of another shape does not serve a sink.
 func TestRingsNotKeptPastCap(t *testing.T) {
 	dropRings()
-	const threads = 7 // 7 × 16384 × 40 B > 4 MiB
+	const threads = 7 // 7 × 4096 × 40 B > 1 MiB
 	m, err := New(Config{NumThreads: threads, Plans: testPlans()})
 	if err != nil {
 		t.Fatal(err)

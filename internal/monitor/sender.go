@@ -28,6 +28,7 @@ const DefaultSenderBatch = 64
 type frontEnd struct {
 	*status
 	queues   []*queue.SPSC[Event] // nil once handed on (recycleRings)
+	waits    []producerPark       // per thread, handed on with queues
 	queuesMu sync.Mutex           // orders QueueBacklog against the hand-off
 	policy   OverflowPolicy
 	batch    int             // Sender window size
@@ -46,13 +47,29 @@ type parker struct {
 	timer  *time.Timer // consumer-private: the park timer, reused
 }
 
+// producerPark is one producer's park state (see Sender.park), the
+// mirror of the consumer's parker: a producer that finds its ring full
+// blocks on wake until the consumer releases slots (frontEnd.release).
+type producerPark struct {
+	parked atomic.Bool   // the producer is blocked, or about to block, on wake
+	wake   chan struct{} // one slot: a pending wake-up
+}
+
+// ringSet is one front end's per-thread rings with their producers'
+// park states, kept together so a spare set costs no allocation.
+type ringSet struct {
+	queues []*queue.SPSC[Event]
+	waits  []producerPark
+}
+
 // frontEndMetrics are the embedding sink's handles for the counters the
 // front end updates (zero value = detached; updates are then single
 // nil-check branches).
 type frontEndMetrics struct {
-	drops     *metrics.Counter
-	flushSize *metrics.Histogram
-	parks     *metrics.Counter
+	drops       *metrics.Counter
+	flushSize   *metrics.Histogram
+	parks       *metrics.Counter // the consumer's (idleWait)
+	senderParks *metrics.Counter // bw_sender_parks_total (Sender.park)
 }
 
 // initFrontEnd builds the per-thread queues and counters over the sink's
@@ -68,50 +85,54 @@ func (f *frontEnd) initFrontEnd(st *status, threads, queueCap int, policy Overfl
 	f.status, f.policy, f.batch, f.prodMet = st, policy, batch, met
 	f.park.wake = make(chan struct{}, 1)
 	f.drops = make([]atomic.Uint64, threads)
-	if f.queues = takeRings(threads, queue.RoundCap(queueCap)); f.queues != nil {
+	if set, ok := takeRings(threads, queue.RoundCap(queueCap)); ok {
+		f.queues, f.waits = set.queues, set.waits
 		return nil
 	}
 	f.queues = make([]*queue.SPSC[Event], threads)
+	f.waits = make([]producerPark, threads)
 	for i := range f.queues {
 		q, err := queue.NewSPSC[Event](queueCap)
 		if err != nil {
 			return fmt.Errorf("front-end queue: %w", err)
 		}
 		f.queues[i] = q
+		f.waits[i].wake = make(chan struct{}, 1)
 	}
 	return nil
 }
 
 // spareRingBytes caps the ring set kept for the next sink: at
-// DefaultQueueCap it holds up to six threads' queues (640 KiB each).
-const spareRingBytes = 4 << 20
+// DefaultQueueCap it holds up to six threads' queues (160 KiB each).
+const spareRingBytes = 1 << 20
 
 // spareRings holds up to two idle ring sets (one queue per thread) for
 // the next Monitors or Relays in the process, in a two-slot channel for
 // the same reasons as the spare table: a sink made of two — a trace
 // recorder's Relay and its inner Monitor — keeps a set for each.
-var spareRings = make(chan []*queue.SPSC[Event], 2)
+var spareRings = make(chan ringSet, 2)
 
 // takeRings returns a spare ring set, reset, that has exactly threads
-// queues of capacity capacity, or nil. Spares that do not fit are
-// dropped on the way, so the ring sets of the latest configurations are
-// the ones kept.
-func takeRings(threads, capacity int) []*queue.SPSC[Event] {
+// queues of capacity capacity, and whether there was one. Spares that do
+// not fit are dropped on the way, so the ring sets of the latest
+// configurations are the ones kept. A wake-up left in a park slot is
+// harmless: a producer drops it before it parks.
+func takeRings(threads, capacity int) (ringSet, bool) {
 	for range cap(spareRings) {
 		select {
-		case rings := <-spareRings:
-			if len(rings) != threads || rings[0].Cap() != capacity {
+		case set := <-spareRings:
+			if len(set.queues) != threads || set.queues[0].Cap() != capacity {
 				continue
 			}
-			for _, q := range rings {
+			for _, q := range set.queues {
 				q.Reset()
 			}
-			return rings
+			return set, true
 		default:
-			return nil
+			return ringSet{}, false
 		}
 	}
-	return nil
+	return ringSet{}, false
 }
 
 // recycleRings offers the front end's rings as a spare of the process. It
@@ -128,14 +149,14 @@ func (f *frontEnd) recycleRings(allDone bool) {
 		return
 	}
 	f.queuesMu.Lock()
-	rings := f.queues
-	f.queues = nil
+	set := ringSet{f.queues, f.waits}
+	f.queues, f.waits = nil, nil
 	f.queuesMu.Unlock()
-	if len(rings)*rings[0].Cap()*int(unsafe.Sizeof(Event{})) > spareRingBytes {
+	if len(set.queues)*set.queues[0].Cap()*int(unsafe.Sizeof(Event{})) > spareRingBytes {
 		return
 	}
 	select {
-	case spareRings <- rings:
+	case spareRings <- set:
 	default:
 	}
 }
@@ -146,10 +167,31 @@ func (f *frontEnd) recycleRings(allDone bool) {
 // interrupted batch was left unreleased; and in Close, for events a
 // thread published after its EvDone, which the consumer never reads.
 func (f *frontEnd) discardAll() {
-	for _, q := range f.queues {
+	for tid, q := range f.queues {
 		for evs := q.Peek(q.Cap()); len(evs) > 0; evs = q.Peek(q.Cap()) {
 			f.quarantine(len(evs))
-			q.Release(len(evs))
+			f.release(tid, q, len(evs))
+		}
+	}
+}
+
+// release consumes the n oldest events of thread tid's queue q and
+// wakes the thread's producer if it is parked on the full ring. Every
+// consumer frees ring slots through it: the monitor's drain, the
+// relay's (also once its stream broke), and discardAll. The head store
+// followed by this load of parked, against the producer's store of
+// parked followed by its recheck of the ring in Sender.park, is the
+// mirror of signal's Dekker pair: either the consumer sees parked and
+// sends, or the producer's recheck sees the room.
+func (f *frontEnd) release(tid int, q *queue.SPSC[Event], n int) {
+	if n <= 0 {
+		return
+	}
+	q.Release(n)
+	if p := &f.waits[tid]; p.parked.Load() {
+		select {
+		case p.wake <- struct{}{}:
+		default: // a wake-up is already pending
 		}
 	}
 }
@@ -174,7 +216,7 @@ func (f *frontEnd) Sender(tid int) *Sender {
 	if tid < 0 || tid >= len(f.queues) {
 		return &Sender{fe: f}
 	}
-	return &Sender{q: f.queues[tid], fe: f, tid: tid}
+	return &Sender{q: f.queues[tid], wait: &f.waits[tid], fe: f, tid: tid}
 }
 
 // signal wakes the consumer if it is parked. Senders call it after every
@@ -292,16 +334,17 @@ func (f *frontEnd) dropped() uint64 {
 // A Sender is owned by exactly one goroutine (it is the thread's queue
 // producer endpoint), and must not be used after its sink's Close: Close
 // may hand the queues to the next sink in the process. The overflow
-// policy applies when a branch event finds the ring full: block spins,
-// drop-newest drops and counts the event, block-timeout spins a bounded
-// budget (DefaultSendSpins per stall) before dropping it. Control events
-// always block.
+// policy applies when a branch event finds the ring full: block parks
+// until the consumer frees slots, drop-newest drops and counts the
+// event, block-timeout spins a bounded budget (DefaultSendSpins per
+// stall) before dropping it. Control events always block (park).
 type Sender struct {
-	q   *queue.SPSC[Event] // nil: quarantining handle (out-of-range thread)
-	win []Event            // reserved ring slots; win[:n] are written, unpublished
-	n   int
-	fe  *frontEnd
-	tid int
+	q    *queue.SPSC[Event] // nil: quarantining handle (out-of-range thread)
+	wait *producerPark      // the thread's park slot (nil with q)
+	win  []Event            // reserved ring slots; win[:n] are written, unpublished
+	n    int
+	fe   *frontEnd
+	tid  int
 	// waited counts the block-timeout spins since a window was last
 	// reserved: the budget is per stall, not per event, so once it ran
 	// out the events that find the ring still full drop at once.
@@ -336,7 +379,7 @@ func (s *Sender) open(ev Event) bool {
 		// the slot the window would fill next.
 		s.Flush()
 		for !s.q.Push(ev) {
-			runtime.Gosched()
+			s.park()
 		}
 		s.fe.signal()
 		return false
@@ -346,13 +389,42 @@ func (s *Sender) open(ev Event) bool {
 			s.waited = 0
 			return true
 		}
-		if s.fe.policy == OverflowDropNewest || (s.fe.policy == OverflowBlockTimeout && s.waited >= DefaultSendSpins) {
+		switch {
+		case s.fe.policy == OverflowBlock:
+			s.park()
+		case s.fe.policy == OverflowDropNewest || s.waited >= DefaultSendSpins:
 			s.fe.drop(s.tid, 1)
 			return false
+		default: // OverflowBlockTimeout within its budget
+			s.waited++
+			runtime.Gosched()
 		}
-		s.waited++
-		runtime.Gosched()
 	}
+}
+
+// park blocks the producer while its ring is full, until the consumer
+// releases slots (frontEnd.release). It announces itself in parked,
+// rechecks the ring, signals the consumer and blocks on its wake slot.
+// The signal repeats the one the ring's last publish sent, for one load
+// per park: park does not rely on every publish path having signalled
+// to keep a full ring's consumer awake. park may return with the ring
+// still full (a wake-up meant for an earlier park), so callers retry
+// their publish and park again.
+func (s *Sender) park() {
+	p := s.wait
+	select { // drop a wake-up left over from an earlier park
+	case <-p.wake:
+	default:
+	}
+	p.parked.Store(true)
+	if s.q.Len() < s.q.Cap() {
+		p.parked.Store(false)
+		return
+	}
+	s.fe.signal()
+	s.fe.prodMet.senderParks.Inc()
+	<-p.wake
+	p.parked.Store(false)
 }
 
 // SendBatch publishes evs — a batch of branch events for this sender's
@@ -424,7 +496,7 @@ func (s *Sender) publish(rest []Event) {
 			s.pushed(n)
 			rest = rest[n:]
 			if len(rest) > 0 {
-				runtime.Gosched()
+				s.park()
 			}
 		}
 	}

@@ -28,7 +28,7 @@ const DefaultServerWriteTimeout = 10 * time.Second
 type ServerConfig struct {
 	// QueueCap bounds the events a session buffers for one thread that
 	// has flushed past a barrier the others have not reached
-	// (0 = monitor.DefaultQueueCap). A thread about to pass it
+	// (0 = monitor.DefaultHeldCap). A thread about to pass it
 	// force-closes the generation, degrading the session's health.
 	QueueCap int
 	// StallDeadline arms each session checker's stall watchdog

@@ -179,7 +179,7 @@ func (rec *Recorder) finish(bool) (monitor.RelayOutcome, error) {
 type ReplayConfig struct {
 	// QueueCap bounds the events the replay buffers for one thread that
 	// flushed past a barrier the others have not reached yet
-	// (0 = monitor.DefaultQueueCap). A thread about to pass it
+	// (0 = monitor.DefaultHeldCap). A thread about to pass it
 	// force-closes the generation, degrading the replay's health; a
 	// bound at least as large as the recorded gap leaves the verdict
 	// unchanged.
