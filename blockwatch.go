@@ -300,10 +300,11 @@ type RunOptions struct {
 	// trace (see RunResult.SealedTrace).
 	RemoteSpool string
 	// Record, when non-nil, tees the monitor event stream to this writer
-	// in the wire trace format while an in-process monitor keeps checking
-	// it live (implies Protect). The sealed trace replays to
-	// byte-identical violations (bwtrace replay). Mutually exclusive with
-	// Remote.
+	// in the wire trace format while a checker on the recorder's relay
+	// goroutine keeps checking it live (implies Protect). The sealed
+	// trace replays to byte-identical violations (bwtrace replay).
+	// StallDeadline is then evaluated as each batch reaches the checker,
+	// as in a daemon session. Mutually exclusive with Remote.
 	Record io.Writer
 	// Metrics, when non-nil, attaches the run's monitor pipeline to this
 	// registry (bw_monitor_*, and bw_relay_*/bw_wire_*/bw_remote_* for

@@ -9,10 +9,11 @@
 //	bwtrace replay run.bwtrace
 //	bwtrace stat   run.bwtrace
 //
-// record runs the program under the in-process monitor while teeing every
-// event to the trace file. replay feeds the recorded stream through a fresh
-// monitor and reports whether its verdict matches the one sealed into the
-// trace. stat summarizes a trace without checking it.
+// record runs the program protected, writing every event to the trace file
+// and checking it on the same goroutine, as a daemon session does. replay
+// feeds the recorded stream through a fresh monitor and reports whether
+// its verdict matches the one sealed into the trace. stat summarizes a
+// trace without checking it.
 //
 // All commands also accept a leading -version flag printing the build
 // version.

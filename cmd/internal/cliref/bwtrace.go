@@ -49,8 +49,9 @@ func traceCommand() Command {
 		Description: "bwtrace records BLOCKWATCH monitor event streams to disk and replays them " +
 			"offline. A trace file uses the same framed wire format the remote monitor " +
 			"speaks, so a recorded run can be re-checked (or examined) long after the " +
-			"monitored process exited. record runs the program under the in-process monitor " +
-			"while teeing every event to the trace file; replay feeds the recorded stream " +
+			"monitored process exited. record runs the program protected, writing every event " +
+			"to the trace file and checking it on the same goroutine, as a daemon session " +
+			"does; replay feeds the recorded stream " +
 			"through a fresh monitor and reports whether its verdict matches the one sealed " +
 			"into the trace; stat summarizes a trace without checking it. Traces and spools " +
 			"written by builds of wire codec version 1 are refused with an unsupported-version " +

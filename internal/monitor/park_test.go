@@ -409,7 +409,9 @@ func flood(t *testing.T, sink Sink, threads, events int) {
 }
 
 // innerStream forwards a relay's stream into an inner monitor's Senders,
-// branch runs through SendBatch, as the trace recorder does.
+// branch runs through SendBatch, so the relay goroutine is itself a
+// producer that parks on full rings: it keeps SendBatch's park path,
+// which bwperf's ingest driver publishes through, under stress.
 type innerStream struct{ senders []*Sender }
 
 func (s innerStream) StreamEvents(slot int, evs []Event) error {
@@ -426,10 +428,10 @@ func (s innerStream) StreamControl(slot int, ev Event) error {
 // that frees ring slots, so producers park on full rings again and
 // again: the monitor's drain, a relay's drain before and after its
 // stream fails, the failsafe drain after a recovered monitor panic, a
-// relay forwarding into an inner monitor through SendBatch (the trace
-// recorder's shape, whose relay goroutine is itself a parked producer),
-// and Close discarding what a producer published after the last
-// EvDone. A lost wake-up wedges a producer and fails at parkDeadline.
+// relay forwarding into an inner monitor through SendBatch (a consumer
+// goroutine that is itself a parked producer), and Close discarding
+// what a producer published after the last EvDone. A lost wake-up
+// wedges a producer and fails at parkDeadline.
 func TestProducerParkWakeStress(t *testing.T) {
 	const threads, events, rounds = 3, 600, 4
 	cases := []struct {

@@ -183,10 +183,10 @@ func TestRingsKeptAfterUncleanClose(t *testing.T) {
 	}
 }
 
-// TestRingsTwoSpares: a relay and a monitor that run at once in one
-// process — a remote client and the daemon session it talks to — both
-// hand their queues on, and the next pair takes one set each; a third
-// set closed at the same time is left to the garbage collector.
+// TestRingsTwoSpares: two sinks that close at about the same time in
+// one process — the monitors of two campaign workers — both hand their
+// queues on, and the next pair takes one set each; a third set closed
+// at the same time is left to the garbage collector.
 func TestRingsTwoSpares(t *testing.T) {
 	dropRings()
 	sinks := ringSinks()

@@ -3,16 +3,16 @@
 // trace file is exactly one recorded session — hello frame, per-thread
 // event/flush/done frames, finish, and the live run's result frame.
 //
-// The Recorder is a monitor.Sink that tees: every event is appended to
-// the trace AND forwarded to an ordinary in-process monitor, so a
+// The Recorder is a monitor.Relay whose stream tees: its goroutine
+// appends every batch and marker to the trace AND feeds it to a
+// monitor.Checker, as a daemon session checks a live stream, so a
 // recorded run keeps its protection. Recording failures (disk full,
-// closed file) degrade health but never disturb the in-process checking
-// — the same fail-open contract the monitor itself follows. Replay
-// feeds a trace back through a fresh monitor.Checker on the calling
-// goroutine, exactly as a daemon session checks a live stream; because
-// the trace preserves per-thread event order and generation markers,
-// replay violations are byte-identical to the live run's, which is what
-// makes a captured trace a faithful bug report for a detection.
+// closed file) degrade health but never disturb the checking — the same
+// fail-open contract the monitor itself follows. Replay feeds a trace
+// back through a fresh Checker on the calling goroutine; because the
+// trace preserves per-thread event order and generation markers, replay
+// violations are byte-identical to the live run's, which is what makes
+// a captured trace a faithful bug report for a detection.
 package trace
 
 import (
@@ -36,30 +36,31 @@ type RecorderConfig struct {
 	// Plans is the check-plan table; its checker-facing reduction is
 	// stored in the trace header (wire.Hello).
 	Plans map[int]*core.CheckPlan
-	// QueueCap and Overflow configure the producer front end
-	// (monitor.Config semantics).
+	// QueueCap and Overflow configure the relay's rings (monitor.Config
+	// semantics); the checker buffers up to monitor.DefaultHeldCap
+	// events of a thread gated at a barrier.
 	QueueCap int
 	Overflow monitor.OverflowPolicy
-	// StallDeadline arms the inner monitor's stall watchdog.
+	// StallDeadline arms the checker's stall watchdog, evaluated as each
+	// batch or marker reaches it (see monitor.Checker).
 	StallDeadline time.Duration
 	// Metrics, when non-nil, receives the recorder's wire metrics
-	// (bw_wire_*) and is threaded into the inner monitor (bw_monitor_*)
-	// and the relay (bw_relay_*).
+	// (bw_wire_*), the checker's (bw_monitor_*) and the relay's
+	// (bw_relay_*, bw_sender_*).
 	Metrics *metrics.Registry
 }
 
 // Recorder is a monitor.Sink that writes the event stream to a trace
-// while an inner in-process monitor keeps checking it live. Use exactly
-// like a monitor.Monitor; the caller owns the underlying writer and
-// closes it after Close.
+// while a checker on its relay goroutine keeps checking it live. Use
+// exactly like a monitor.Monitor; the caller owns the underlying writer
+// and closes it after Close.
 type Recorder struct {
 	*monitor.Relay
-	wr      *wire.Writer
-	inner   *monitor.Monitor
-	senders []*monitor.Sender
+	wr  *wire.Writer
+	chk *monitor.Checker
 	// fileBroken is only touched on the relay goroutine: once a trace
-	// write fails, recording stops (health degrades) but forwarding to
-	// the inner monitor continues.
+	// write fails, recording stops (health degrades) but checking
+	// continues.
 	fileBroken bool
 }
 
@@ -68,25 +69,20 @@ type Recorder struct {
 // trace that cannot even start is a configuration problem, not a mid-run
 // failure.
 func NewRecorder(w io.Writer, cfg RecorderConfig) (*Recorder, error) {
-	inner, err := monitor.New(monitor.Config{
+	chk, err := monitor.NewChecker(monitor.Config{
 		NumThreads:    cfg.NumThreads,
 		Plans:         cfg.Plans,
-		QueueCap:      cfg.QueueCap,
 		StallDeadline: cfg.StallDeadline,
 		Metrics:       cfg.Metrics,
 	})
 	if err != nil {
 		return nil, err
 	}
-	rec := &Recorder{wr: wire.NewWriter(w), inner: inner}
+	rec := &Recorder{wr: wire.NewWriter(w), chk: chk}
 	rec.wr.InstrumentTx(cfg.Metrics)
 	hello := wire.HelloFromPlans(cfg.Program, cfg.NumThreads, cfg.Plans)
 	if err := rec.wr.WriteHello(hello); err != nil {
 		return nil, fmt.Errorf("trace header: %w", err)
-	}
-	rec.senders = make([]*monitor.Sender, cfg.NumThreads)
-	for tid := range rec.senders {
-		rec.senders[tid] = inner.Sender(tid)
 	}
 	relay, err := monitor.NewRelay(monitor.RelayConfig{
 		NumThreads: cfg.NumThreads,
@@ -103,56 +99,51 @@ func NewRecorder(w io.Writer, cfg RecorderConfig) (*Recorder, error) {
 	return rec, nil
 }
 
-// Start launches the inner monitor and the relay.
-func (rec *Recorder) Start() {
-	rec.inner.Start()
-	rec.Relay.Start()
-}
-
 // recorderStream tees the relayed stream: trace first (losing an event
-// to a dead file must not depend on the forward), then the inner
-// monitor's own Senders. It never returns an error — trace failures are
-// absorbed so the relay keeps forwarding (checking outlives recording).
+// to a dead file must not depend on the check), then the checker. It
+// never returns an error — trace failures are absorbed so the relay
+// keeps feeding the checker (checking outlives recording).
 type recorderStream Recorder
 
 func (s *recorderStream) StreamEvents(slot int, evs []monitor.Event) error {
 	if !s.fileBroken {
-		if err := s.wr.WriteEvents(slot, evs); err != nil {
-			s.fileBroken = true
-			s.Relay.Degrade()
-		}
+		(*Recorder)(s).wrote(s.wr.WriteEvents(slot, evs))
 	}
-	s.senders[slot].SendBatch(evs)
+	s.chk.Feed(slot, evs)
 	return nil
 }
 
 func (s *recorderStream) StreamControl(slot int, ev monitor.Event) error {
-	if !s.fileBroken {
-		var err error
-		if ev.Kind == monitor.EvFlush {
-			err = s.wr.WriteFlush(slot, ev.Thread)
-		} else {
-			err = s.wr.WriteDone(slot, ev.Thread)
-		}
-		if err != nil {
-			s.fileBroken = true
-			s.Relay.Degrade()
-		}
+	write, check := s.wr.WriteDone, s.chk.Done
+	if ev.Kind == monitor.EvFlush {
+		write, check = s.wr.WriteFlush, s.chk.Flush
 	}
-	s.senders[slot].Send(ev)
+	if !s.fileBroken {
+		(*Recorder)(s).wrote(write(slot, ev.Thread))
+	}
+	check(slot, ev.Thread)
 	return nil
 }
 
-// finish closes the inner monitor and seals the trace with the finish
+// wrote notes the outcome of a trace write: after a failure, recording
+// stops and health degrades while checking goes on.
+func (rec *Recorder) wrote(err error) {
+	if err != nil {
+		rec.fileBroken = true
+		rec.Relay.Degrade()
+	}
+}
+
+// finish ends the checker's run and seals the trace with the finish
 // marker and the live result frame, so replay and stat can verify the
 // recorded verdict.
 func (rec *Recorder) finish(bool) (monitor.RelayOutcome, error) {
-	rec.inner.Close()
+	rec.chk.Finish()
 	outcome := monitor.RelayOutcome{
-		Detected:   rec.inner.Detected(),
-		Violations: rec.inner.Violations(),
-		Stats:      rec.inner.Stats(),
-		Health:     rec.inner.Health(),
+		Detected:   rec.chk.Detected(),
+		Violations: rec.chk.Violations(),
+		Stats:      rec.chk.Stats(),
+		Health:     rec.chk.Health(),
 	}
 	if !rec.fileBroken {
 		res := &wire.Result{
@@ -167,10 +158,7 @@ func (rec *Recorder) finish(bool) (monitor.RelayOutcome, error) {
 		if err == nil {
 			err = rec.wr.Sync()
 		}
-		if err != nil {
-			rec.fileBroken = true
-			rec.Relay.Degrade()
-		}
+		rec.wrote(err)
 	}
 	return outcome, nil
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -452,5 +454,125 @@ func TestReplayGatedBacklogPastQueueCap(t *testing.T) {
 	}
 	if st.Events != 210 || st.Quarantined != 10 {
 		t.Errorf("Events = %d, Quarantined = %d; want 210 and 10", st.Events, st.Quarantined)
+	}
+}
+
+// runInProcess runs the program under a plain in-process monitor
+// (monitor.New), the independent reference for a recorded run.
+func runInProcess(t testing.TB, mod *ir.Module, plans map[int]*core.CheckPlan, fault *inject.Fault) *interp.Result {
+	t.Helper()
+	mon, err := monitor.New(monitor.Config{NumThreads: testThreads, Plans: plans})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := interp.Options{Threads: testThreads, Mode: interp.MonitorActive, Plans: plans, Sink: mon}
+	if fault != nil {
+		opts.Fault = inject.NewSingle(*fault)
+	}
+	res, err := interp.Run(mod, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestRecordingMatchesInProcessAllKernels runs every SPLASH kernel under
+// a Recorder and under an in-process monitor, clean and at three
+// deterministic fault positions, and requires the same output, verdict
+// and checked event count. A fault that makes the execution itself
+// schedule-dependent (the two runs differ in events sent or output) is
+// a different program under each sink, so its comparison is skipped; at
+// least one compared faulty run must detect, so the equality is not
+// only about empty violation sets.
+func TestRecordingMatchesInProcessAllKernels(t *testing.T) {
+	anyDetected := false
+	for _, name := range splash.Names() {
+		mod, plans := kernelPlans(t, name)
+		clean := runInProcess(t, mod, plans, nil)
+		faults := []*inject.Fault{nil}
+		for _, frac := range []uint64{2, 3, 5} {
+			if seq := clean.BranchCounts[1] / frac; seq > 0 {
+				faults = append(faults, &inject.Fault{Type: inject.BranchFlip, Thread: 1, Seq: seq})
+			}
+		}
+		for _, fault := range faults {
+			label, local := name+"/clean", clean
+			if fault != nil {
+				label = fmt.Sprintf("%s/fault@%d", name, fault.Seq)
+				local = runInProcess(t, mod, plans, fault)
+			}
+			recorded, _ := recordRun(t, name, mod, plans, fault)
+			if !reflect.DeepEqual(local.EventCounts, recorded.EventCounts) ||
+				!reflect.DeepEqual(local.BranchCounts, recorded.BranchCounts) ||
+				!reflect.DeepEqual(local.Output, recorded.Output) {
+				if fault == nil {
+					t.Fatalf("%s: clean runs differ in events, branches or output", label)
+				}
+				t.Logf("%s: faulty execution diverged under different sink timing — comparison skipped", label)
+				continue
+			}
+			if recorded.Detected != local.Detected || !reflect.DeepEqual(recorded.Violations, local.Violations) {
+				t.Errorf("%s: verdict differs\n in-process: %t %v\n recorded:   %t %v",
+					label, local.Detected, local.Violations, recorded.Detected, recorded.Violations)
+			}
+			if recorded.MonitorStats.Events != local.MonitorStats.Events {
+				t.Errorf("%s: checked events: in-process %d, recorded %d", label, local.MonitorStats.Events, recorded.MonitorStats.Events)
+			}
+			if recorded.MonitorHealth != monitor.Healthy {
+				t.Errorf("%s: recorded health = %v, want Healthy", label, recorded.MonitorHealth)
+			}
+			if fault != nil && local.Detected {
+				anyDetected = true
+			}
+		}
+	}
+	if !anyDetected {
+		t.Error("no compared faulty run detected anything — the equality checks were vacuous")
+	}
+}
+
+// wedgeDeadline bounds one small-ring recording, which takes about
+// 10 ms; a recording that passes it is wedged.
+const wedgeDeadline = 10 * time.Second
+
+// TestRecorderSmallRingsNeverWedge records noncontinuous-ocean at two
+// threads over 256-event rings, 100 times, and requires every recording
+// to finish within wedgeDeadline, clean and healthy with no forced
+// close. A recorder that forwarded into a second ring set could wedge
+// here: its relay parked on a full inner ring of a gated thread, while
+// the flush that would close the generation waited in another thread's
+// relay ring behind it.
+func TestRecorderSmallRingsNeverWedge(t *testing.T) {
+	const threads, runs = 2, 100
+	mod, plans := kernelPlans(t, "noncontinuous-ocean")
+	for i := range runs {
+		done := make(chan *interp.Result, 1)
+		go func() {
+			rec, err := NewRecorder(io.Discard, RecorderConfig{
+				Program: "noncontinuous-ocean", NumThreads: threads, Plans: plans, QueueCap: 256,
+			})
+			if err != nil {
+				t.Error(err)
+				done <- nil
+				return
+			}
+			res, err := interp.Run(mod, interp.Options{Threads: threads, Mode: interp.MonitorActive, Plans: plans, Sink: rec})
+			if err != nil {
+				t.Error(err)
+			}
+			done <- res
+		}()
+		select {
+		case res := <-done:
+			if res == nil {
+				t.FailNow()
+			}
+			if res.Detected || res.MonitorHealth != monitor.Healthy || res.MonitorStats.Watchdog != 0 {
+				t.Fatalf("recording %d: detected %t, health %v, %d forced closes; want a clean, healthy run",
+					i, res.Detected, res.MonitorHealth, res.MonitorStats.Watchdog)
+			}
+		case <-time.After(wedgeDeadline):
+			t.Fatalf("recording %d did not finish within %v: the recorder wedged", i, wedgeDeadline)
+		}
 	}
 }
