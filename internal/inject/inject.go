@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -206,10 +207,12 @@ type Campaign struct {
 	ProgressEvery int
 	// Metrics, when non-nil, aggregates the monitor-pipeline metrics of
 	// every monitored run in the campaign (golden and faulty; a faulty run
-	// resumed from a snapshot counts only what follows the snapshot, and
-	// the clean run resumePoints takes snapshots from is left out). All
-	// handles are atomic, so concurrent workers share the registry safely;
-	// the deterministic campaign statistics are unaffected.
+	// resumed from a snapshot counts the events it replays and what
+	// follows the snapshot, and the clean run resumePoints takes
+	// snapshots from is left out), and counts the runs resumed, the
+	// events they replay and the cuts abandoned. All handles are atomic,
+	// so concurrent workers share the registry safely; the deterministic
+	// campaign statistics are unaffected.
 	Metrics *metrics.Registry
 }
 
@@ -399,10 +402,11 @@ func (c Campaign) plan(resume bool) (*plan, error) {
 		goldenOpts.Mode = interp.MonitorDrainOnly
 		goldenOpts.Plans = c.Plans
 	}
-	var marks []episodeMark
+	// Phase 0 opens at the top of slave(), where every count is 0.
+	marks := []episodeMark{{branchSeq: make([]uint64, c.Threads)}}
 	if resume {
 		goldenOpts.Capture = func(e interp.Episode) {
-			m := episodeMark{n: e.N(), branchSeq: make([]uint64, c.Threads)}
+			m := episodeMark{phase: e.Phase(), branchSeq: make([]uint64, c.Threads)}
 			for tid := range m.branchSeq {
 				m.branchSeq[tid] = e.BranchSeq(tid)
 			}
@@ -511,6 +515,13 @@ func (c Campaign) runAll(resume bool, run runnerFull) (*CampaignResult, error) {
 	}
 	wg.Wait()
 
+	// Every snapshot is from one run: the campaign's end drops its logs.
+	for _, s := range p.from {
+		if s != nil {
+			s.Drop()
+			break
+		}
+	}
 	if i := int(failedAt.Load()); i < len(faults) {
 		return nil, fmt.Errorf("fault %d: %w", i, errs[i])
 	}
@@ -558,42 +569,75 @@ func (c Campaign) runAll(resume bool, run runnerFull) (*CampaignResult, error) {
 	return res, nil
 }
 
-// episodeMark is a barrier episode of the golden run that qualifies for
-// a snapshot: its number and each thread's branch count there.
+// episodeMark is the opening of a barrier phase of the golden run that
+// qualifies for snapshots: the phase and each thread's branch count
+// there. Phase 0 opens at the top of slave().
 type episodeMark struct {
-	n         int
+	phase     int
 	branchSeq []uint64
 }
 
-// resumePoints picks each fault's snapshot: the latest marked episode at
-// which the fault's thread has executed fewer branches than the fault's
-// Seq, or nil when none has. It then runs the program again as the
-// faulty runs are run, protected, and snapshots only the picked
-// episodes. Up to its episode a faulty run repeats this clean run
-// exactly. An episode is a barrier, where a generation closes, so when
-// the clean run's monitor flagged nothing, a fresh monitor fed only the
-// rest of the faulty run reports the same violations. When it flagged
-// something, or the run failed, every fault starts from the top. The
-// snapshot run checks each fault against its own branch counts, so a
-// fault never starts after its branch even if the unprotected golden
-// run counted differently. It is left out of Metrics.
+// cutMargin is how many branches before its fault a cut aims to stop
+// the fault's thread. The thread stops at its first branch in slave()
+// itself from there on, so the margin leaves room for the branches of
+// the calls in between.
+const cutMargin = 16
+
+// resumePoints picks each fault's snapshot. Fault (j, k) falls in the
+// latest marked phase whose opening finds thread j with fewer than k
+// branches executed. It asks for a cut in that phase cutMargin branches
+// before k, relative to thread j's count at the opening, or for the
+// opening release when k is nearer to it, and runs the program again as
+// the faulty runs are run, protected, taking only those snapshots. Each fault then starts
+// from the latest snapshot at which its thread has executed fewer than
+// k branches, or from the top when none has. Up to it a faulty run
+// repeats this clean run exactly, and it re-sends its threads' branch
+// events since the phase opened, so its fresh monitor sees the open
+// generation whole; the generations closed before it are certified by
+// this run's monitor. The run stops once its last snapshot is taken or
+// abandoned. When its monitor flagged anything, or it failed before it
+// stopped, every fault starts from the top. The snapshot run checks
+// each fault against its own branch counts, so a fault never starts
+// after its branch even if the unprotected golden run counted
+// differently. It is left out of Metrics, but for the count of cuts it
+// abandoned.
 func (c Campaign) resumePoints(marks []episodeMark, faults []Fault) []*interp.Snapshot {
 	from := make([]*interp.Snapshot, len(faults))
-	want := map[int]bool{}
+	cuts := map[int][]uint64{}
 	for _, f := range faults {
-		// A thread's branch count only grows from episode to episode.
+		// A thread's branch count only grows from phase to phase, and
+		// marks[0] counts 0 < Seq.
 		n := sort.Search(len(marks), func(e int) bool { return marks[e].branchSeq[f.Thread] >= f.Seq })
-		if n > 0 {
-			want[marks[n-1].n] = true
+		m := marks[n-1]
+		if open := m.branchSeq[f.Thread]; f.Seq > open+cutMargin {
+			cuts[m.phase] = append(cuts[m.phase], f.Seq-cutMargin-open)
+		} else if m.phase > 0 {
+			cuts[m.phase] = append(cuts[m.phase], 0)
 		}
 	}
-	if len(want) == 0 {
+	if len(cuts) == 0 {
 		return from
 	}
+	asked, taken := 0, 0
+	for p, offs := range cuts {
+		slices.Sort(offs)
+		offs = slices.Compact(offs)
+		cuts[p] = offs
+		asked += len(offs)
+		if offs[0] == 0 {
+			asked--
+		}
+	}
 	opts := c.faultyOpts()
+	if len(cuts) == 1 && cuts[0] != nil {
+		// Every snapshot is in phase 0, before any generation closes:
+		// there is nothing to certify, so the monitor only drains.
+		opts.Mode = interp.MonitorDrainOnly
+	}
+	opts.Cuts = cuts
 	opts.Capture = func(e interp.Episode) {
-		if !want[e.N()] {
-			return
+		if e.Offset() > 0 {
+			taken++
 		}
 		s := e.Snapshot()
 		for i, f := range faults {
@@ -602,12 +646,25 @@ func (c Campaign) resumePoints(marks []episodeMark, faults []Fault) []*interp.Sn
 			}
 		}
 	}
+	abandoned := c.Metrics.Counter("bw_inject_cuts_abandoned_total", "cuts inside a barrier phase that a thread abandoned before its stop")
 	c.Metrics = nil
 	res, err := c.run(opts, nil, nil)
-	if err != nil || !res.Clean() || res.Detected {
+	if err != nil || res.Detected || !stopped(res) {
 		clear(from)
+		return from
 	}
+	abandoned.Add(uint64(asked - taken))
 	return from
+}
+
+// stopped reports whether a run ended clean or by an abort.
+func stopped(res *interp.Result) bool {
+	for _, t := range res.Traps {
+		if t != nil && t.Kind != interp.TrapAborted {
+			return false
+		}
+	}
+	return true
 }
 
 // sampleFaults draws the campaign's full fault list. The per-fault RNG
@@ -745,6 +802,9 @@ func (c Campaign) runOneFull(f Fault, from *interp.Snapshot, golden []interp.Val
 	ij := NewSingle(f)
 	opts := c.faultyOpts()
 	opts.Fault, opts.StepLimit, opts.Resume = ij, stepLimit, from
+	if from != nil {
+		c.countResume(from)
+	}
 	res, err := c.run(opts, nil, ij)
 	if err != nil {
 		return Crash, runExtras{}
@@ -754,6 +814,16 @@ func (c Campaign) runOneFull(f Fault, from *interp.Snapshot, golden []interp.Val
 		return NotActivated, ex
 	}
 	return classify(res, golden, ex), ex
+}
+
+// countResume counts a faulty run resumed from snapshot from in Metrics.
+func (c Campaign) countResume(from *interp.Snapshot) {
+	if from.Offset() == 0 {
+		c.Metrics.Counter("bw_inject_resumed_barrier_total", "faulty runs resumed at a barrier release").Inc()
+	} else {
+		c.Metrics.Counter("bw_inject_resumed_cut_total", "faulty runs resumed at a cut inside a barrier phase").Inc()
+	}
+	c.Metrics.Counter("bw_inject_replayed_events_total", "branch events resumed faulty runs re-sent to their monitors").Add(from.Replayed())
 }
 
 // runOne keeps the historical single-outcome shape (tests, docs).
