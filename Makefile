@@ -14,14 +14,13 @@ build:
 # bwperf/ is its own module (the repo benchmark), so the root ./... never
 # compiles it; vet and test it explicitly so an API change cannot break
 # the benchmark unseen. The pinned interpreter outputs, runs resumed
-# from barrier snapshots and from cuts inside a phase, and the bwperf
-# campaign tallies are also checked at GOMAXPROCS 1, 2 and 8 (the CI
-# "Determinism across GOMAXPROCS" step): barrier waiters spin only when
-# every thread has a processor.
+# from barrier snapshots and the bwperf campaign tallies are also checked
+# at GOMAXPROCS 1, 2 and 8 (the CI "Determinism across GOMAXPROCS"
+# step): barrier waiters spin only when every thread has a processor.
 test:
 	$(GO) test ./...
 	$(GO) test -count=1 -cpu 1,2,8 \
-		-run 'TestGoldenDigest|TestSimTimeDeterministic|TestResumeMatchesFromStart|TestResumeFromCutMatchesFromStart|TestCut|TestCampaignResumeKeepsOutcomes|TestCampaignListTallies' \
+		-run 'TestGoldenDigest|TestSimTimeDeterministic|TestResumeMatchesFromStart|TestCampaignResumeKeepsOutcomes|TestCampaignListTallies' \
 		./internal/interp/ ./internal/splash/ ./internal/inject/
 	cd bwperf && $(GO) vet ./... && $(GO) test ./...
 
@@ -31,7 +30,7 @@ race:
 	$(GO) test -race . ./internal/queue/ ./internal/monitor/ ./internal/inject/ \
 		./internal/interp/ ./internal/remote/ ./internal/spool/ ./internal/trace/ \
 		./internal/metrics/ ./internal/adminhttp/ ./internal/wire/ ./cmd/...
-	$(GO) test -race -count=10 -timeout 5m -run 'Park|Wake|RingsBackToBack|WindowUnderRace|Stop|Resume|Cut' \
+	$(GO) test -race -count=10 -timeout 5m -run 'Park|Wake|RingsBackToBack|WindowUnderRace|Stop|Resume' \
 		./internal/queue/ ./internal/monitor/ ./internal/remote/ ./internal/interp/ ./internal/inject/
 
 # The alloc gates (the CI "Alloc gates" step): zero-allocation hot paths,

@@ -544,12 +544,10 @@ type CampaignOptions struct {
 	// Metrics, when non-nil, aggregates the monitor metrics of every
 	// monitored run in the campaign (handles are atomic, so concurrent
 	// workers share it safely). A branch-flip or branch-condition run
-	// that starts from a snapshot of a clean run counts the events of
-	// the snapshot's phase it replays and the events after the
-	// snapshot, and the clean run the snapshots come from is not
-	// counted; the bw_inject_* counters count the resumed runs, the
-	// events they replay and the cuts abandoned. Deterministic campaign
-	// statistics are unaffected.
+	// that starts from a barrier snapshot of a clean run counts only the
+	// events after the snapshot, and the clean run the snapshots come
+	// from is not counted; bw_inject_resumed_total counts the runs that
+	// resumed. Deterministic campaign statistics are unaffected.
 	Metrics *metrics.Registry
 }
 

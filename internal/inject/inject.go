@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -207,12 +206,11 @@ type Campaign struct {
 	ProgressEvery int
 	// Metrics, when non-nil, aggregates the monitor-pipeline metrics of
 	// every monitored run in the campaign (golden and faulty; a faulty run
-	// resumed from a snapshot counts the events it replays and what
-	// follows the snapshot, and the clean run resumePoints takes
-	// snapshots from is left out), and counts the runs resumed, the
-	// events they replay and the cuts abandoned. All handles are atomic,
-	// so concurrent workers share the registry safely; the deterministic
-	// campaign statistics are unaffected.
+	// resumed from a snapshot counts only what follows the snapshot, and
+	// the clean run resumePoints takes snapshots from is left out), and
+	// bw_inject_resumed_total counts the faulty runs resumed. All handles
+	// are atomic, so concurrent workers share the registry safely; the
+	// deterministic campaign statistics are unaffected.
 	Metrics *metrics.Registry
 }
 
@@ -402,11 +400,10 @@ func (c Campaign) plan(resume bool) (*plan, error) {
 		goldenOpts.Mode = interp.MonitorDrainOnly
 		goldenOpts.Plans = c.Plans
 	}
-	// Phase 0 opens at the top of slave(), where every count is 0.
-	marks := []episodeMark{{branchSeq: make([]uint64, c.Threads)}}
+	var marks []episodeMark
 	if resume {
 		goldenOpts.Capture = func(e interp.Episode) {
-			m := episodeMark{phase: e.Phase(), branchSeq: make([]uint64, c.Threads)}
+			m := episodeMark{n: e.N(), branchSeq: make([]uint64, c.Threads)}
 			for tid := range m.branchSeq {
 				m.branchSeq[tid] = e.BranchSeq(tid)
 			}
@@ -515,13 +512,6 @@ func (c Campaign) runAll(resume bool, run runnerFull) (*CampaignResult, error) {
 	}
 	wg.Wait()
 
-	// Every snapshot is from one run: the campaign's end drops its logs.
-	for _, s := range p.from {
-		if s != nil {
-			s.Drop()
-			break
-		}
-	}
 	if i := int(failedAt.Load()); i < len(faults) {
 		return nil, fmt.Errorf("fault %d: %w", i, errs[i])
 	}
@@ -569,75 +559,63 @@ func (c Campaign) runAll(resume bool, run runnerFull) (*CampaignResult, error) {
 	return res, nil
 }
 
-// episodeMark is the opening of a barrier phase of the golden run that
-// qualifies for snapshots: the phase and each thread's branch count
-// there. Phase 0 opens at the top of slave().
+// episodeMark is a barrier episode of the golden run that qualifies for
+// a snapshot: its number and each thread's branch count there.
 type episodeMark struct {
-	phase     int
+	n         int
 	branchSeq []uint64
 }
 
-// cutMargin is how many branches before its fault a cut aims to stop
-// the fault's thread. The thread stops at its first branch in slave()
-// itself from there on, so the margin leaves room for the branches of
-// the calls in between.
-const cutMargin = 16
-
-// resumePoints picks each fault's snapshot. Fault (j, k) falls in the
-// latest marked phase whose opening finds thread j with fewer than k
-// branches executed. It asks for a cut in that phase cutMargin branches
-// before k, relative to thread j's count at the opening, or for the
-// opening release when k is nearer to it, and runs the program again as
-// the faulty runs are run, protected, taking only those snapshots. Each fault then starts
-// from the latest snapshot at which its thread has executed fewer than
-// k branches, or from the top when none has. Up to it a faulty run
-// repeats this clean run exactly, and it re-sends its threads' branch
-// events since the phase opened, so its fresh monitor sees the open
-// generation whole; the generations closed before it are certified by
-// this run's monitor. The run stops once its last snapshot is taken or
-// abandoned. When its monitor flagged anything, or it failed before it
-// stopped, every fault starts from the top. The snapshot run checks
-// each fault against its own branch counts, so a fault never starts
-// after its branch even if the unprotected golden run counted
-// differently. It is left out of Metrics, but for the count of cuts it
-// abandoned.
+// resumePoints picks each fault's snapshot: the latest marked episode at
+// which the fault's thread has executed fewer branches than the fault's
+// Seq, or nil when none has. It then runs the program again as the
+// faulty runs are run, protected, and snapshots only the picked
+// episodes (snapshotRun). Up to its episode a faulty run repeats this
+// clean run exactly. An episode is a barrier, where a generation closes,
+// so when the clean run's monitor flagged nothing in the generations
+// closed before the last picked episode, a fresh monitor fed only the
+// rest of the faulty run reports the same violations. When it flagged
+// something, or the run failed, every fault starts from the top. The
+// snapshot run checks each fault against its own branch counts, so a
+// fault never starts after its branch even if the unprotected golden
+// run counted differently. It is left out of Metrics.
 func (c Campaign) resumePoints(marks []episodeMark, faults []Fault) []*interp.Snapshot {
-	from := make([]*interp.Snapshot, len(faults))
-	cuts := map[int][]uint64{}
+	want := map[int]bool{}
 	for _, f := range faults {
-		// A thread's branch count only grows from phase to phase, and
-		// marks[0] counts 0 < Seq.
+		// A thread's branch count only grows from episode to episode.
 		n := sort.Search(len(marks), func(e int) bool { return marks[e].branchSeq[f.Thread] >= f.Seq })
-		m := marks[n-1]
-		if open := m.branchSeq[f.Thread]; f.Seq > open+cutMargin {
-			cuts[m.phase] = append(cuts[m.phase], f.Seq-cutMargin-open)
-		} else if m.phase > 0 {
-			cuts[m.phase] = append(cuts[m.phase], 0)
+		if n > 0 {
+			want[marks[n-1].n] = true
 		}
 	}
-	if len(cuts) == 0 {
-		return from
+	if len(want) == 0 {
+		return make([]*interp.Snapshot, len(faults))
 	}
-	asked, taken := 0, 0
-	for p, offs := range cuts {
-		slices.Sort(offs)
-		offs = slices.Compact(offs)
-		cuts[p] = offs
-		asked += len(offs)
-		if offs[0] == 0 {
-			asked--
-		}
+	from, res, err := c.snapshotRun(want, faults)
+	if err != nil || res.Detected || !stopped(res) {
+		clear(from)
 	}
+	return from
+}
+
+// snapshotRun runs the program clean and protected, snapshots the
+// wanted episodes and gives each fault the latest one at which its
+// thread has executed fewer than Seq branches. Once it has taken the
+// last wanted episode it aborts, as on Options.Stop. The open generation
+// it leaves holds a subset of the reports a whole clean run gives it, and
+// no rule flags a subset of reports that pass it, so the abort adds no
+// flag.
+func (c Campaign) snapshotRun(want map[int]bool, faults []Fault) ([]*interp.Snapshot, *interp.Result, error) {
+	from := make([]*interp.Snapshot, len(faults))
+	last := 0
+	for n := range want {
+		last = max(last, n)
+	}
+	var done atomic.Bool
 	opts := c.faultyOpts()
-	if len(cuts) == 1 && cuts[0] != nil {
-		// Every snapshot is in phase 0, before any generation closes:
-		// there is nothing to certify, so the monitor only drains.
-		opts.Mode = interp.MonitorDrainOnly
-	}
-	opts.Cuts = cuts
 	opts.Capture = func(e interp.Episode) {
-		if e.Offset() > 0 {
-			taken++
+		if !want[e.N()] {
+			return
 		}
 		s := e.Snapshot()
 		for i, f := range faults {
@@ -645,16 +623,14 @@ func (c Campaign) resumePoints(marks []episodeMark, faults []Fault) []*interp.Sn
 				from[i] = s
 			}
 		}
+		if e.N() == last {
+			done.Store(true)
+		}
 	}
-	abandoned := c.Metrics.Counter("bw_inject_cuts_abandoned_total", "cuts inside a barrier phase that a thread abandoned before its stop")
+	opts.Stop = done.Load
 	c.Metrics = nil
 	res, err := c.run(opts, nil, nil)
-	if err != nil || res.Detected || !stopped(res) {
-		clear(from)
-		return from
-	}
-	abandoned.Add(uint64(asked - taken))
-	return from
+	return from, res, err
 }
 
 // stopped reports whether a run ended clean or by an abort.
@@ -803,7 +779,7 @@ func (c Campaign) runOneFull(f Fault, from *interp.Snapshot, golden []interp.Val
 	opts := c.faultyOpts()
 	opts.Fault, opts.StepLimit, opts.Resume = ij, stepLimit, from
 	if from != nil {
-		c.countResume(from)
+		c.Metrics.Counter("bw_inject_resumed_total", "faulty runs resumed from a barrier snapshot").Inc()
 	}
 	res, err := c.run(opts, nil, ij)
 	if err != nil {
@@ -814,16 +790,6 @@ func (c Campaign) runOneFull(f Fault, from *interp.Snapshot, golden []interp.Val
 		return NotActivated, ex
 	}
 	return classify(res, golden, ex), ex
-}
-
-// countResume counts a faulty run resumed from snapshot from in Metrics.
-func (c Campaign) countResume(from *interp.Snapshot) {
-	if from.Offset() == 0 {
-		c.Metrics.Counter("bw_inject_resumed_barrier_total", "faulty runs resumed at a barrier release").Inc()
-	} else {
-		c.Metrics.Counter("bw_inject_resumed_cut_total", "faulty runs resumed at a cut inside a barrier phase").Inc()
-	}
-	c.Metrics.Counter("bw_inject_replayed_events_total", "branch events resumed faulty runs re-sent to their monitors").Add(from.Replayed())
 }
 
 // runOne keeps the historical single-outcome shape (tests, docs).

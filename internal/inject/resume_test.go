@@ -53,29 +53,25 @@ func flagged(vs []monitor.Violation) []monitor.Violation {
 }
 
 // TestCampaignResumeKeepsOutcomes: a faulty run started from a clean
-// run's snapshot, at a barrier release or at a cut inside a phase, ends
-// as it ends from the top, for branch flips and condition bits on every
-// kernel. At one thread a run is deterministic, and a 40-fault list must
-// match exactly: outcome, violations, output and simulated time. At two
-// or more threads a faulty run can depend on the Go scheduler (a thread
-// sent onto a peer's words, a crash its peers notice at different
-// points), so its runs from the top need not agree on output or clock,
-// nor on the threads a violation's reason names (CheckReports names them
-// in thread order, but which threads reported an instance before its
-// generation closed, and what, can differ); there every fault of the
-// bwperf campaign lists (two threads) and of a 40-fault list at four
-// threads must end with an outcome and flagged instances that some run
-// from the top gives, and on each list Campaign.Run, which also stops
-// runs at their first detection and shares each snapshot between two
-// workers, must tally as RunWith's runs from the top. fmm's four-thread
-// lists are left out of both checks: a thread's out-of-bounds trap races
-// its peers to the flipped instance, so their tallies from the top alone
-// move with GOMAXPROCS, and at GOMAXPROCS 1 branch-condition fault 28
-// ended crash in 64 of 64 runs from the top and detected resumed, where
-// its threads start together. Faults must resume at cuts inside a phase
-// on every list at two and four threads. Under the race detector only
-// the tally check runs, on the two-thread branch-flip lists of the
-// kernels that take locks.
+// run's snapshot ends as it ends from the top, for branch flips and
+// condition bits on every kernel. At one thread a run is deterministic,
+// and a 40-fault list must match exactly: outcome, violations, output
+// and simulated time. At two or more threads a faulty run can depend on
+// the Go scheduler (a thread sent onto a peer's words, a crash its peers
+// notice at different points), so its runs from the top need not agree
+// on output or clock, nor on the threads a violation's reason names
+// (CheckReports names them in thread order, but which threads reported
+// an instance before its generation closed, and what, can differ);
+// there every fault of the bwperf campaign lists (two threads) and of a
+// 40-fault list at four threads must end with an outcome and flagged
+// instances that some run from the top gives, and on each list where a
+// fault resumes Campaign.Run, which also stops runs at their first
+// detection and shares each snapshot between two workers, must tally as
+// RunWith's runs from the top. (The lists where no fault resumes, fmm's
+// at four threads, are left out of that check: their tallies from the
+// top alone move with GOMAXPROCS.) Under the race detector only the
+// tally check runs, on the two-thread branch-flip lists of the kernels
+// that take locks.
 func TestCampaignResumeKeepsOutcomes(t *testing.T) {
 	resumed, retried := 0, 0
 	for k, name := range splash.Names() {
@@ -97,29 +93,22 @@ func TestCampaignResumeKeepsOutcomes(t *testing.T) {
 			}
 			for _, c := range lists {
 				what := fmt.Sprintf("%s %s at %d threads", name, ft, c.Threads)
-				racy := name == "fmm" && c.Threads == 4
 				p, err := c.plan(true)
 				if err != nil {
 					t.Fatal(err)
 				}
-				listResumed, midPhase := 0, 0
+				listResumed := 0
 				for i, f := range p.faults {
 					if p.from[i] == nil || raceEnabled {
 						continue
 					}
 					listResumed++
-					if p.from[i].Offset() > 0 {
-						midPhase++
-					}
 					got := c.runEnd(f, p.from[i], p)
 					if c.Threads == 1 {
 						if want := c.runEnd(f, nil, p); !reflect.DeepEqual(got, want) {
-							t.Errorf("%s fault %d %+v: resumed in phase %d at offset %d the run ends %s (sim %d), from the start %s (sim %d)",
-								what, i, f, p.from[i].Phase(), p.from[i].Offset(), got.out, got.simTime, want.out, want.simTime)
+							t.Errorf("%s fault %d %+v: resumed at episode %d the run ends %s (sim %d), from the start %s (sim %d)",
+								what, i, f, p.from[i].Episode(), got.out, got.simTime, want.out, want.simTime)
 						}
-						continue
-					}
-					if racy {
 						continue
 					}
 					var tops []Outcome
@@ -132,15 +121,12 @@ func TestCampaignResumeKeepsOutcomes(t *testing.T) {
 						retried++
 					}
 					if len(tops) == fromStartTries {
-						t.Errorf("%s fault %d %+v: resumed in phase %d at offset %d the run ends %s with %d violations; %d runs from the start end %v, none with those instances flagged",
-							what, i, f, p.from[i].Phase(), p.from[i].Offset(), got.out, len(got.violations), fromStartTries, tops)
+						t.Errorf("%s fault %d %+v: resumed at episode %d the run ends %s with %d violations; %d runs from the start end %v, none with those instances flagged",
+							what, i, f, p.from[i].Episode(), got.out, len(got.violations), fromStartTries, tops)
 					}
 				}
 				resumed += listResumed
-				if c.Threads > 1 && midPhase == 0 && !raceEnabled {
-					t.Errorf("%s: no fault resumed at a cut inside a phase", what)
-				}
-				if c.Threads > 1 && !racy {
+				if c.Threads > 1 && (listResumed > 0 || raceEnabled) {
 					sameTally(t, what, c)
 				}
 			}
@@ -261,9 +247,9 @@ func TestCampaignResumeFallsBack(t *testing.T) {
 
 // TestCampaignListTallies pins the tallies of the bwperf campaign lists
 // (kernelCampaign: two threads, ten branch flips, seed 1000+k, one
-// worker), whose runs Run resumes at barrier releases and at cuts inside
-// a phase. The tallies from the top were the same at GOMAXPROCS 1, 2 and
-// 8, 20 runs each, so they must not move at any processor count.
+// worker), whose runs Run resumes from barrier snapshots where it can.
+// The tallies from the top were the same at GOMAXPROCS 1, 2 and 8, 20
+// runs each, so they must not move at any processor count.
 func TestCampaignListTallies(t *testing.T) {
 	want := map[string]map[Outcome]int{
 		"continuous-ocean":    {Detected: 10},
@@ -285,52 +271,72 @@ func TestCampaignListTallies(t *testing.T) {
 	}
 }
 
+// TestSnapshotRunStopsAtLastEpisode: the clean run resumePoints takes
+// snapshots from aborts once it has taken the last episode it was asked
+// for, and the snapshot it gives a fault is the one a run to the end
+// gives.
+func TestSnapshotRunStopsAtLastEpisode(t *testing.T) {
+	k := slices.Index(splash.Names(), "continuous-ocean")
+	c := kernelCampaign(t, k, "continuous-ocean")
+	p, err := c.plan(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := -1
+	for _, s := range p.from {
+		if s != nil && (first < 0 || s.Episode() < first) {
+			first = s.Episode()
+		}
+	}
+	if first < 0 {
+		t.Fatal("no fault resumes")
+	}
+	from, res, err := c.snapshotRun(map[int]bool{first: true}, p.faults)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Detected || !stopped(res) || res.Clean() {
+		t.Fatalf("snapshot run: detected %v, traps %v; want an abort, unflagged", res.Detected, res.Traps)
+	}
+	var ran, whole uint64
+	for tid := range res.BranchCounts {
+		ran += res.BranchCounts[tid]
+		whole += p.golden.BranchCounts[tid]
+	}
+	if ran >= whole {
+		t.Errorf("snapshot run executed %d branches, the whole run %d", ran, whole)
+	}
+	for i, s := range from {
+		switch {
+		case s != nil && s.Episode() != first:
+			t.Errorf("fault %d: snapshot at episode %d, want %d", i, s.Episode(), first)
+		case p.from[i] != nil && p.from[i].Episode() == first && !reflect.DeepEqual(s, p.from[i]):
+			t.Errorf("fault %d: the stopped run's snapshot at episode %d differs from the whole run's", i, first)
+		}
+	}
+}
+
 // TestCampaignResumeMetrics: Campaign.Metrics counts the faulty runs
-// resumed at a barrier release and at a cut, the branch events they
-// replay, and the cuts a thread abandoned. fft's list aims cuts past the
-// lock scale() takes, and those are abandoned.
+// resumed from a snapshot.
 func TestCampaignResumeMetrics(t *testing.T) {
-	k := slices.Index(splash.Names(), "fft")
-	c := kernelCampaign(t, k, "fft")
+	k := slices.Index(splash.Names(), "continuous-ocean")
+	c := kernelCampaign(t, k, "continuous-ocean")
 	plain := c
 	plain.Metrics = nil
 	p, err := plain.plan(true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var barrier, cut, replayed uint64
+	var want uint64
 	for _, s := range p.from {
-		switch {
-		case s == nil:
-		case s.Offset() == 0:
-			barrier++
-		default:
-			cut++
-		}
 		if s != nil {
-			replayed += s.Replayed()
+			want++
 		}
 	}
 	if _, err := c.Run(); err != nil {
 		t.Fatal(err)
 	}
-	snap := c.Metrics.Snapshot()
-	for _, m := range []struct {
-		name string
-		want uint64
-	}{
-		{"bw_inject_resumed_barrier_total", barrier},
-		{"bw_inject_resumed_cut_total", cut},
-		{"bw_inject_replayed_events_total", replayed},
-	} {
-		if got, _ := snap.Counter(m.name); got != m.want {
-			t.Errorf("%s = %d, want %d", m.name, got, m.want)
-		}
-	}
-	if cut == 0 || replayed == 0 {
-		t.Errorf("no run resumed at a cut (%d) or replayed events (%d)", cut, replayed)
-	}
-	if got, _ := snap.Counter("bw_inject_cuts_abandoned_total"); got == 0 {
-		t.Error("no cut abandoned at fft's lock")
+	if got, _ := c.Metrics.Snapshot().Counter("bw_inject_resumed_total"); got != want || want == 0 {
+		t.Errorf("bw_inject_resumed_total = %d, want %d (> 0)", got, want)
 	}
 }

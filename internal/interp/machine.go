@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 
 	"blockwatch/internal/core"
 	"blockwatch/internal/ir"
@@ -64,38 +63,21 @@ type Options struct {
 	// concurrently and must be cheap. A fault campaign uses it to end a
 	// run whose outcome is already decided.
 	Stop func() bool
-	// Capture, when non-nil, is called at each episode of the run, in run
-	// order: a barrier release where every thread waits in slave() itself
-	// (call depth 1) holding no lock, or, when Cuts asks for it, a cut
-	// inside a barrier phase. Then a thread's whole state is one frame,
-	// its clock, its counters and its loop keys, and the Episode can take
-	// a Snapshot. It is called on the last thread to reach the episode
-	// while its peers wait, so it must not block. It adds work only at
-	// barrier releases and, with Cuts, in the phases Cuts names.
+	// Capture, when non-nil, is called at each barrier release where
+	// every thread waits in slave() itself (call depth 1) holding no
+	// lock, in run order: then a thread's whole state is one frame, its
+	// counters and its loop keys, and the Episode can take a Snapshot.
+	// Other releases are skipped. It is called on the last thread to
+	// arrive while its peers wait, so it must not block. It adds work
+	// only at barrier releases.
 	Capture func(Episode)
-	// Cuts, when non-nil, lists the episodes Capture sees, by phase (the
-	// part of slave() after that many barrier releases): ascending branch
-	// offsets into the phase, where 0 is the release that opens a phase
-	// past the first, and a positive offset a cut, at which every thread
-	// stops before its first conditional branch in slave() itself after
-	// it has executed that many branches in the phase. A cut is taken only
-	// when every thread reaches its stop without a lock operation, a
-	// barrier inside a call or leaving the parallel section, and only in
-	// a phase whose opening release is an episode. While a phase has cuts
-	// left, each thread logs the branch events it sends for the snapshots
-	// to replay. Once every listed episode has been taken or abandoned the
-	// run has nothing left to capture and aborts, as on Stop. Cuts is
-	// ignored without Capture.
-	Cuts map[int][]uint64
 	// Resume, when non-nil, starts the run from a snapshot instead of from
-	// the top: setup() is skipped, and every thread first re-sends to the
-	// Sink the branch events it sent in the snapshot's phase before it,
-	// then continues slave() where the snapshot stopped it. The snapshot
-	// must come from a run of the same decoded module at the same Threads;
-	// the run reproduces that run's continuation exactly, and its Sink
-	// sees that run's whole input from the phase's opening release on,
-	// when Seed, Mode, Plans and Cost match it too. The Result counts
-	// branches and events from the top.
+	// the top: setup() is skipped and every thread continues slave() just
+	// after the snapshot's barrier. The snapshot must come from a run of
+	// the same decoded module at the same Threads; the run reproduces that
+	// run's continuation exactly when Seed, Mode, Plans and Cost match it
+	// too. The Sink sees only the events after the snapshot, while the
+	// Result counts branches and events from the top.
 	Resume *Snapshot
 }
 
@@ -242,10 +224,6 @@ type machine struct {
 	aborted  chan struct{}
 	abortSet bool
 	stop     func() bool // opts.Stop, armed once setup() has run
-
-	cuts       map[int]*cutPhase // by phase; nil without Cuts
-	logs       *logSet           // the event logs of the phases in cuts
-	pointsLeft atomic.Int64      // episodes Cuts lists not yet taken or abandoned
 }
 
 const numLocks = 64
@@ -371,18 +349,6 @@ func Run(mod *ir.Module, opts Options) (*Result, error) {
 		threads: make([]*Thread, opts.Threads),
 	}
 	m.sigs, m.sigOps = compileSigs(prog, opts.Plans)
-	if opts.Capture != nil && opts.Cuts != nil {
-		m.cuts, m.logs = newCutPhases(opts.Cuts), &logSet{}
-		for p, offs := range opts.Cuts {
-			n := len(offs)
-			if p == 0 && n > 0 && offs[0] == 0 {
-				n-- // no release opens phase 0
-			}
-			m.pointsLeft.Add(int64(n))
-		}
-	} else {
-		m.opts.Cuts = nil
-	}
 	m.locks.init(opts.Threads, cost.LockAcquire)
 	m.barrier = newSimBarrier(m, opts.Threads, cost.barrierCost(opts.Threads))
 
@@ -440,13 +406,7 @@ func Run(mod *ir.Module, opts Options) (*Result, error) {
 			if opts.Resume != nil {
 				trap = t.resume(prog.slave, opts.Resume)
 			} else {
-				if m.cuts != nil {
-					t.armCut()
-				}
 				_, trap = t.call(prog.slave, nil, nil)
-			}
-			if t.cut != nil {
-				t.abandonCut()
 			}
 			m.releaseAll(t)
 			if trap != nil {

@@ -2,9 +2,7 @@ package interp
 
 import (
 	"errors"
-	"fmt"
 	"reflect"
-	"slices"
 	"testing"
 
 	"blockwatch/internal/ir"
@@ -70,12 +68,12 @@ func TestResumeMatchesFromStart(t *testing.T) {
 			opts := Options{Threads: threads, Mode: MonitorActive, Plans: plans, Seed: 7}
 			want := mustRun(t, mod, opts)
 			got, snaps := captured(t, mod, opts)
-			sameResumed(t, fmt.Sprintf("%s at %d threads, captured", name, threads), got, want)
+			sameResumed(t, name, threads, -1, got, want)
 			if len(snaps) == 0 {
 				t.Errorf("%s at %d threads: no episode captured", name, threads)
 			}
 			for i, s := range snaps {
-				if i > 0 && s.Phase() <= snaps[i-1].Phase() {
+				if i > 0 && s.Episode() <= snaps[i-1].Episode() {
 					t.Errorf("%s at %d threads: episodes out of order", name, threads)
 				}
 				if raceEnabled && i != len(snaps)/2 {
@@ -83,18 +81,16 @@ func TestResumeMatchesFromStart(t *testing.T) {
 				}
 				before := cloneSnapshot(s)
 				opts.Resume = s
-				sameResumed(t, fmt.Sprintf("%s at %d threads, resumed in phase %d", name, threads, s.Phase()), mustRun(t, mod, opts), want)
+				sameResumed(t, name, threads, s.Episode(), mustRun(t, mod, opts), want)
 				if !reflect.DeepEqual(s, before) {
-					t.Fatalf("%s at %d threads: resuming changed the snapshot of phase %d", name, threads, s.Phase())
+					t.Fatalf("%s at %d threads: resuming changed the snapshot of episode %d", name, threads, s.Episode())
 				}
 			}
 		}
 	}
 }
 
-// sameResumed compares what the run described by what ends with against
-// the run from the top.
-func sameResumed(t *testing.T, what string, got, want *Result) {
+func sameResumed(t *testing.T, name string, threads, episode int, got, want *Result) {
 	t.Helper()
 	for _, c := range []struct {
 		what      string
@@ -106,10 +102,9 @@ func sameResumed(t *testing.T, what string, got, want *Result) {
 		{"EventCounts", got.EventCounts, want.EventCounts},
 		{"Traps", got.Traps, want.Traps},
 		{"Violations", got.Violations, want.Violations},
-		{"Detected", got.Detected, want.Detected},
 	} {
 		if !reflect.DeepEqual(c.got, c.want) {
-			t.Errorf("%s: %s differs from the run from the start", what, c.what)
+			t.Errorf("%s at %d threads, resumed at episode %d: %s differs from the run from the start", name, threads, episode, c.what)
 		}
 	}
 }
@@ -144,9 +139,9 @@ func void slave() {
 	x = x + 1;
 }`)
 	_, snaps := captured(t, mod, Options{Threads: 2})
-	// Release 2 is in sync(); at release 3 each thread holds a lock.
-	if got := phases(snaps); !reflect.DeepEqual(got, []int{1, 4}) {
-		t.Errorf("captured the releases opening phases %v, want [1 4]", got)
+	// Episode 1 is in sync(); at episode 2 each thread holds a lock.
+	if got := episodes(snaps); !reflect.DeepEqual(got, []int{0, 3}) {
+		t.Errorf("captured episodes %v, want [0 3]", got)
 	}
 }
 
@@ -158,10 +153,10 @@ func captured(t *testing.T, mod *ir.Module, opts Options) (*Result, []*Snapshot)
 	return mustRun(t, mod, opts), snaps
 }
 
-func phases(snaps []*Snapshot) []int {
+func episodes(snaps []*Snapshot) []int {
 	var eps []int
 	for _, s := range snaps {
-		eps = append(eps, s.Phase())
+		eps = append(eps, s.Episode())
 	}
 	return eps
 }
@@ -179,208 +174,6 @@ func TestResumeRejectsForeignSnapshot(t *testing.T) {
 	}{{"radix", radix, 2}, {"fft", fft, 4}} {
 		if _, err := Run(c.mod, Options{Threads: c.threads, Resume: s}); !errors.Is(err, ErrResume) {
 			t.Errorf("resume on %s at %d threads: err = %v, want ErrResume", c.name, c.threads, err)
-		}
-	}
-}
-
-// cutPlan runs mod with opts and asks, in phase 0 and in every phase an
-// episode of that run opens, for cuts a third and two thirds into thread
-// 0's branches in the phase, and one past them, which stops every thread
-// that gets there first before the phase's closing barrier.
-func cutPlan(t *testing.T, mod *ir.Module, opts Options) map[int][]uint64 {
-	t.Helper()
-	type mark struct {
-		phase int
-		seq   uint64
-	}
-	marks := []mark{{0, 0}}
-	opts.Capture = func(e Episode) { marks = append(marks, mark{e.Phase(), e.BranchSeq(0)}) }
-	res := mustRun(t, mod, opts)
-	cuts := map[int][]uint64{}
-	for i, mk := range marks {
-		end := res.BranchCounts[0]
-		if i+1 < len(marks) {
-			end = marks[i+1].seq
-		}
-		var offs []uint64
-		for _, o := range []uint64{(end - mk.seq) / 3, 2 * (end - mk.seq) / 3, end - mk.seq + 1} {
-			if o > 0 && (len(offs) == 0 || o > offs[len(offs)-1]) {
-				offs = append(offs, o)
-			}
-		}
-		cuts[mk.phase] = offs
-	}
-	return cuts
-}
-
-// cutSnapshots runs mod with opts, taking the cuts cutPlan asks for, and
-// returns the snapshots taken.
-func cutSnapshots(t *testing.T, mod *ir.Module, opts Options, cuts map[int][]uint64) []*Snapshot {
-	t.Helper()
-	var snaps []*Snapshot
-	opts.Cuts = cuts
-	opts.Capture = func(e Episode) { snaps = append(snaps, e.Snapshot()) }
-	mustRun(t, mod, opts)
-	return snaps
-}
-
-// flipAt flips thread tid's seq-th branch.
-type flipAt struct {
-	tid int
-	seq uint64
-}
-
-func (f flipAt) BeforeBranch(t *Thread, _ *ir.Instr) bool {
-	return t.Tid() == f.tid && t.BranchSeq() == f.seq
-}
-
-// TestResumeFromCutMatchesFromStart: a run resumed from a cut inside a
-// barrier phase re-sends its threads' branch events since the phase
-// opened, then ends exactly as the run from the top: output, clocks,
-// branch and event counts, traps, violations and detection. Clean runs
-// are checked at 1, 2 and 4 threads; at one thread, where a faulty run
-// is deterministic too, so is a branch flip a few branches past each
-// cut. Under the race detector, which checks the last thread's reads of
-// its stopped peers, the programs with locks or many phases run at two
-// threads and resume from every fourth cut.
-func TestResumeFromCutMatchesFromStart(t *testing.T) {
-	mods := map[string]*ir.Module{"rnd-locks": compileViaLower(t, resumeProg)}
-	names := append(splash.Names(), "rnd-locks")
-	for _, name := range splash.Names() {
-		mods[name] = loadKernel(t, name)
-	}
-	taken := 0
-	for _, name := range names {
-		if raceEnabled && !raceProgs[name] {
-			continue
-		}
-		mod := mods[name]
-		plans := analyzeModule(t, mod)
-		for _, threads := range []int{1, 2, 4} {
-			if raceEnabled && threads != 2 {
-				continue
-			}
-			opts := Options{Threads: threads, Mode: MonitorActive, Plans: plans, Seed: 7}
-			want := mustRun(t, mod, opts)
-			opts.StepLimit = 512 * (want.BranchCounts[0] + 1)
-			for i, s := range cutSnapshots(t, mod, opts, cutPlan(t, mod, opts)) {
-				if s.Offset() == 0 {
-					t.Fatalf("%s at %d threads: a release was captured, but Cuts listed none", name, threads)
-				}
-				taken++
-				if raceEnabled && i%4 != 0 {
-					continue
-				}
-				at := fmt.Sprintf("%s at %d threads, resumed in phase %d at offset %d", name, threads, s.Phase(), s.Offset())
-				before := cloneSnapshot(s)
-				resumed := opts
-				resumed.Resume = s
-				sameResumed(t, at, mustRun(t, mod, resumed), want)
-				if !reflect.DeepEqual(s, before) {
-					t.Fatalf("%s: resuming changed the snapshot", at)
-				}
-				if threads != 1 {
-					continue
-				}
-				fault := flipAt{0, s.BranchSeq(0) + 5}
-				top := opts
-				top.Fault, resumed.Fault = fault, fault
-				sameResumed(t, at+fmt.Sprintf(" with branch %d flipped", fault.seq), mustRun(t, mod, resumed), mustRun(t, mod, top))
-			}
-		}
-	}
-	if taken == 0 {
-		t.Fatal("no cut was taken")
-	}
-}
-
-// TestCutStopsBeforeClosingBarrier: a thread that reaches its phase's
-// closing barrier before its cut offset stops before the barrier, with
-// every branch of the phase executed, and a run with Cuts ends once its
-// last cut is taken.
-func TestCutStopsBeforeClosingBarrier(t *testing.T) {
-	mod := compileViaLower(t, `
-global int x[8];
-func void slave() {
-	int i;
-	for (i = 0; i < 10 + tid(); i = i + 1) {
-		x[tid()] = x[tid()] + i;
-	}
-	barrier();
-	output(x[tid()]);
-}`)
-	opts := Options{Threads: 2, Mode: MonitorActive, Plans: analyzeModule(t, mod)}
-	want, eps := captured(t, mod, opts)
-	if len(eps) != 1 {
-		t.Fatalf("captured %d releases, want 1", len(eps))
-	}
-	var snaps []*Snapshot
-	opts.Cuts = map[int][]uint64{0: {1000}}
-	opts.Capture = func(e Episode) { snaps = append(snaps, e.Snapshot()) }
-	res := mustRun(t, mod, opts)
-	if len(snaps) != 1 {
-		t.Fatalf("took %d cuts, want 1", len(snaps))
-	}
-	for tid := 0; tid < 2; tid++ {
-		if got, want := snaps[0].BranchSeq(tid), eps[0].BranchSeq(tid); got != want {
-			t.Errorf("thread %d stopped after %d branches, want all %d of the phase", tid, got, want)
-		}
-		if tr := res.Traps[tid]; tr == nil || tr.Kind != TrapAborted {
-			t.Errorf("thread %d of the run with Cuts ended with trap %v, want aborted after the last cut", tid, tr)
-		}
-	}
-	if len(res.Output) != 0 {
-		t.Errorf("the run with Cuts ran past the barrier: output %v", res.Output)
-	}
-	opts.Cuts, opts.Capture, opts.Resume = nil, nil, snaps[0]
-	sameResumed(t, "resumed before the closing barrier", mustRun(t, mod, opts), want)
-}
-
-// TestCutAbandonedAtLock: a thread that would lock before its stop
-// abandons its phase's remaining cuts, and which cuts are taken does not
-// depend on the schedule. fft locks inside scale() in phase 10, and
-// water-nsquared takes lock(2) at the end of each force phase (0, 2 and
-// 4); there the cut past the phase's branches is never taken, nor in the
-// last phase, which the threads end by leaving slave(), while elsewhere
-// it stops the threads before the closing barrier.
-func TestCutAbandonedAtLock(t *testing.T) {
-	for _, tc := range []struct {
-		name      string
-		abandoned []int // phases whose cut past their end is abandoned
-	}{{"fft", []int{10, 11}}, {"water-nsquared", []int{0, 2, 4, 7}}} {
-		mod := loadKernel(t, tc.name)
-		plans := analyzeModule(t, mod)
-		for _, threads := range []int{2, 4} {
-			opts := Options{Threads: threads, Mode: MonitorActive, Plans: plans, Seed: 7}
-			cuts := cutPlan(t, mod, opts)
-			var first []string
-			for run := 0; run < 5; run++ {
-				var taken []string
-				var abandoned []int
-				past := map[int]bool{}
-				o := opts
-				o.Cuts = cuts
-				o.Capture = func(e Episode) {
-					taken = append(taken, fmt.Sprintf("%d/%d", e.Phase(), e.Offset()))
-					offs := cuts[e.Phase()]
-					past[e.Phase()] = past[e.Phase()] || e.Offset() == offs[len(offs)-1]
-				}
-				mustRun(t, mod, o)
-				for p := range cuts {
-					if !past[p] {
-						abandoned = append(abandoned, p)
-					}
-				}
-				slices.Sort(abandoned)
-				if !slices.Equal(abandoned, tc.abandoned) {
-					t.Errorf("%s at %d threads: the cut past the phase's end was abandoned in phases %v, want %v", tc.name, threads, abandoned, tc.abandoned)
-				}
-				if run == 0 {
-					first = taken
-				} else if !slices.Equal(taken, first) {
-					t.Errorf("%s at %d threads: run %d took cuts %v, run 0 %v", tc.name, threads, run, taken, first)
-				}
-			}
 		}
 	}
 }

@@ -1,100 +1,58 @@
 package interp
 
-import (
-	"errors"
-	"sync"
-)
+import "errors"
 
-// Snapshot is the state of a run at an Episode: shared memory, the
-// setup() output, the clock of the barrier release that opened the
-// episode's phase, and each thread's slave() frame, position, clock and
-// counters, with the branch events it sent since that release. Later
-// runs of the same program can start from a snapshot instead of from the
-// top (Options.Resume). It is read-only once taken, so concurrent runs
-// may resume from the same snapshot.
+// Snapshot is the state of a run just after a barrier released: shared
+// memory, the setup() output, the release clock and each thread's slave()
+// frame, position and counters, taken at an Episode. Later runs of the
+// same program can start from a snapshot instead of from the top
+// (Options.Resume). It is read-only once taken, so concurrent runs may
+// resume from the same snapshot.
 //
-// It holds no lock table. No thread holds a lock at an episode, and no
-// lock operation ran in the phase before it; a slot's release time is a
-// clock its holder had before it reached the phase's opening barrier, so
-// it is at most the release clock. A fresh table, with each thread's
-// clock bound at the release clock, grants every later request as the
-// run would have.
+// It holds no lock table. No thread holds a lock at a snapshot, and a
+// slot's release time is a clock its holder had before it reached the
+// barrier, so it is at most the release clock every thread restarts
+// from: a fresh table, with each thread's clock bound at the release
+// clock, grants every later request as the run would have.
 type Snapshot struct {
-	prog     *program
-	logs     *logSet // the replay logs of the run the snapshot is from
-	phase    int
-	offset   uint64
-	phaseSim int64 // release clock of the barrier that opened the phase
-	mem      []Value
-	setupOut []Value
-	threads  []threadSnap
+	prog       *program
+	episode    int // barrier releases before this one
+	releaseSim int64
+	mem        []Value
+	setupOut   []Value
+	threads    []threadSnap
 }
 
 // threadSnap is one thread's state at a snapshot.
 type threadSnap struct {
-	pc                              int32 // slave()'s pc where the thread continues
-	sim                             int64
+	pc                              int32 // slave()'s pc after the barrier
 	regs                            []Value
 	loopStack, loopKeys             []uint64
 	steps, branchSeq, eventSeq, rng uint64
 	output                          []Value
-	replay                          eventLog // branch events sent since the phase opened
 }
 
-// Phase returns the number of barrier releases in the run before the
-// snapshot's episode.
-func (s *Snapshot) Phase() int { return s.phase }
-
-// Offset returns the episode's offset into its phase: 0 at the barrier
-// release that opened it.
-func (s *Snapshot) Offset() uint64 { return s.offset }
+// Episode returns the number of barrier releases in the run before the
+// one the snapshot was taken at.
+func (s *Snapshot) Episode() int { return s.episode }
 
 // BranchSeq returns the number of conditional branches thread tid had
 // executed at the snapshot.
 func (s *Snapshot) BranchSeq(tid int) uint64 { return s.threads[tid].branchSeq }
 
-// Replayed returns the number of branch events a run resumed from the
-// snapshot re-sends to its monitor before it continues: every thread's
-// events since the phase opened.
-func (s *Snapshot) Replayed() uint64 {
-	var n uint64
-	for i := range s.threads {
-		n += uint64(s.threads[i].replay.n)
-	}
-	return n
-}
-
-// Drop hands the replay logs of s, and of every other snapshot taken in
-// the same run, back for reuse by later runs. No run may resume from any
-// of those snapshots afterwards.
-func (s *Snapshot) Drop() {
-	if s.logs != nil {
-		s.logs.release()
-	}
-}
-
 // ErrResume reports a snapshot that does not fit the run resuming from it.
 var ErrResume = errors.New("snapshot is not from this program at this thread count")
 
-// Episode is a point of a run where a Snapshot can be taken, as
-// Options.Capture sees it: a barrier release, or a cut inside a barrier
-// phase. Every thread is then in slave() itself (call depth 1) and holds
-// no lock. It is valid only during that call.
+// Episode is a barrier episode that qualifies for a snapshot, as
+// Options.Capture sees it. It is valid only during that call.
 type Episode struct {
-	m        *machine
-	phase    int
-	offset   uint64
-	phaseSim int64
+	m          *machine
+	n          int
+	releaseSim int64
 }
 
-// Phase returns the number of barrier releases in the run before the
-// episode: a barrier release opens phase Phase(), and slave() starts in
-// phase 0.
-func (e Episode) Phase() int { return e.phase }
-
-// Offset returns 0 at a barrier release; at a cut, the branch offset
-// Options.Cuts asked for.
-func (e Episode) Offset() uint64 { return e.offset }
+// N returns the number of barrier releases in the run before this one.
+func (e Episode) N() int { return e.n }
 
 // BranchSeq returns the number of conditional branches thread tid has
 // executed.
@@ -104,19 +62,16 @@ func (e Episode) BranchSeq(tid int) uint64 { return e.m.threads[tid].branchSeq }
 func (e Episode) Snapshot() *Snapshot {
 	m := e.m
 	s := &Snapshot{
-		prog:     m.prog,
-		logs:     m.logs,
-		phase:    e.phase,
-		offset:   e.offset,
-		phaseSim: e.phaseSim,
-		mem:      append([]Value(nil), m.mem...),
-		setupOut: m.setupOut,
-		threads:  make([]threadSnap, len(m.threads)),
+		prog:       m.prog,
+		episode:    e.n,
+		releaseSim: e.releaseSim,
+		mem:        append([]Value(nil), m.mem...),
+		setupOut:   m.setupOut,
+		threads:    make([]threadSnap, len(m.threads)),
 	}
 	for i, t := range m.threads {
-		ts := threadSnap{
+		s.threads[i] = threadSnap{
 			pc:        t.resumePC,
-			sim:       t.sim,
 			regs:      append([]Value(nil), t.fr.regs...),
 			loopStack: append([]uint64(nil), t.loopStack...),
 			loopKeys:  append([]uint64(nil), t.loopKeys...),
@@ -126,235 +81,46 @@ func (e Episode) Snapshot() *Snapshot {
 			rng:       t.rng,
 			output:    append([]Value(nil), t.output...),
 		}
-		if e.offset == 0 {
-			// A waiting peer takes the release clock once it wakes.
-			ts.sim = e.phaseSim
-		}
-		if t.cut != nil {
-			// The log only grows past this prefix, so runs resumed from
-			// the snapshot can share its arrays with later snapshots.
-			ts.replay = t.cut.log
-		}
-		s.threads[i] = ts
 	}
 	return s
 }
 
-// episode runs at barrier release n, on the last thread to arrive, under
-// the barrier's lock: every peer waits for the release, so no thread
-// state or memory word can change. The release opens phase n+1, which
-// may hold cuts only when every thread waits in slave() itself holding
-// no lock. Capture sees the release when it qualifies, and Cuts lists it
-// or is nil.
+// episode hands Options.Capture barrier episode n if it qualifies. It
+// runs on the last thread to arrive, under the barrier's lock: every
+// peer waits for the release, so no thread state or memory word can
+// change.
 func (m *machine) episode(n int, releaseSim int64) {
-	phase := n + 1
-	ok := true
 	for _, t := range m.threads {
 		if t.depth != 1 || len(t.held) > 0 {
-			ok = false
-			break
+			return
 		}
 	}
-	if cp := m.cuts[phase]; cp != nil {
-		if ok {
-			cp.sim = releaseSim
-		} else {
-			cp.abandon(m)
-		}
-	}
-	listed := m.opts.Cuts == nil
-	if offs := m.opts.Cuts[phase]; len(offs) > 0 && offs[0] == 0 {
-		listed = true
-		defer m.resolved(1)
-	}
-	if listed && ok {
-		m.opts.Capture(Episode{m, phase, 0, releaseSim})
-	}
+	m.opts.Capture(Episode{m, n, releaseSim})
 }
 
 // restore loads a snapshot's shared state into a fresh machine: memory,
-// the setup() output, the barrier's release count, and every thread's
-// clock bound in the lock table.
+// the setup() output, and every thread's clock bound in the lock table.
 func (m *machine) restore(s *Snapshot) {
 	copy(m.mem, s.mem)
 	m.setupOut = s.setupOut
-	m.barrier.gen = uint64(s.phase)
-	m.barrier.released.Store(m.barrier.gen)
 	for i := range m.locks.threads {
-		m.locks.threads[i].clock = s.phaseSim
+		m.locks.threads[i].clock = s.releaseSim
 	}
 }
 
 // resume runs slave() on t from its state in s: the frame, counters and
-// loop keys are copied, so the snapshot stays intact for other runs. The
-// thread first re-sends the branch events it had sent in the snapshot's
-// phase, so the run's monitor sees the open generation whole; the
-// replay charges no clock, step or event count, which the snapshot
-// already holds.
+// loop keys are copied, so the snapshot stays intact for other runs.
 func (t *Thread) resume(fn *function, s *Snapshot) *Trap {
 	ts := &s.threads[t.tid]
-	t.sim, t.phase = ts.sim, s.phase
+	t.sim = s.releaseSim
 	t.steps, t.branchSeq, t.eventSeq, t.rng = ts.steps, ts.branchSeq, ts.eventSeq, ts.rng
 	t.loopStack = append(t.loopStack[:0], ts.loopStack...)
 	t.loopKeys = append(t.loopKeys[:0], ts.loopKeys...)
 	t.output = append([]Value(nil), ts.output...)
-	if t.sender != nil {
-		ts.replay.send(t.sender, int32(t.tid))
-	}
 	fr := &frame{fn: fn, regs: append([]Value(nil), ts.regs...)}
 	t.frames = append(t.frames[:0], fr)
 	t.fr, t.depth = fr, 1
 	_, trap := t.exec(fn, fr.regs, ts.pc)
 	t.fr, t.depth = nil, 0
 	return trap
-}
-
-// A cut stops every thread inside a barrier phase, before its first
-// conditional branch in slave() itself (call depth 1) at or past the
-// cut's offset: the number of branches the thread has executed since
-// the phase opened. A thread that reaches the phase's closing barrier,
-// in slave(), first stops before it. The last thread to stop hands the
-// cut to Capture, and then every thread continues. A thread that would
-// lock, unlock, wait at a barrier inside a call, or leave the parallel
-// section before its stop abandons the phase's remaining cuts. Each of
-// these depends only on the thread's own execution, so which cuts are
-// taken does not depend on the schedule.
-
-// cutPhase is the rendezvous of one phase's cuts, shared by its threads.
-type cutPhase struct {
-	phase   int
-	offsets []uint64 // ascending and positive
-
-	sim int64 // release clock of the barrier that opened the phase
-
-	mu        sync.Mutex
-	cond      *sync.Cond
-	arrived   int  // threads stopped at cut done
-	done      int  // cuts taken, in order
-	abandoned bool // the cuts from done on will not be taken
-}
-
-// threadCut is a thread's progress through its phase's cuts.
-type threadCut struct {
-	ph     *cutPhase
-	next   int    // the thread's next cut
-	stopAt uint64 // branch count at or past which the next cut stops it
-	open   uint64 // branch count when the phase opened
-	log    eventLog
-
-	// The log's encoder state.
-	slots   []uint32 // open-addressing index of log.keys by Key1: position+1, 0 = free
-	lastSig []uint64 // by key: the Sig of its last event
-	stack   []uint64 // the loop stack at the last event
-	buf     []byte   // one encoded event
-}
-
-// newCutPhases builds the rendezvous of the phases Cuts lists positive
-// offsets for.
-func newCutPhases(cuts map[int][]uint64) map[int]*cutPhase {
-	phases := make(map[int]*cutPhase)
-	for p, offs := range cuts {
-		if len(offs) > 0 && offs[0] == 0 {
-			offs = offs[1:]
-		}
-		if len(offs) > 0 {
-			cp := &cutPhase{phase: p, offsets: offs}
-			cp.cond = sync.NewCond(&cp.mu)
-			phases[p] = cp
-		}
-	}
-	return phases
-}
-
-// armCut starts t's cuts when its phase holds any that are still open.
-func (t *Thread) armCut() {
-	cp := t.m.cuts[t.phase]
-	if cp == nil {
-		return
-	}
-	cp.mu.Lock()
-	skip := cp.abandoned
-	cp.mu.Unlock()
-	if !skip {
-		c := &threadCut{ph: cp, stopAt: t.branchSeq + cp.offsets[0], open: t.branchSeq}
-		c.log.open = append([]uint64(nil), t.loopStack...)
-		c.stack = append([]uint64(nil), t.loopStack...)
-		t.cut = c
-		t.m.logs.add(&c.log)
-	}
-}
-
-// stopAtCut runs before the instruction at pc of slave(): a conditional
-// branch, or the phase's closing barrier when closing. It holds t at
-// every cut it has reached until the cut is taken or abandoned. The
-// instruction runs next, also in a run resumed from the cut, unless the
-// run aborted, as it does once its last cut is taken.
-func (t *Thread) stopAtCut(pc int32, closing bool) *Trap {
-	t.resumePC = pc
-	t.steps-- // counted again when the instruction runs
-	for c := t.cut; closing || t.branchSeq >= c.stopAt; {
-		if !c.ph.arrive(t.m, c.next) {
-			t.cut = nil
-			break
-		}
-		if c.next++; c.next == len(c.ph.offsets) {
-			t.cut = nil
-			break
-		}
-		c.stopAt = c.open + c.ph.offsets[c.next]
-	}
-	t.steps++
-	if t.m.abortedNow() {
-		return t.trap(TrapAborted, "machine aborted at a cut")
-	}
-	return nil
-}
-
-// arrive stops a thread at cut i. It reports whether the cut was taken;
-// false means a thread abandoned it.
-func (cp *cutPhase) arrive(m *machine, i int) bool {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	if cp.abandoned {
-		return false
-	}
-	if cp.arrived++; cp.arrived == len(m.threads) {
-		cp.arrived = 0
-		cp.done++
-		m.opts.Capture(Episode{m, cp.phase, cp.offsets[i], cp.sim})
-		cp.cond.Broadcast()
-		m.resolved(1)
-		return true
-	}
-	for cp.done <= i && !cp.abandoned {
-		cp.cond.Wait()
-	}
-	return cp.done > i
-}
-
-// abandonCut gives up t's phase's remaining cuts and releases the
-// threads stopped at one.
-func (t *Thread) abandonCut() {
-	cp := t.cut.ph
-	t.cut = nil
-	cp.abandon(t.m)
-}
-
-func (cp *cutPhase) abandon(m *machine) {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	if cp.abandoned {
-		return
-	}
-	cp.abandoned = true
-	cp.cond.Broadcast()
-	m.resolved(len(cp.offsets) - cp.done)
-}
-
-// resolved counts n of the points Cuts lists as taken or abandoned; once
-// none is left, the run has nothing more to capture and aborts.
-func (m *machine) resolved(n int) {
-	if n > 0 && m.pointsLeft.Add(int64(-n)) == 0 {
-		m.abort()
-	}
 }

@@ -34,9 +34,7 @@ type Thread struct {
 	held      []uint64
 	fr        *frame
 	frames    []*frame      // by call depth, reused across calls
-	resumePC  int32         // slave()'s pc where a snapshot resumes the thread
-	phase     int           // barrier releases the thread has passed
-	cut       *threadCut    // the thread's phase's cuts; nil when it has none left
+	resumePC  int32         // pc after the barrier the thread last reached
 	phiBuf    []Value       // parallel-copy scratch for the phis of an edge
 	fault     FaultInjector // Options.Fault; nil for the setup context
 
@@ -395,30 +393,17 @@ func (t *Thread) exec(fn *function, regs []Value, pc int32) (Value, *Trap) {
 			regs[in.dst] = FloatVal(math.Exp(AsFloat(regs[in.a])))
 		case opLock:
 			t.sim += c.Default
-			if t.cut != nil {
-				t.abandonCut()
-			}
 			if trap := t.m.acquire(t, AsInt(regs[in.a])); trap != nil {
 				return 0, trap
 			}
 		case opUnlock:
 			t.sim += c.Default
-			if t.cut != nil {
-				t.abandonCut()
-			}
 			if trap := t.m.release(t, AsInt(regs[in.a])); trap != nil {
 				return 0, trap
 			}
 		case opBarrier:
 			if t.tid < 0 {
 				return 0, t.trap(TrapInternal, "barrier in setup()")
-			}
-			if t.cut != nil {
-				if t.depth != 1 {
-					t.abandonCut()
-				} else if trap := t.stopAtCut(pc-1, true); trap != nil {
-					return 0, trap
-				}
 			}
 			if t.sender != nil {
 				// Control events flush the Sender's buffer first, so the
@@ -428,10 +413,6 @@ func (t *Thread) exec(fn *function, regs []Value, pc int32) (Value, *Trap) {
 			t.resumePC = pc
 			if trap := t.m.barrier.wait(t); trap != nil {
 				return 0, trap
-			}
-			t.phase++
-			if t.m.cuts != nil {
-				t.armCut()
 			}
 		case opOutput:
 			t.sim += c.Output
@@ -446,11 +427,6 @@ func (t *Thread) exec(fn *function, regs []Value, pc int32) (Value, *Trap) {
 			t.sim += c.Default
 			t.loopPop()
 		case opBr:
-			if t.cut != nil && t.depth == 1 && t.branchSeq >= t.cut.stopAt {
-				if trap := t.stopAtCut(pc-1, false); trap != nil {
-					return 0, trap
-				}
-			}
 			e := in.aux
 			if !t.branch(fn.src[pc-1], in, regs) {
 				e++
@@ -504,7 +480,7 @@ func (t *Thread) branch(br *ir.Instr, in *instr, regs []Value) bool {
 					sig = mix64(sig ^ v)
 				}
 			}
-			ev := monitor.Event{
+			t.sender.Send(monitor.Event{
 				Kind:     monitor.EvBranch,
 				Taken:    taken,
 				Thread:   int32(t.tid),
@@ -512,11 +488,7 @@ func (t *Thread) branch(br *ir.Instr, in *instr, regs []Value) bool {
 				Key1:     mix64(t.pathHash ^ sp.idMix),
 				Key2:     t.key2(),
 				Sig:      sig,
-			}
-			t.sender.Send(ev)
-			if t.cut != nil {
-				t.logEvent(&ev)
-			}
+			})
 			t.eventSeq++
 			t.sim += t.sendCost
 		}
